@@ -174,6 +174,38 @@ impl<'a> IntegrityGuard<'a> {
         }
     }
 
+    /// Admits a sparse band output — the non-zero `(local row, value)`
+    /// pairs, in ascending row order, of a `band`-row band whose row `i`
+    /// holds global key `base_key + i` — exactly as [`Self::admit_band`]
+    /// admits the dense band. Only a DPU the fault plan flips pays for the
+    /// dense band: it is rebuilt, admitted, and compressed back into
+    /// `pairs`, so a victim on an untouched row that verification does not
+    /// restore surfaces as a new pair.
+    pub(crate) fn admit_pairs<S: Semiring>(
+        &mut self,
+        dpu: u32,
+        base_key: u32,
+        band: usize,
+        pairs: &mut Vec<(u32, S::Elem)>,
+    ) {
+        let Some(engine) = self.faults else { return };
+        if !engine.silently_flipped(dpu) {
+            self.checks += 1;
+            return;
+        }
+        let mut local = vec![S::zero(); band];
+        for &(r, v) in pairs.iter() {
+            local[r as usize] = v;
+        }
+        self.admit_band::<S>(dpu, base_key, &mut local);
+        pairs.clear();
+        for (i, v) in local.into_iter().enumerate() {
+            if !S::is_zero(&v) {
+                pairs.push((i as u32, v));
+            }
+        }
+    }
+
     /// Admits a keyed partial-output map (CSC-C's merge structure). The
     /// victim is chosen key-deterministically — the entry minimizing
     /// `mix64(victim_hint ^ key)` — so the corruption site is independent
@@ -359,6 +391,65 @@ mod tests {
         assert_eq!(c.get(CounterId::SdcDetected), 0);
         assert_eq!(c.get(CounterId::SdcRecomputeCycles), 0);
         assert!(kernel.corrupted_dpus.is_empty());
+    }
+
+    /// `admit_pairs` on a flipped DPU whose victim is an untouched row
+    /// leaves the output, the `sdc.*` ledger, the offender list and the
+    /// recompute charge exactly as `admit_band` leaves the dense band.
+    fn pairs_entry_matches_dense_band<S: Semiring>() {
+        const BAND: usize = 48;
+        const BASE: u32 = 100;
+        let touched = vec![(5u32, S::from_weight(3)), (40, S::from_weight(9))];
+        let densify = |pairs: &[(u32, S::Elem)]| {
+            let mut band = vec![S::zero(); BAND];
+            for &(r, v) in pairs {
+                band[r as usize] = v;
+            }
+            band
+        };
+        for verify in [true, false] {
+            let mut plan = FaultPlan::silent(0xC0FFEE, 1.0);
+            plan.policy.verify_merges = verify;
+            let sys = system_with(Some(plan));
+            let engine = sys.fault_engine().expect("the plan is set");
+            let dpu = (0..sys.num_dpus())
+                .find(|&d| {
+                    let victim = engine.corruption_draw(d).0 % BAND as u64;
+                    touched.iter().all(|&(r, _)| u64::from(r) != victim)
+                })
+                .expect("some DPU's victim row is untouched");
+            let mut pairs = touched.clone();
+            let mut sparse_guard = IntegrityGuard::new(&sys);
+            sparse_guard.admit_pairs::<S>(dpu, BASE, BAND, &mut pairs);
+            let mut band = densify(&touched);
+            let mut dense_guard = IntegrityGuard::new(&sys);
+            dense_guard.admit_band::<S>(dpu, BASE, &mut band);
+
+            assert_eq!(densify(&pairs), band, "verify {verify}");
+            assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "pairs stay in row order");
+            if verify {
+                assert_eq!(pairs, touched, "the restore leaves no pair on the victim row");
+            } else {
+                assert_eq!(pairs.len(), touched.len() + 1, "the corruption escapes as a new pair");
+            }
+            let (mut sparse_kernel, mut dense_kernel) = (dummy_report(), dummy_report());
+            let (mut sparse_phases, mut dense_phases) =
+                (PhaseBreakdown::default(), PhaseBreakdown::default());
+            sparse_guard.finalize(&sys, &mut sparse_kernel, &mut sparse_phases);
+            dense_guard.finalize(&sys, &mut dense_kernel, &mut dense_phases);
+            assert_eq!(sparse_kernel, dense_kernel, "verify {verify}");
+            assert_eq!(sparse_phases, dense_phases, "verify {verify}");
+            let c = &sparse_kernel.breakdown.counters;
+            assert_eq!(c.get(CounterId::SdcInjected), 1);
+            assert_eq!(c.get(CounterId::SdcDetected), u64::from(verify));
+            assert_eq!(c.get(CounterId::SdcEscaped), u64::from(!verify));
+        }
+    }
+
+    #[test]
+    fn pairs_entry_matches_dense_band_on_an_untouched_victim() {
+        pairs_entry_matches_dense_band::<MinPlus>();
+        pairs_entry_matches_dense_band::<PlusTimes>();
     }
 
     #[test]

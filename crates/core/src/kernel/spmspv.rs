@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 
 use alpha_pim_sim::instr::InstrClass;
-use alpha_pim_sim::par::par_map_indexed;
+use alpha_pim_sim::par::{par_map_indexed, par_map_indexed_with};
 use alpha_pim_sim::report::{EvalRecord, PhaseBreakdown};
 use alpha_pim_sim::trace::{Record, TaskletTrace};
 use alpha_pim_sim::{CounterSet, PimSystem, SimFidelity, TaskletStats};
@@ -325,50 +325,36 @@ impl<S: Semiring> PreparedSpmspv<S> {
     ) -> Result<IterationOutcome<S>, AlphaPimError> {
         let eb = S::elem_bytes();
         let ventry = vec_entry_bytes(eb) as u64;
-        let tasklets = sys.config().tasklets_per_dpu;
         let mut acc = sys.accumulator();
         let mut y = vec![S::zero(); self.n as usize];
         let mut ops = 0u64;
         let mut retrieve = vec![0u64; bands.len()];
         let entries: Vec<(u32, S::Elem)> = x.iter().collect();
-        let evals = par_map_indexed(bands, |part, b| {
-            let band = (b.rows.end - b.rows.start) as usize;
-            let mut local = vec![S::zero(); band];
-            let mut part_ops = 0u64;
-            let traces = csc_active_traces::<S, R>(
-                &b.matrix,
-                &entries,
-                band as u64 * eb as u64,
-                sys,
-                tasklets,
-                &mut |r, contrib| {
-                    local[r as usize] = S::add(local[r as usize], contrib);
-                },
-                &mut part_ops,
-            );
-            (acc.evaluate_records(part as u32, &traces), local, part_ops)
+        let evals = par_map_indexed_with(bands, BandScratch::<S>::default, |scratch, part, b| {
+            let (traces, pairs, part_ops) =
+                scratch.run::<R>(&b.matrix, b.rows.len(), &entries, sys);
+            (acc.evaluate_records(part as u32, &traces), pairs, part_ops)
         });
         let mut guard = IntegrityGuard::new(sys);
-        for (part, (b, (eval, mut local, part_ops))) in bands.iter().zip(evals).enumerate() {
+        for (part, (b, (eval, mut pairs, part_ops))) in bands.iter().zip(evals).enumerate() {
             let lost = eval.is_lost();
             let active = eval.is_active();
             acc.merge(eval);
             if lost {
                 continue;
             }
+            let band = b.rows.len();
             if active {
-                guard.admit_band::<S>(part as u32, b.rows.start, &mut local);
+                guard.admit_pairs::<S>(part as u32, b.rows.start, band, &mut pairs);
             }
             ops += part_ops;
-            let band = local.len() as u64;
-            let mut nnz_out = 0u64;
-            for (i, v) in local.into_iter().enumerate() {
-                if !S::is_zero(&v) {
-                    nnz_out += 1;
-                }
-                y[b.rows.start as usize + i] = v;
+            // Row bands are disjoint: every pair lands on a `y` slot no
+            // other band writes.
+            let nnz_out = pairs.len() as u64;
+            for (r, v) in pairs {
+                y[(b.rows.start + r) as usize] = v;
             }
-            retrieve[part] = (nnz_out * ventry).min(band * eb as u64);
+            retrieve[part] = (nnz_out * ventry).min(band as u64 * eb as u64);
         }
         let mut kernel = acc.finish();
         let mut host = CounterSet::new();
@@ -471,37 +457,31 @@ impl<S: Semiring> PreparedSpmspv<S> {
     ) -> Result<IterationOutcome<S>, AlphaPimError> {
         let eb = S::elem_bytes();
         let ventry = vec_entry_bytes(eb) as u64;
-        let tasklets = sys.config().tasklets_per_dpu;
         let mut acc = sys.accumulator();
         let mut y = vec![S::zero(); self.n as usize];
         let mut ops = 0u64;
         let mut load = vec![0u64; tiles.len()];
         let mut retrieve = vec![0u64; tiles.len()];
         let mut merged_elems = 0u64;
-        let evals = par_map_indexed(tiles, |part, t| {
-            let band = (t.rows.end - t.rows.start) as usize;
-            let seg = x.slice_range(t.cols.start, t.cols.end);
-            let entries: Vec<(u32, S::Elem)> = seg.iter().collect();
-            let seg_bytes = seg.compressed_bytes(eb as usize) as u64;
-            let mut local = vec![S::zero(); band];
-            let mut part_ops = 0u64;
-            let traces = csc_active_traces::<S, R>(
-                &t.matrix,
-                &entries,
-                band as u64 * eb as u64,
-                sys,
-                tasklets,
-                &mut |r, contrib| {
-                    local[r as usize] = S::add(local[r as usize], contrib);
-                },
-                &mut part_ops,
+        let (x_idx, x_vals) = (x.indices(), x.values());
+        let init = || (BandScratch::<S>::default(), Vec::new());
+        let evals = par_map_indexed_with(tiles, init, |(scratch, segment), part, t| {
+            // The tile's input segment, re-based to its first column.
+            let lo = x_idx.partition_point(|&i| i < t.cols.start);
+            let hi = lo + x_idx[lo..].partition_point(|&i| i < t.cols.end);
+            segment.clear();
+            segment.extend(
+                x_idx[lo..hi].iter().zip(&x_vals[lo..hi]).map(|(&i, &v)| (i - t.cols.start, v)),
             );
-            (acc.evaluate_records(part as u32, &traces), local, seg_bytes, part_ops)
+            let (traces, pairs, part_ops) =
+                scratch.run::<R>(&t.matrix, t.rows.len(), segment, sys);
+            let seg_bytes = segment.len() as u64 * ventry;
+            (acc.evaluate_records(part as u32, &traces), pairs, seg_bytes, part_ops)
         });
         // Tiles sharing a grid row overlap in `y`; merge in tile order to
         // keep the cross-tile reduction identical to a sequential run.
         let mut guard = IntegrityGuard::new(sys);
-        for (part, (t, (eval, mut local, seg_bytes, part_ops))) in
+        for (part, (t, (eval, mut pairs, seg_bytes, part_ops))) in
             tiles.iter().zip(evals).enumerate()
         {
             let lost = eval.is_lost();
@@ -510,21 +490,18 @@ impl<S: Semiring> PreparedSpmspv<S> {
             if lost {
                 continue;
             }
+            let band = t.rows.len();
             if active {
-                guard.admit_band::<S>(part as u32, t.rows.start, &mut local);
+                guard.admit_pairs::<S>(part as u32, t.rows.start, band, &mut pairs);
             }
             ops += part_ops;
             load[part] = seg_bytes;
-            let band = local.len() as u64;
-            let mut nnz_out = 0u64;
-            for (i, v) in local.into_iter().enumerate() {
-                if !S::is_zero(&v) {
-                    nnz_out += 1;
-                    let g = t.rows.start as usize + i;
-                    y[g] = S::add(y[g], v);
-                }
+            let nnz_out = pairs.len() as u64;
+            for (r, v) in pairs {
+                let g = (t.rows.start + r) as usize;
+                y[g] = S::add(y[g], v);
             }
-            retrieve[part] = (nnz_out * ventry).min(band * eb as u64);
+            retrieve[part] = (nnz_out * ventry).min(band as u64 * eb as u64);
             merged_elems += nnz_out;
         }
         let mut kernel = acc.finish();
@@ -686,6 +663,87 @@ fn csr_matched_traces<S: Semiring, R: EvalRecord>(
         traces.push(t);
     }
     traces
+}
+
+/// A partition's non-zero outputs as `(local row, value)` pairs in
+/// ascending row order.
+type RowPairs<V> = Vec<(u32, V)>;
+
+/// Per-worker scratch of the row-banded CSC variants (CSC-R bands and
+/// CSC-2D tiles), lent by the pool to every partition one worker runs in a
+/// launch. Between partitions every accumulator holds the semiring zero
+/// and no row is marked, so a partition costs host work in proportion to
+/// the rows it touches rather than to its band.
+struct BandScratch<S: Semiring> {
+    /// Row accumulators, grown to the longest band seen so far.
+    acc: Vec<S::Elem>,
+    /// One bit per row, set once the current partition accumulates into it.
+    touched: Vec<u64>,
+}
+
+impl<S: Semiring> Default for BandScratch<S> {
+    fn default() -> Self {
+        BandScratch { acc: Vec::new(), touched: Vec::new() }
+    }
+}
+
+impl<S: Semiring> BandScratch<S> {
+    /// Runs one partition of `band` output rows against its input
+    /// `entries`. Returns the partition's records, its output pairs, and
+    /// its useful operations.
+    fn run<R: EvalRecord>(
+        &mut self,
+        m: &Csc<S::Elem>,
+        band: usize,
+        entries: &[(u32, S::Elem)],
+        sys: &PimSystem,
+    ) -> (Vec<R>, RowPairs<S::Elem>, u64) {
+        let words = band.div_ceil(64);
+        if self.acc.len() < band {
+            self.acc.resize(band, S::zero());
+        }
+        if self.touched.len() < words {
+            self.touched.resize(words, 0);
+        }
+        let (acc, touched) = (&mut self.acc, &mut self.touched);
+        let mut rows = 0usize;
+        let mut ops = 0u64;
+        let traces = csc_active_traces::<S, R>(
+            m,
+            entries,
+            band as u64 * S::elem_bytes() as u64,
+            sys,
+            sys.config().tasklets_per_dpu,
+            &mut |r, contrib| {
+                let (word, bit) = (r as usize / 64, 1u64 << (r % 64));
+                if touched[word] & bit == 0 {
+                    touched[word] |= bit;
+                    rows += 1;
+                }
+                acc[r as usize] = S::add(acc[r as usize], contrib);
+            },
+            &mut ops,
+        );
+        // Walk the marks in row order, handing out the non-zero rows and
+        // resetting each touched row for the next partition. A row whose
+        // contributions summed to the semiring zero yields no pair, just
+        // as a dense band would count it in no output.
+        let mut pairs = Vec::with_capacity(rows);
+        if rows > 0 {
+            for (w, word) in touched[..words].iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let r = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let v = std::mem::replace(&mut acc[r], S::zero());
+                    if !S::is_zero(&v) {
+                        pairs.push((r as u32, v));
+                    }
+                }
+            }
+        }
+        (traces, pairs, ops)
+    }
 }
 
 /// The reserved mutex protecting the dynamic column work queue.

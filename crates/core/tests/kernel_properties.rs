@@ -8,9 +8,9 @@
 
 use std::collections::BTreeSet;
 
-use alpha_pim::semiring::{BoolOrAnd, MaxMin, MinPlus, Semiring};
+use alpha_pim::semiring::{BoolOrAnd, MaxMin, MinPlus, PlusTimes, Semiring};
 use alpha_pim::{PreparedSpmspv, PreparedSpmv, SpmspvVariant, SpmvVariant};
-use alpha_pim_sim::{PimConfig, PimSystem, SimFidelity};
+use alpha_pim_sim::{set_sim_threads, CounterId, PimConfig, PimSystem, SimFidelity};
 use alpha_pim_sparse::gen::rng::SplitMix64;
 use alpha_pim_sparse::{Coo, SparseVector};
 
@@ -149,6 +149,95 @@ fn useful_ops_never_exceed_matrix_work() {
             let out = prep.run(&x, &sys).unwrap();
             assert!(out.useful_ops <= 2 * m.nnz() as u64, "variant {}", variant);
             assert!(out.output_nnz <= m.n_rows() as usize);
+        }
+    }
+}
+
+/// A 600-node plus-times matrix whose row 7 holds exactly two entries,
+/// `+2` at `cols.0` and `-2` at `cols.1`; every other row gets random
+/// weights in columns 6 and up.
+fn matrix_with_row_7_in(cols: (u32, u32)) -> Coo<f32> {
+    const N: u32 = 600;
+    let mut rng = SplitMix64::new(0xA306);
+    let mut coords = BTreeSet::new();
+    for _ in 0..3000 {
+        let r = rng.u32_below(N);
+        if r != 7 {
+            coords.insert((r, 6 + rng.u32_below(N - 6)));
+        }
+    }
+    let entries = coords
+        .into_iter()
+        .enumerate()
+        .map(|(i, (r, c))| (r, c, (i % 9 + 1) as f32))
+        .chain([(7, cols.0, 2.0), (7, cols.1, -2.0)]);
+    Coo::from_entries(N, N, entries).expect("coords in range")
+}
+
+/// Columns 3 and 5 always carry the same value and 1 and 2 never appear,
+/// so row 7's contributions cancel when its entries sit in 3 and 5 and
+/// never arrive when they sit in 1 and 2.
+fn frontier(keep: impl Fn(u32) -> bool) -> SparseVector<f32> {
+    let idx: Vec<u32> =
+        (0..600).filter(|&i| i == 3 || i == 5 || (i > 5 && keep(i))).collect();
+    let vals: Vec<f32> =
+        idx.iter().map(|&i| if i <= 5 { 0.5 } else { (i % 7 + 1) as f32 * 0.25 }).collect();
+    SparseVector::from_pairs(600, idx, vals).expect("unique indices")
+}
+
+/// The row-banded CSC variants reuse per-worker scratch across the
+/// partitions of a launch. Whatever one partition or launch leaves behind
+/// must not reach the next: one prepared kernel, run on a 50 % frontier,
+/// then a 1 % one, then one that only the first grid column's tiles see,
+/// matches a freshly prepared kernel bit for bit at 1 and 4 threads, and
+/// the exact product (every sum here is exact in `f32`). A row whose
+/// contributions cancel to the semiring zero costs exactly what an
+/// untouched row costs: no output, no retrieve bytes, no merge work.
+#[test]
+fn reused_band_scratch_matches_fresh_launches() {
+    let cancelling = matrix_with_row_7_in((3, 5));
+    let inert = matrix_with_row_7_in((1, 2));
+    let frontiers = [
+        frontier(|i| i % 2 == 0),
+        frontier(|i| i % 100 == 0),
+        frontier(|i| i < 30),
+    ];
+    let sys = system(16, 16);
+    let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for threads in [1, 4] {
+        set_sim_threads(threads);
+        for variant in [SpmspvVariant::Csc2d, SpmspvVariant::CscR] {
+            let reused = PreparedSpmspv::<PlusTimes>::prepare(&cancelling, variant, &sys).unwrap();
+            for (f, x) in frontiers.iter().enumerate() {
+                let case = format!("{variant} frontier {f} at {threads} threads");
+                let out = reused.run(x, &sys).unwrap();
+                let fresh = PreparedSpmspv::<PlusTimes>::prepare(&cancelling, variant, &sys)
+                    .unwrap()
+                    .run(x, &sys)
+                    .unwrap();
+                let exact = reference::<PlusTimes>(&cancelling, x.to_dense(0.0).values());
+                assert_eq!(bits(out.y.values()), bits(&exact), "{case}");
+                assert_eq!(bits(out.y.values()), bits(fresh.y.values()), "{case}");
+                assert_eq!(out.kernel.to_json(), fresh.kernel.to_json(), "{case}");
+                assert_eq!(out.phases, fresh.phases, "{case}");
+                assert_eq!(out.output_nnz, fresh.output_nnz, "{case}");
+                assert_eq!(out.useful_ops, fresh.useful_ops, "{case}");
+
+                let untouched = PreparedSpmspv::<PlusTimes>::prepare(&inert, variant, &sys)
+                    .unwrap()
+                    .run(x, &sys)
+                    .unwrap();
+                assert_eq!(out.y.values()[7].to_bits(), 0.0f32.to_bits(), "{case}");
+                assert_eq!(bits(out.y.values()), bits(untouched.y.values()), "{case}");
+                assert_eq!(out.output_nnz, untouched.output_nnz, "{case}");
+                assert_eq!(out.useful_ops, untouched.useful_ops + 4, "{case}");
+                let (c, u) = (&out.kernel.breakdown.counters, &untouched.kernel.breakdown.counters);
+                for id in [CounterId::XferGatherBytes, CounterId::HostMergeBytes] {
+                    assert_eq!(c.get(id), u.get(id), "{case}: {}", id.label());
+                }
+                assert_eq!(out.phases.retrieve, untouched.phases.retrieve, "{case}");
+                assert_eq!(out.phases.merge, untouched.phases.merge, "{case}");
+            }
         }
     }
 }

@@ -86,7 +86,7 @@ pub use counters::{CounterId, CounterSet, NUM_COUNTERS};
 pub use faults::{FaultEngine, FaultVerdict, HostCrashPlan};
 pub use energy::EnergyModel;
 pub use instr::{InstrClass, InstrMix};
-pub use par::{par_map_indexed, set_sim_threads, sim_threads, SimThreads};
+pub use par::{par_map_indexed, par_map_indexed_with, set_sim_threads, sim_threads, SimThreads};
 pub use report::{
     BatchReport, CycleBreakdown, DpuDetail, DpuEval, DpuProfile, DpuReport, EvalRecord,
     KernelAccumulator, KernelReport, PhaseBreakdown,

@@ -84,20 +84,41 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    par_map_indexed_with(items, || (), |_, i, t| f(i, t))
+}
+
+/// [`par_map_indexed`] with per-worker scratch: each worker builds one `W`
+/// with `init` and lends it to every `f(&mut scratch, index, &item)` call
+/// it makes, so buffers an item needs are allocated once per worker
+/// instead of once per item.
+///
+/// Which items share a scratch depends on the thread count and on how
+/// workers race for chunks, so `f`'s result must not depend on what an
+/// earlier item left in the scratch — leave it as the next item expects to
+/// find it. Results come back in input order, as from [`par_map_indexed`].
+pub fn par_map_indexed_with<T, W, R, I, F>(items: &[T], init: I, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, usize, &T) -> R + Sync,
+{
     let threads = sim_threads().min(items.len());
     if threads <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        let mut scratch = init();
+        return items.iter().enumerate().map(|(i, t)| f(&mut scratch, i, t)).collect();
     }
     // ~4 chunks per worker: small enough to balance skew, large enough to
     // keep counter contention negligible.
     let chunk = (items.len() / (threads * 4)).max(1);
     let next = AtomicUsize::new(0);
-    let f = &f;
+    let (f, init) = (&f, &init);
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    let mut scratch = init();
                     let mut produced = Vec::new();
                     loop {
                         let start = next.fetch_add(chunk, Ordering::Relaxed);
@@ -106,7 +127,7 @@ where
                         }
                         let end = (start + chunk).min(items.len());
                         for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                            produced.push((i, f(i, item)));
+                            produced.push((i, f(&mut scratch, i, item)));
                         }
                     }
                     produced
@@ -194,6 +215,22 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_indexed(&empty, |_, &x| x).is_empty());
         assert_eq!(par_map_indexed(&[7u32], |_, &x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn map_with_reuses_one_scratch_per_worker() {
+        let inits = AtomicUsize::new(0);
+        let items: Vec<u64> = (0..1000).collect();
+        let init = || {
+            inits.fetch_add(1, Ordering::Relaxed);
+        };
+        let out = par_map_indexed_with(&items, init, |_, i, &x| {
+            assert_eq!(i as u64, x);
+            x * 3
+        });
+        assert_eq!(out, (0..1000).map(|x| x * 3).collect::<Vec<_>>());
+        let workers = inits.load(Ordering::Relaxed);
+        assert!((1..=sim_threads()).contains(&workers), "{workers} scratches");
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use crate::config::PipelineConfig;
 use crate::counters::{CounterId, CounterSet};
+use crate::instr::{InstrClass, InstrMix};
 use crate::report::{DpuProfile, DpuReport};
 use crate::trace::{TaskletTrace, TraceEvent};
 
@@ -464,14 +465,6 @@ fn try_release_barrier(threads: &mut [Thread<'_>], arrived: &mut [bool], cycle: 
     }
 }
 
-/// Cheap analytic lower-bound-style estimate of the cycles a trace set
-/// needs, used for DPUs outside the detailed sample
-/// ([`crate::config::SimFidelity::Sampled`]).
-///
-/// Takes the maximum of three structural bounds: the single-issue pipeline
-/// bound, the per-thread revolver bound (instructions spaced by the
-/// revolver period plus that thread's DMA wait), and the serialized DMA
-/// engine bound.
 /// Extra makespan cycles a straggler DPU adds when its whole pipeline runs
 /// `multiplier`× slow (clock droop / thermal throttling at rank level).
 /// Applied on top of a simulated or estimated base makespan by the fault
@@ -480,23 +473,66 @@ pub fn straggler_extra_cycles(base_cycles: u64, multiplier: f64) -> u64 {
     ((multiplier - 1.0).max(0.0) * base_cycles as f64).ceil() as u64
 }
 
-pub fn estimate_cycles(traces: &[TaskletTrace], cfg: &PipelineConfig) -> u64 {
+/// What one walk over a DPU's tasklet traces yields: the cycle estimate
+/// of [`estimate_cycles`] plus the exact instruction accounting that
+/// [`TaskletTrace::instructions`] and [`TaskletTrace::instr_mix`] would
+/// give summed over the traces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceEstimate {
+    /// Estimated makespan in cycles, including pipeline drain.
+    pub cycles: u64,
+    /// Instructions the traces issue (compute + one per DMA, mutex op and
+    /// barrier).
+    pub instructions: u64,
+    /// Instruction-mix histogram of the traces.
+    pub mix: InstrMix,
+}
+
+/// Cheap analytic lower-bound-style estimate of the cycles a trace set
+/// needs, used for DPUs outside the detailed sample
+/// ([`crate::config::SimFidelity::Sampled`]), together with the trace
+/// set's instruction count and mix, all from a single walk of the events.
+///
+/// Takes the maximum of three structural bounds: the single-issue pipeline
+/// bound, the per-thread revolver bound (instructions spaced by the
+/// revolver period plus that thread's DMA wait), and the serialized DMA
+/// engine bound.
+pub fn estimate_cycles(traces: &[TaskletTrace], cfg: &PipelineConfig) -> TraceEstimate {
+    let mut mix = InstrMix::new();
     let mut issue_bound: u64 = 0;
     let mut thread_bound: u64 = 0;
     let mut dma_bound: u64 = 0;
     for t in traces {
-        let instrs = t.instructions();
-        issue_bound += instrs;
+        let mut instrs = 0u64;
         let mut dma_wait = 0u64;
         for e in t.events() {
-            if let TraceEvent::Dma { bytes } = e {
-                dma_wait += cfg.dma_cycles(*bytes);
+            match *e {
+                TraceEvent::Compute { class, count } => {
+                    mix.add(class, count as u64);
+                    instrs += count as u64;
+                }
+                TraceEvent::Dma { bytes } => {
+                    mix.add(InstrClass::Dma, 1);
+                    instrs += 1;
+                    dma_wait += cfg.dma_cycles(bytes);
+                }
+                TraceEvent::MutexLock { .. }
+                | TraceEvent::MutexUnlock { .. }
+                | TraceEvent::Barrier => {
+                    mix.add(InstrClass::Sync, 1);
+                    instrs += 1;
+                }
             }
         }
+        issue_bound += instrs;
         dma_bound += dma_wait;
         thread_bound = thread_bound.max(instrs * cfg.revolver_period as u64 + dma_wait);
     }
-    issue_bound.max(thread_bound).max(dma_bound) + cfg.pipeline_depth as u64
+    TraceEstimate {
+        cycles: issue_bound.max(thread_bound).max(dma_bound) + cfg.pipeline_depth as u64,
+        instructions: issue_bound,
+        mix,
+    }
 }
 
 #[cfg(test)]
@@ -727,7 +763,7 @@ mod tests {
             traces.push(t);
         }
         let sim = simulate_dpu(&traces, &cfg()).total_cycles as f64;
-        let est = estimate_cycles(&traces, &cfg()) as f64;
+        let est = estimate_cycles(&traces, &cfg()).cycles as f64;
         let ratio = sim / est;
         assert!(ratio > 0.5 && ratio < 2.0, "ratio {ratio}");
     }

@@ -9,7 +9,7 @@ use crate::config::{PimConfig, SimFidelity};
 use crate::counters::{CounterId, CounterSet};
 use crate::faults::{FaultEngine, FaultVerdict};
 use crate::instr::{InstrClass, InstrMix};
-use crate::pipeline::{estimate_cycles, simulate_dpu_profiled};
+use crate::pipeline::{estimate_cycles, simulate_dpu_profiled, TraceEstimate};
 use crate::trace::{Record, TaskletTrace};
 
 /// A recorder kind the accumulator knows how to evaluate — the tie between
@@ -545,13 +545,8 @@ impl KernelAccumulator {
                 lost: true,
             };
         }
-        let mut mix = InstrMix::new();
-        let mut instructions = 0u64;
-        for t in traces {
-            mix.merge(&t.instr_mix());
-            instructions += t.instructions();
-        }
-        let mut est_cycles = estimate_cycles(traces, &self.cfg.pipeline);
+        let TraceEstimate { cycles: mut est_cycles, instructions, mix } =
+            estimate_cycles(traces, &self.cfg.pipeline);
         let mut detailed = dpu_id
             .is_multiple_of(self.stride)
             .then(|| simulate_dpu_profiled(traces, &self.cfg.pipeline));

@@ -3,9 +3,9 @@
 //! Cases come from the in-tree seeded [`SplitMix64`] generator (≥64 per
 //! property), so every run exercises the same frozen trace set.
 
-use alpha_pim_sim::instr::InstrClass;
+use alpha_pim_sim::instr::{InstrClass, InstrMix};
 use alpha_pim_sim::pipeline::{estimate_cycles, simulate_dpu};
-use alpha_pim_sim::trace::TaskletTrace;
+use alpha_pim_sim::trace::{TaskletTrace, TraceEvent};
 use alpha_pim_sim::PipelineConfig;
 use alpha_pim_sparse::gen::rng::SplitMix64;
 
@@ -106,11 +106,54 @@ fn estimate_never_wildly_underestimates() {
         let traces = random_traces(&mut rng);
         let c = cfg();
         let sim = simulate_dpu(&traces, &c).total_cycles;
-        let est = estimate_cycles(&traces, &c);
+        let est = estimate_cycles(&traces, &c).cycles;
         // The estimate is a structural bound: it must be within a constant
         // factor of the simulated makespan for well-formed traces.
         assert!(est as f64 >= sim as f64 * 0.2, "est {est} sim {sim}");
         assert!((est as f64) <= sim as f64 * 5.0 + 1000.0, "est {est} sim {sim}");
+    }
+}
+
+/// The estimate's cycle bound computed trace by trace from the separate
+/// per-trace queries: max of the issue, per-thread revolver and DMA
+/// engine bounds, plus pipeline drain.
+fn separate_bound(traces: &[TaskletTrace], c: &PipelineConfig) -> u64 {
+    let (mut issue, mut thread, mut dma) = (0u64, 0u64, 0u64);
+    for t in traces {
+        let wait: u64 = t
+            .events()
+            .iter()
+            .map(|e| match e {
+                TraceEvent::Dma { bytes } => c.dma_cycles(*bytes),
+                _ => 0,
+            })
+            .sum();
+        issue += t.instructions();
+        dma += wait;
+        thread = thread.max(t.instructions() * c.revolver_period as u64 + wait);
+    }
+    issue.max(thread).max(dma) + c.pipeline_depth as u64
+}
+
+#[test]
+fn one_walk_estimate_matches_the_separate_calls() {
+    let mut rng = SplitMix64::new(0xD808);
+    for _ in 0..CASES {
+        let mut traces = random_traces(&mut rng);
+        // The estimate never replays, so barriers need no symmetry here;
+        // give some traces one to cover every event kind.
+        for t in traces.iter_mut().filter(|_| rng.u32_below(2) == 0) {
+            t.barrier();
+        }
+        let c = cfg();
+        let est = estimate_cycles(&traces, &c);
+        let mut mix = InstrMix::new();
+        for t in &traces {
+            mix.merge(&t.instr_mix());
+        }
+        assert_eq!(est.mix, mix);
+        assert_eq!(est.instructions, traces.iter().map(|t| t.instructions()).sum::<u64>());
+        assert_eq!(est.cycles, separate_bound(&traces, &c));
     }
 }
 

@@ -37,6 +37,8 @@ for f in "${files[@]}"; do
                 "\(.speedup)x batched, \(.broadcast_bytes_saved) bytes saved"
             elif .speedup != null then
                 "\(.speedup)x on \(.threads_par // "?") threads"
+            elif has("speedup") then
+                "speedup not measured (\(.cores // "?") core)"
             elif .resumed_fingerprint != null or .fingerprint != null then
                 "fingerprint \(.fingerprint // .resumed_fingerprint)"
             else

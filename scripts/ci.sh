@@ -179,5 +179,10 @@ cargo run --release --offline -p alpha-pim-bench --bin alpha_pim_cli -- \
 echo "==> BENCH_service_load.json summary:"
 grep -o '"p50_latency_ms": [0-9.]*\|"p99_latency_ms": [0-9.]*\|"shed_rate": [0-9.]*' BENCH_service_load.json
 
+echo "==> benchmark determinism audit (pimbench: tiny workloads, seeds 1 and 7919, 1 vs 2 threads)"
+# The benchmark is a package with its own workspace; its test checks that
+# every model metric, counter and answer fingerprint repeats bit for bit.
+cargo test --release --offline --manifest-path pimbench/Cargo.toml
+
 echo "==> bench artifact trajectory"
 ./scripts/bench_summary.sh
