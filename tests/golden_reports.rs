@@ -2,7 +2,9 @@
 //! observability output for one fixed-seed graph per kernel. Any change to
 //! the pipeline timing model, the counter taxonomy, or the attribution
 //! walk shows up here as a diff against the frozen fingerprint — update
-//! the constants only when the model change is intentional.
+//! the constants only when the model change is intentional. Whole
+//! application runs (BFS, SSSP, PPR, widest-path, WCC) and one crashed
+//! batch's checkpoint bytes are frozen on the same graph as digests.
 //!
 //! Last regeneration: the counter registry grew the six `sdc.*`
 //! silent-corruption ledgers and the six `quarantine.*` scoreboard
@@ -11,14 +13,20 @@
 //! guard stays inert — and every golden gained the same trailing block of
 //! `sdc.*=0` / `quarantine.*=0` lines with nothing else moving.
 
+use alpha_pim::apps::{AppOptions, AppReport, PprOptions};
 use alpha_pim::semiring::BoolOrAnd;
-use alpha_pim::{MultiVector, PreparedSpmm, PreparedSpmspv, PreparedSpmv, SpmspvVariant, SpmvVariant};
+use alpha_pim::serve::{BatchOutcome, Query, ServeConfig, ServeEngine};
+use alpha_pim::{
+    AlphaPim, CheckpointPolicy, MultiVector, PreparedSpmm, PreparedSpmspv, PreparedSpmv,
+    SpmspvVariant, SpmvVariant,
+};
 use alpha_pim_bench::harness::striped_vector;
 use alpha_pim_sim::report::KernelReport;
 use alpha_pim_sim::{
-    CounterId, FaultPlan, ObservabilityLevel, PimConfig, PimSystem, ResiliencePolicy, SimFidelity,
+    CounterId, FaultPlan, HostCrashPlan, ObservabilityLevel, PimConfig, PimSystem,
+    ResiliencePolicy, SimFidelity,
 };
-use alpha_pim_sparse::{gen, Coo};
+use alpha_pim_sparse::{gen, Coo, Graph};
 
 fn system() -> PimSystem {
     PimSystem::new(PimConfig {
@@ -191,6 +199,130 @@ fn exporters_agree_with_the_frozen_taxonomy() {
         assert!(json.contains(&format!("\"{id}\"")), "JSON export lost counter {id}");
     }
 }
+
+/// The application goldens run on the kernel goldens' graph, end to end:
+/// every superstep's kernel choice, density, phase times and makespan, plus
+/// the answer and the convergence flags, folded into one FNV-1a64 digest
+/// per app. Any change to a superstep loop shows up here.
+fn app_engine() -> AlphaPim {
+    AlphaPim::new(PimConfig { num_dpus: 16, fidelity: SimFidelity::Full, ..Default::default() })
+        .expect("valid config")
+}
+
+fn app_graph() -> Graph {
+    Graph::from_coo(matrix())
+}
+
+fn weighted_app_graph() -> Graph {
+    app_graph().with_random_weights(9)
+}
+
+/// FNV-1a64 over a byte stream.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+}
+
+fn app_digest(answer: impl IntoIterator<Item = u64>, report: &AppReport) -> u64 {
+    let mut h = Fnv::new();
+    for w in answer {
+        h.word(w);
+    }
+    h.word(u64::from(report.converged));
+    h.word(u64::from(report.degraded));
+    for it in &report.iterations {
+        h.bytes(it.kernel.to_string().as_bytes());
+        h.word(it.input_density.to_bits());
+        let p = &it.phases;
+        for phase in [p.load, p.kernel, p.retrieve, p.merge] {
+            h.word(phase.to_bits());
+        }
+        h.word(it.kernel_report.max_cycles);
+    }
+    h.0
+}
+
+fn assert_app_golden(actual: u64, expected: u64, what: &str) {
+    assert_eq!(actual, expected, "{what} digest drifted: actual {actual:#018x}");
+}
+
+#[test]
+fn bfs_run_matches_golden_digest() {
+    let r = app_engine().bfs(&app_graph(), 0, &AppOptions::default()).expect("runs");
+    let digest = app_digest(r.levels.iter().map(|&l| u64::from(l)), &r.report);
+    assert_app_golden(digest, BFS_RUN_GOLDEN, "BFS run");
+}
+
+#[test]
+fn sssp_run_matches_golden_digest() {
+    let r = app_engine().sssp(&weighted_app_graph(), 0, &AppOptions::default()).expect("runs");
+    let digest = app_digest(r.distances.iter().map(|&d| u64::from(d)), &r.report);
+    assert_app_golden(digest, SSSP_RUN_GOLDEN, "SSSP run");
+}
+
+#[test]
+fn ppr_run_matches_golden_digest() {
+    let r = app_engine().ppr(&app_graph(), 0, &PprOptions::default()).expect("runs");
+    let digest = app_digest(r.scores.iter().map(|s| u64::from(s.to_bits())), &r.report);
+    assert_app_golden(digest, PPR_RUN_GOLDEN, "PPR run");
+}
+
+#[test]
+fn widest_path_run_matches_golden_digest() {
+    let r = app_engine()
+        .widest_path(&weighted_app_graph(), 0, &AppOptions::default())
+        .expect("runs");
+    let digest = app_digest(r.capacities.iter().map(|&c| u64::from(c)), &r.report);
+    assert_app_golden(digest, WIDEST_RUN_GOLDEN, "widest-path run");
+}
+
+#[test]
+fn wcc_run_matches_golden_digest() {
+    let r = app_engine().connected_components(&app_graph(), &AppOptions::default()).expect("runs");
+    let labels = r.labels.iter().map(|&l| u64::from(l));
+    let digest = app_digest(labels.chain([r.components as u64]), &r.report);
+    assert_app_golden(digest, WCC_RUN_GOLDEN, "WCC run");
+}
+
+/// The live-query checkpoint layout is frozen too: a BFS+SSSP+PPR batch
+/// snapshotted at every boundary and killed after superstep 2 leaves a
+/// sealed snapshot whose bytes must not move.
+#[test]
+fn crashed_batch_snapshot_matches_golden_digest() {
+    let engine = app_engine();
+    let config = ServeConfig { checkpoint: CheckpointPolicy::EveryN(1), ..Default::default() };
+    let queries = [Query::Bfs { source: 0 }, Query::Sssp { source: 0 }, Query::Ppr { source: 0 }];
+    let outcome = ServeEngine::new(&engine, config)
+        .run_batch_resilient(&weighted_app_graph(), &queries, 0, Some(HostCrashPlan::at(2)), None)
+        .expect("runs");
+    let BatchOutcome::Crashed { superstep, checkpoint } = outcome else {
+        panic!("the batch must crash after superstep 2");
+    };
+    assert_eq!(superstep, 2);
+    let mut h = Fnv::new();
+    h.bytes(&checkpoint.snapshot);
+    assert_app_golden(h.0, CRASHED_BATCH_SNAPSHOT_GOLDEN, "crashed-batch snapshot");
+}
+
+const BFS_RUN_GOLDEN: u64 = 0x486f_b910_d469_3e87;
+const SSSP_RUN_GOLDEN: u64 = 0x8076_8d4b_c416_f42c;
+const PPR_RUN_GOLDEN: u64 = 0xff32_23d8_39f6_54b4;
+const WIDEST_RUN_GOLDEN: u64 = 0xf8b6_f108_3b4d_eb7c;
+const WCC_RUN_GOLDEN: u64 = 0xcc13_918e_5c4a_0992;
+const CRASHED_BATCH_SNAPSHOT_GOLDEN: u64 = 0x30b0_20d3_c6d7_f5b9;
 
 const SPMV_GOLDEN: &str = "\
 num_dpus=16 detailed=16 max_cycles=40951 instr=409904
