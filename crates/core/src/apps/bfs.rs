@@ -11,9 +11,10 @@ use std::rc::Rc;
 use alpha_pim_sim::PimSystem;
 use alpha_pim_sparse::{Coo, SparseVector};
 
-use crate::apps::{check_source, AppOptions, AppReport, IterationStats, MvEngine};
+use crate::apps::stepper::{Rule, Stepper};
+use crate::apps::{check_source, AppOptions, AppReport, MvEngine};
 use crate::error::AlphaPimError;
-use crate::recover::{self, RecoverError};
+use crate::recover::{self, Dec, RecoverError};
 use crate::semiring::{BoolOrAnd, Semiring};
 
 /// Level assigned to vertices the search never reaches.
@@ -45,35 +46,25 @@ pub fn run(
     threshold: f64,
     sys: &PimSystem,
 ) -> Result<BfsResult, AlphaPimError> {
-    let engine: Rc<MvEngine<BoolOrAnd>> = Rc::new(MvEngine::new(matrix, options, threshold, sys)?);
-    let mut stepper = BfsStepper::new(engine, source, options.max_iterations)?;
-    while stepper.step(sys)? {}
-    Ok(stepper.into_result())
+    let engine = Rc::new(MvEngine::new(matrix, options, threshold, sys)?);
+    let (bfs, report) = Bfs::from_source(engine, source, options.max_iterations)?.run(sys)?;
+    Ok(BfsResult { levels: bfs.levels, report })
 }
 
-/// Resumable BFS: one [`Self::step`] call runs exactly one superstep of
-/// [`run`]'s loop, against a (possibly shared, cached) prepared engine.
-/// Driving a stepper to completion is bit-identical to [`run`] — the
-/// serving engine interleaves steppers of many queries without perturbing
-/// any one query's answer or its per-iteration record.
-pub(crate) struct BfsStepper {
-    engine: Rc<MvEngine<BoolOrAnd>>,
-    n: u32,
-    levels: Vec<u32>,
+/// BFS's host rule: mask the reached vertices with the visited set and
+/// record the level at which each first appears.
+pub(crate) struct Bfs {
+    pub(crate) levels: Vec<u32>,
     visited: Vec<bool>,
-    frontier: SparseVector<u32>,
-    report: AppReport,
-    iter: u32,
-    max_iterations: u32,
-    done: bool,
 }
 
-impl BfsStepper {
-    pub(crate) fn new(
+impl Bfs {
+    /// A BFS query from `source`, ready to step.
+    pub(crate) fn from_source(
         engine: Rc<MvEngine<BoolOrAnd>>,
         source: u32,
         max_iterations: u32,
-    ) -> Result<Self, AlphaPimError> {
+    ) -> Result<Stepper<Self>, AlphaPimError> {
         let n = engine.n();
         check_source(source, n)?;
         let mut levels = vec![UNREACHED; n as usize];
@@ -81,139 +72,41 @@ impl BfsStepper {
         let mut visited = vec![false; n as usize];
         visited[source as usize] = true;
         let frontier = SparseVector::one_hot(n as usize, source, BoolOrAnd::one());
-        Ok(BfsStepper {
-            engine,
-            n,
-            levels,
-            visited,
-            frontier,
-            report: AppReport::default(),
-            iter: 0,
-            max_iterations,
-            done: false,
-        })
+        Ok(Stepper::new(engine, Bfs { levels, visited }, frontier, max_iterations))
     }
+}
 
-    /// Whether the query has finished (converged or hit its iteration cap).
-    pub(crate) fn is_done(&self) -> bool {
-        self.done || self.iter >= self.max_iterations
-    }
+impl Rule for Bfs {
+    type S = BoolOrAnd;
 
-    /// Non-zeros in the frontier the *next* step will multiply by.
-    pub(crate) fn frontier_nnz(&self) -> u64 {
-        self.frontier.nnz() as u64
-    }
-
-    /// The dense vector length (the matrix dimension).
-    pub(crate) fn n(&self) -> u32 {
-        self.n
-    }
-
-    /// The performance record accumulated so far.
-    pub(crate) fn report(&self) -> &AppReport {
-        &self.report
-    }
-
-    /// Runs one superstep. Returns `true` while more steps remain.
-    pub(crate) fn step(&mut self, sys: &PimSystem) -> Result<bool, AlphaPimError> {
-        if self.is_done() {
-            return Ok(false);
-        }
-        let iter = self.iter;
-        let n = self.n;
-        let density = self.frontier.density();
-        let (outcome, kernel) = self.engine.multiply(&self.frontier, sys)?;
-        // Host-side frontier update: scan the returned vector, mask the
-        // visited set (folded into the merge phase, like the paper's
-        // convergence checks, §6.3.1).
-        let mut phases = outcome.phases;
-        phases.merge += sys.scan_time(n as u64, 4);
-
-        let mut next_idx = Vec::new();
-        for (i, v) in outcome.y.values().iter().enumerate() {
+    fn update(&mut self, y: &[u32], iter: u32) -> Option<(Vec<u32>, Vec<u32>)> {
+        let mut next = Vec::new();
+        for (i, v) in y.iter().enumerate() {
             if !BoolOrAnd::is_zero(v) && !self.visited[i] {
                 self.visited[i] = true;
                 self.levels[i] = iter + 1;
-                next_idx.push(i as u32);
+                next.push(i as u32);
             }
         }
-        self.report.push(IterationStats {
-            index: iter,
-            input_density: density,
-            kernel,
-            phases,
-            kernel_report: outcome.kernel,
-            useful_ops: outcome.useful_ops,
-        });
-        self.iter += 1;
-        if next_idx.is_empty() {
-            self.report.converged = true;
-            self.done = true;
-            return Ok(false);
+        if next.is_empty() {
+            return None;
         }
-        let vals = vec![BoolOrAnd::one(); next_idx.len()];
-        self.frontier = SparseVector::from_pairs(n as usize, next_idx, vals)
-            .expect("frontier indices are unique and in range");
-        Ok(!self.is_done())
+        let vals = vec![BoolOrAnd::one(); next.len()];
+        Some((next, vals))
     }
 
-    /// Finishes the query, yielding the result and its record.
-    pub(crate) fn into_result(self) -> BfsResult {
-        BfsResult { levels: self.levels, report: self.report }
+    fn put(&self, out: &mut Vec<u8>) {
+        recover::put_slice(out, &self.levels);
+        recover::put_slice(out, &self.visited);
     }
 
-    /// A result clone taken without consuming the stepper (the serving
-    /// engine journals completed queries while the batch keeps running).
-    pub(crate) fn result_snapshot(&self) -> BfsResult {
-        BfsResult { levels: self.levels.clone(), report: self.report.clone() }
-    }
-
-    /// Marks the query shed: done, `degraded` set, partial levels kept.
-    pub(crate) fn shed(&mut self) {
-        self.report.degraded = true;
-        self.done = true;
-    }
-
-    /// Serializes the full stepper state (bit-exact, including the report's
-    /// `f64` accumulators) into a checkpoint payload.
-    pub(crate) fn snapshot(&self, out: &mut Vec<u8>) {
-        recover::put_u32(out, self.n);
-        recover::put_u32_slice(out, &self.levels);
-        recover::put_bool_slice(out, &self.visited);
-        recover::put_sparse_u32(out, &self.frontier);
-        recover::put_app_report(out, &self.report);
-        recover::put_u32(out, self.iter);
-        recover::put_u32(out, self.max_iterations);
-        recover::put_bool(out, self.done);
-    }
-
-    /// Rebuilds a stepper from a [`Self::snapshot`] payload against a
-    /// freshly prepared (or cached) engine for the same graph.
-    pub(crate) fn restore(
-        engine: Rc<MvEngine<BoolOrAnd>>,
-        d: &mut recover::Dec,
-    ) -> Result<Self, RecoverError> {
-        let n = d.u32()?;
-        if n != engine.n() {
-            return Err(RecoverError::Mismatch(format!(
-                "BFS snapshot is for a {n}-node graph, engine has {}",
-                engine.n()
-            )));
-        }
-        let levels = recover::read_u32_vec(d)?;
-        let visited = recover::read_bool_vec(d)?;
+    fn read(d: &mut Dec, n: u32) -> Result<Self, RecoverError> {
+        let levels = recover::read_vec(d)?;
+        let visited = recover::read_vec(d)?;
         if levels.len() != n as usize || visited.len() != n as usize {
             return Err(RecoverError::Malformed("BFS state length != node count".into()));
         }
-        let frontier = recover::read_sparse_u32(d)?;
-        if frontier.len() != n as usize {
-            return Err(RecoverError::Malformed("BFS frontier length != node count".into()));
-        }
-        let report = recover::read_app_report(d)?;
-        let iter = d.u32()?;
-        let max_iterations = d.u32()?;
-        let done = d.bool()?;
-        Ok(BfsStepper { engine, n, levels, visited, frontier, report, iter, max_iterations, done })
+        Ok(Bfs { levels, visited })
     }
 }
 

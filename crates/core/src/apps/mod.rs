@@ -1,12 +1,15 @@
 //! Traversal-based graph applications (§5.1): BFS, SSSP, and PPR, all
 //! expressed as iterated matrix–vector products `y = Aᵀ ⊗ x` under the
-//! semiring of Table 1, with per-iteration kernel selection (§4.2).
+//! semiring of Table 1, with per-iteration kernel selection (§4.2). BFS,
+//! SSSP, PPR, widest-path and WCC share one superstep loop, the crate's
+//! `apps::stepper::Stepper`.
 
 pub mod bfs;
 pub mod kcore;
 pub mod msbfs;
 pub mod ppr;
 pub mod sssp;
+pub(crate) mod stepper;
 pub mod triangles;
 pub mod wcc;
 pub mod widest;

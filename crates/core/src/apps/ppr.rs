@@ -11,9 +11,10 @@ use std::rc::Rc;
 use alpha_pim_sim::PimSystem;
 use alpha_pim_sparse::{Coo, SparseVector};
 
-use crate::apps::{check_source, AppOptions, AppReport, IterationStats, MvEngine};
+use crate::apps::stepper::{Rule, Stepper};
+use crate::apps::{check_source, AppOptions, AppReport, MvEngine};
 use crate::error::AlphaPimError;
-use crate::recover::{self, RecoverError};
+use crate::recover::{self, Dec, RecoverError};
 use crate::semiring::PlusTimes;
 
 /// PPR-specific parameters on top of [`AppOptions`].
@@ -78,114 +79,62 @@ pub fn run(
     threshold: f64,
     sys: &PimSystem,
 ) -> Result<PprResult, AlphaPimError> {
-    let engine: Rc<MvEngine<PlusTimes>> =
-        Rc::new(MvEngine::new(matrix, &options.app, threshold, sys)?);
-    let mut stepper = PprStepper::new(engine, source, options)?;
-    while stepper.step(sys)? {}
-    Ok(stepper.into_result())
+    let engine = Rc::new(MvEngine::new(matrix, &options.app, threshold, sys)?);
+    let (ppr, report) = Ppr::from_source(engine, source, options)?.run(sys)?;
+    Ok(PprResult { scores: ppr.scores, report })
 }
 
-/// Resumable PPR: one [`Self::step`] call runs exactly one power iteration
-/// of [`run`]'s loop. Driving a stepper to completion is bit-identical to
-/// [`run`] (see [`crate::apps::bfs::BfsStepper`]).
-pub(crate) struct PprStepper {
-    engine: Rc<MvEngine<PlusTimes>>,
-    n: u32,
+/// PPR's host rule: the α-blend with the teleport vector, an L1
+/// convergence test, and the next input vector thresholded at ε.
+pub(crate) struct Ppr {
     source: u32,
     alpha: f32,
     tolerance: f32,
     epsilon: f32,
-    scores: Vec<f32>,
-    x: SparseVector<f32>,
-    report: AppReport,
-    iter: u32,
-    max_iterations: u32,
-    done: bool,
+    pub(crate) scores: Vec<f32>,
 }
 
-impl PprStepper {
-    pub(crate) fn new(
+impl Ppr {
+    /// A PPR query concentrated on `source`, ready to step: one power
+    /// iteration per superstep.
+    pub(crate) fn from_source(
         engine: Rc<MvEngine<PlusTimes>>,
         source: u32,
         options: &PprOptions,
-    ) -> Result<Self, AlphaPimError> {
+    ) -> Result<Stepper<Self>, AlphaPimError> {
         let n = engine.n();
         check_source(source, n)?;
         let mut scores = vec![0.0f32; n as usize];
         scores[source as usize] = 1.0;
-        let x = SparseVector::one_hot(n as usize, source, 1.0f32);
-        Ok(PprStepper {
-            engine,
-            n,
+        let ppr = Ppr {
             source,
             alpha: options.alpha,
             tolerance: options.tolerance,
             epsilon: options.epsilon,
             scores,
-            x,
-            report: AppReport::default(),
-            iter: 0,
-            max_iterations: options.app.max_iterations,
-            done: false,
-        })
+        };
+        let x = SparseVector::one_hot(n as usize, source, 1.0f32);
+        Ok(Stepper::new(engine, ppr, x, options.app.max_iterations))
     }
+}
 
-    /// Whether the query has finished (converged or hit its iteration cap).
-    pub(crate) fn is_done(&self) -> bool {
-        self.done || self.iter >= self.max_iterations
-    }
+impl Rule for Ppr {
+    type S = PlusTimes;
+    /// The blend and the convergence check are two streaming passes.
+    const SCANS: f64 = 2.0;
 
-    /// Non-zeros in the score vector the *next* step will multiply by.
-    pub(crate) fn frontier_nnz(&self) -> u64 {
-        self.x.nnz() as u64
-    }
-
-    /// The dense vector length (the matrix dimension).
-    pub(crate) fn n(&self) -> u32 {
-        self.n
-    }
-
-    /// The performance record accumulated so far.
-    pub(crate) fn report(&self) -> &AppReport {
-        &self.report
-    }
-
-    /// Runs one power iteration. Returns `true` while more steps remain.
-    pub(crate) fn step(&mut self, sys: &PimSystem) -> Result<bool, AlphaPimError> {
-        if self.is_done() {
-            return Ok(false);
-        }
-        let iter = self.iter;
-        let n = self.n;
-        let density = self.x.density();
-        let (outcome, kernel) = self.engine.multiply(&self.x, sys)?;
-        // Host-side α-blend and convergence check: two streaming passes,
-        // charged like the paper's merge-phase bookkeeping.
-        let mut phases = outcome.phases;
-        phases.merge += 2.0 * sys.scan_time(n as u64, 4);
-
+    fn update(&mut self, y: &[f32], _iter: u32) -> Option<(Vec<u32>, Vec<f32>)> {
         let mut delta = 0.0f32;
-        let mut next = vec![0.0f32; n as usize];
-        for (i, &yi) in outcome.y.values().iter().enumerate() {
+        let mut next = vec![0.0f32; self.scores.len()];
+        for (i, &yi) in y.iter().enumerate() {
             let teleport = if i as u32 == self.source { 1.0 - self.alpha } else { 0.0 };
             let v = self.alpha * yi + teleport;
             delta += (v - self.scores[i]).abs();
             next[i] = v;
         }
         self.scores = next;
-        self.report.push(IterationStats {
-            index: iter,
-            input_density: density,
-            kernel,
-            phases,
-            kernel_report: outcome.kernel,
-            useful_ops: outcome.useful_ops,
-        });
-        self.iter += 1;
         if delta <= self.tolerance {
-            self.report.converged = true;
-            self.done = true;
-            return Ok(false);
+            return None;
         }
         let mut idx = Vec::new();
         let mut vals = Vec::new();
@@ -195,57 +144,18 @@ impl PprStepper {
                 vals.push(v);
             }
         }
-        self.x = SparseVector::from_pairs(n as usize, idx, vals)
-            .expect("score indices are unique and in range");
-        Ok(!self.is_done())
+        Some((idx, vals))
     }
 
-    /// Finishes the query, yielding the result and its record.
-    pub(crate) fn into_result(self) -> PprResult {
-        PprResult { scores: self.scores, report: self.report }
-    }
-
-    /// A result clone taken without consuming the stepper (the serving
-    /// engine journals completed queries while the batch keeps running).
-    pub(crate) fn result_snapshot(&self) -> PprResult {
-        PprResult { scores: self.scores.clone(), report: self.report.clone() }
-    }
-
-    /// Marks the query shed: done, `degraded` set, partial scores kept.
-    pub(crate) fn shed(&mut self) {
-        self.report.degraded = true;
-        self.done = true;
-    }
-
-    /// Serializes the full stepper state (bit-exact: `f32` scores and the
-    /// report's `f64` accumulators round-trip by bit pattern).
-    pub(crate) fn snapshot(&self, out: &mut Vec<u8>) {
-        recover::put_u32(out, self.n);
+    fn put(&self, out: &mut Vec<u8>) {
         recover::put_u32(out, self.source);
         recover::put_f32(out, self.alpha);
         recover::put_f32(out, self.tolerance);
         recover::put_f32(out, self.epsilon);
-        recover::put_f32_slice(out, &self.scores);
-        recover::put_sparse_f32(out, &self.x);
-        recover::put_app_report(out, &self.report);
-        recover::put_u32(out, self.iter);
-        recover::put_u32(out, self.max_iterations);
-        recover::put_bool(out, self.done);
+        recover::put_slice(out, &self.scores);
     }
 
-    /// Rebuilds a stepper from a [`Self::snapshot`] payload against a
-    /// freshly prepared (or cached) engine for the same graph.
-    pub(crate) fn restore(
-        engine: Rc<MvEngine<PlusTimes>>,
-        d: &mut recover::Dec,
-    ) -> Result<Self, RecoverError> {
-        let n = d.u32()?;
-        if n != engine.n() {
-            return Err(RecoverError::Mismatch(format!(
-                "PPR snapshot is for a {n}-node graph, engine has {}",
-                engine.n()
-            )));
-        }
+    fn read(d: &mut Dec, n: u32) -> Result<Self, RecoverError> {
         let source = d.u32()?;
         if source >= n {
             return Err(RecoverError::Malformed("PPR source out of range".into()));
@@ -253,32 +163,11 @@ impl PprStepper {
         let alpha = d.f32()?;
         let tolerance = d.f32()?;
         let epsilon = d.f32()?;
-        let scores = recover::read_f32_vec(d)?;
+        let scores = recover::read_vec(d)?;
         if scores.len() != n as usize {
             return Err(RecoverError::Malformed("PPR score length != node count".into()));
         }
-        let x = recover::read_sparse_f32(d)?;
-        if x.len() != n as usize {
-            return Err(RecoverError::Malformed("PPR frontier length != node count".into()));
-        }
-        let report = recover::read_app_report(d)?;
-        let iter = d.u32()?;
-        let max_iterations = d.u32()?;
-        let done = d.bool()?;
-        Ok(PprStepper {
-            engine,
-            n,
-            source,
-            alpha,
-            tolerance,
-            epsilon,
-            scores,
-            x,
-            report,
-            iter,
-            max_iterations,
-            done,
-        })
+        Ok(Ppr { source, alpha, tolerance, epsilon, scores })
     }
 }
 

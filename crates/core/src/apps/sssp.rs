@@ -10,17 +10,18 @@
 use std::rc::Rc;
 
 use alpha_pim_sim::PimSystem;
-use alpha_pim_sparse::{Coo, SparseVector};
+use alpha_pim_sparse::Coo;
 
-use crate::apps::{check_source, AppOptions, AppReport, IterationStats, MvEngine};
+use crate::apps::stepper::Relax;
+use crate::apps::{AppOptions, AppReport, MvEngine};
 use crate::error::AlphaPimError;
-use crate::recover::{self, RecoverError};
-use crate::semiring::{MinPlus, INF};
+use crate::semiring::MinPlus;
 
 /// The output of an SSSP run.
 #[derive(Debug, Clone)]
 pub struct SsspResult {
-    /// Shortest distance per vertex; [`INF`] if unreachable.
+    /// Shortest distance per vertex; [`INF`](crate::semiring::INF) if
+    /// unreachable.
     pub distances: Vec<u32>,
     /// Per-iteration and aggregate performance record.
     pub report: AppReport,
@@ -41,206 +42,17 @@ pub fn run(
     threshold: f64,
     sys: &PimSystem,
 ) -> Result<SsspResult, AlphaPimError> {
-    let engine: Rc<MvEngine<MinPlus>> = Rc::new(MvEngine::new(matrix, options, threshold, sys)?);
-    let mut stepper = SsspStepper::new(engine, source, options.max_iterations)?;
-    while stepper.step(sys)? {}
-    Ok(stepper.into_result())
-}
-
-/// Resumable SSSP: one [`Self::step`] call runs exactly one Bellman-Ford
-/// round of [`run`]'s loop. Driving a stepper to completion is bit-identical
-/// to [`run`] (see [`crate::apps::bfs::BfsStepper`]).
-pub(crate) struct SsspStepper {
-    engine: Rc<MvEngine<MinPlus>>,
-    n: u32,
-    dist: Vec<u32>,
-    frontier: SparseVector<u32>,
-    report: AppReport,
-    iter: u32,
-    max_iterations: u32,
-    done: bool,
-}
-
-impl SsspStepper {
-    pub(crate) fn new(
-        engine: Rc<MvEngine<MinPlus>>,
-        source: u32,
-        max_iterations: u32,
-    ) -> Result<Self, AlphaPimError> {
-        let n = engine.n();
-        check_source(source, n)?;
-        let mut dist = vec![INF; n as usize];
-        dist[source as usize] = 0;
-        let frontier = SparseVector::one_hot(n as usize, source, 0u32);
-        Ok(SsspStepper {
-            engine,
-            n,
-            dist,
-            frontier,
-            report: AppReport::default(),
-            iter: 0,
-            max_iterations,
-            done: false,
-        })
-    }
-
-    /// A stepper seeded from a warm state instead of a one-hot source:
-    /// `dist` holds per-vertex tentative distances (an upper bound of the
-    /// fixed point) and `frontier` the vertices whose values can still
-    /// improve a neighbor. The delta layer uses this to repair a converged
-    /// run after a mutation epoch — relaxation from a sound seed converges
-    /// to the same fixed point a from-scratch run reaches, while only
-    /// touching the affected region.
-    pub(crate) fn seeded(
-        engine: Rc<MvEngine<MinPlus>>,
-        dist: Vec<u32>,
-        frontier: SparseVector<u32>,
-        max_iterations: u32,
-    ) -> Result<Self, AlphaPimError> {
-        let n = engine.n();
-        if dist.len() != n as usize || frontier.len() != n as usize {
-            return Err(AlphaPimError::Config(format!(
-                "seeded SSSP state is {}/{}-long but the engine serves {n} vertices",
-                dist.len(),
-                frontier.len(),
-            )));
-        }
-        Ok(SsspStepper {
-            engine,
-            n,
-            dist,
-            frontier,
-            report: AppReport::default(),
-            iter: 0,
-            max_iterations,
-            done: false,
-        })
-    }
-
-    /// Whether the query has finished (converged or hit its iteration cap).
-    pub(crate) fn is_done(&self) -> bool {
-        self.done || self.iter >= self.max_iterations
-    }
-
-    /// Non-zeros in the frontier the *next* step will multiply by.
-    pub(crate) fn frontier_nnz(&self) -> u64 {
-        self.frontier.nnz() as u64
-    }
-
-    /// The dense vector length (the matrix dimension).
-    pub(crate) fn n(&self) -> u32 {
-        self.n
-    }
-
-    /// The performance record accumulated so far.
-    pub(crate) fn report(&self) -> &AppReport {
-        &self.report
-    }
-
-    /// Runs one relaxation round. Returns `true` while more steps remain.
-    pub(crate) fn step(&mut self, sys: &PimSystem) -> Result<bool, AlphaPimError> {
-        if self.is_done() {
-            return Ok(false);
-        }
-        let iter = self.iter;
-        let n = self.n;
-        let density = self.frontier.density();
-        let (outcome, kernel) = self.engine.multiply(&self.frontier, sys)?;
-        let mut phases = outcome.phases;
-        phases.merge += sys.scan_time(n as u64, 4);
-
-        // Relax: keep vertices whose tentative distance improved.
-        let mut improved_idx = Vec::new();
-        let mut improved_val = Vec::new();
-        for (i, &cand) in outcome.y.values().iter().enumerate() {
-            if cand < self.dist[i] {
-                self.dist[i] = cand;
-                improved_idx.push(i as u32);
-                improved_val.push(cand);
-            }
-        }
-        self.report.push(IterationStats {
-            index: iter,
-            input_density: density,
-            kernel,
-            phases,
-            kernel_report: outcome.kernel,
-            useful_ops: outcome.useful_ops,
-        });
-        self.iter += 1;
-        if improved_idx.is_empty() {
-            self.report.converged = true;
-            self.done = true;
-            return Ok(false);
-        }
-        self.frontier = SparseVector::from_pairs(n as usize, improved_idx, improved_val)
-            .expect("improved indices are unique and in range");
-        Ok(!self.is_done())
-    }
-
-    /// Finishes the query, yielding the result and its record.
-    pub(crate) fn into_result(self) -> SsspResult {
-        SsspResult { distances: self.dist, report: self.report }
-    }
-
-    /// A result clone taken without consuming the stepper (the serving
-    /// engine journals completed queries while the batch keeps running).
-    pub(crate) fn result_snapshot(&self) -> SsspResult {
-        SsspResult { distances: self.dist.clone(), report: self.report.clone() }
-    }
-
-    /// Marks the query shed: done, `degraded` set, partial distances kept.
-    pub(crate) fn shed(&mut self) {
-        self.report.degraded = true;
-        self.done = true;
-    }
-
-    /// Serializes the full stepper state (bit-exact, including the report's
-    /// `f64` accumulators) into a checkpoint payload.
-    pub(crate) fn snapshot(&self, out: &mut Vec<u8>) {
-        recover::put_u32(out, self.n);
-        recover::put_u32_slice(out, &self.dist);
-        recover::put_sparse_u32(out, &self.frontier);
-        recover::put_app_report(out, &self.report);
-        recover::put_u32(out, self.iter);
-        recover::put_u32(out, self.max_iterations);
-        recover::put_bool(out, self.done);
-    }
-
-    /// Rebuilds a stepper from a [`Self::snapshot`] payload against a
-    /// freshly prepared (or cached) engine for the same graph.
-    pub(crate) fn restore(
-        engine: Rc<MvEngine<MinPlus>>,
-        d: &mut recover::Dec,
-    ) -> Result<Self, RecoverError> {
-        let n = d.u32()?;
-        if n != engine.n() {
-            return Err(RecoverError::Mismatch(format!(
-                "SSSP snapshot is for a {n}-node graph, engine has {}",
-                engine.n()
-            )));
-        }
-        let dist = recover::read_u32_vec(d)?;
-        if dist.len() != n as usize {
-            return Err(RecoverError::Malformed("SSSP state length != node count".into()));
-        }
-        let frontier = recover::read_sparse_u32(d)?;
-        if frontier.len() != n as usize {
-            return Err(RecoverError::Malformed("SSSP frontier length != node count".into()));
-        }
-        let report = recover::read_app_report(d)?;
-        let iter = d.u32()?;
-        let max_iterations = d.u32()?;
-        let done = d.bool()?;
-        Ok(SsspStepper { engine, n, dist, frontier, report, iter, max_iterations, done })
-    }
+    let engine: MvEngine<MinPlus> = MvEngine::new(matrix, options, threshold, sys)?;
+    let stepper = Relax::from_source(Rc::new(engine), source, options.max_iterations)?;
+    let (dist, report) = stepper.run(sys)?;
+    Ok(SsspResult { distances: dist.values, report })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apps::KernelPolicy;
-    use crate::semiring::Semiring;
+    use crate::semiring::{Semiring, INF};
     use crate::kernel::{SpmspvVariant, SpmvVariant};
     use alpha_pim_sim::{PimConfig, SimFidelity};
     use alpha_pim_sparse::Graph;

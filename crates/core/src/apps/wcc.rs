@@ -9,10 +9,13 @@
 //! sparsifies as labels settle — the mirror image of the frontier
 //! trajectories in Fig 4, and a natural SpMV→SpMSpV switching showcase.
 
+use std::rc::Rc;
+
 use alpha_pim_sim::PimSystem;
 use alpha_pim_sparse::{Coo, Graph, SparseVector};
 
-use crate::apps::{AppOptions, AppReport, IterationStats, MvEngine};
+use crate::apps::stepper::{Relax, Stepper};
+use crate::apps::{AppOptions, AppReport, MvEngine};
 use crate::error::AlphaPimError;
 use crate::semiring::MinPlus;
 
@@ -47,44 +50,12 @@ pub fn run(
 ) -> Result<WccResult, AlphaPimError> {
     let engine: MvEngine<MinPlus> = MvEngine::new(matrix, options, threshold, sys)?;
     let n = engine.n();
-
-    let mut labels: Vec<u32> = (0..n).collect();
+    let values: Vec<u32> = (0..n).collect();
     // Every vertex is initially active, carrying its own label.
-    let mut frontier =
-        SparseVector::from_pairs(n as usize, (0..n).collect(), (0..n).collect())
-            .expect("identity labels are unique");
-    let mut report = AppReport::default();
-
-    for iter in 0..options.max_iterations {
-        let density = frontier.density();
-        let (outcome, kernel) = engine.multiply(&frontier, sys)?;
-        let mut phases = outcome.phases;
-        phases.merge += sys.scan_time(n as u64, 4);
-
-        let mut improved_idx = Vec::new();
-        let mut improved_val = Vec::new();
-        for (i, &cand) in outcome.y.values().iter().enumerate() {
-            if cand < labels[i] {
-                labels[i] = cand;
-                improved_idx.push(i as u32);
-                improved_val.push(cand);
-            }
-        }
-        report.push(IterationStats {
-            index: iter,
-            input_density: density,
-            kernel,
-            phases,
-            kernel_report: outcome.kernel,
-            useful_ops: outcome.useful_ops,
-        });
-        if improved_idx.is_empty() {
-            report.converged = true;
-            break;
-        }
-        frontier = SparseVector::from_pairs(n as usize, improved_idx, improved_val)
-            .expect("improved indices are unique and in range");
-    }
+    let frontier = SparseVector::from_pairs(n as usize, values.clone(), values.clone())?;
+    let stepper = Stepper::new(Rc::new(engine), Relax { values }, frontier, options.max_iterations);
+    let (labels, report) = stepper.run(sys)?;
+    let labels = labels.values;
     let mut distinct: Vec<u32> = labels.clone();
     distinct.sort_unstable();
     distinct.dedup();

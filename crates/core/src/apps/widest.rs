@@ -4,12 +4,15 @@
 //! to find, for every vertex, the path from the source that maximizes its
 //! smallest edge capacity.
 
-use alpha_pim_sim::PimSystem;
-use alpha_pim_sparse::{Coo, SparseVector};
+use std::rc::Rc;
 
-use crate::apps::{check_source, AppOptions, AppReport, IterationStats, MvEngine};
+use alpha_pim_sim::PimSystem;
+use alpha_pim_sparse::Coo;
+
+use crate::apps::stepper::Relax;
+use crate::apps::{AppOptions, AppReport, MvEngine};
 use crate::error::AlphaPimError;
-use crate::semiring::{MaxMin, Semiring};
+use crate::semiring::MaxMin;
 
 /// The output of a widest-path run.
 #[derive(Debug, Clone)]
@@ -35,50 +38,15 @@ pub fn run(
     sys: &PimSystem,
 ) -> Result<WidestResult, AlphaPimError> {
     let engine: MvEngine<MaxMin> = MvEngine::new(matrix, options, threshold, sys)?;
-    let n = engine.n();
-    check_source(source, n)?;
-
-    let mut cap = vec![MaxMin::zero(); n as usize];
-    cap[source as usize] = MaxMin::one();
-    let mut frontier = SparseVector::one_hot(n as usize, source, MaxMin::one());
-    let mut report = AppReport::default();
-
-    for iter in 0..options.max_iterations {
-        let density = frontier.density();
-        let (outcome, kernel) = engine.multiply(&frontier, sys)?;
-        let mut phases = outcome.phases;
-        phases.merge += sys.scan_time(n as u64, 4);
-
-        let mut improved_idx = Vec::new();
-        let mut improved_val = Vec::new();
-        for (i, &cand) in outcome.y.values().iter().enumerate() {
-            if cand > cap[i] {
-                cap[i] = cand;
-                improved_idx.push(i as u32);
-                improved_val.push(cand);
-            }
-        }
-        report.push(IterationStats {
-            index: iter,
-            input_density: density,
-            kernel,
-            phases,
-            kernel_report: outcome.kernel,
-            useful_ops: outcome.useful_ops,
-        });
-        if improved_idx.is_empty() {
-            report.converged = true;
-            break;
-        }
-        frontier = SparseVector::from_pairs(n as usize, improved_idx, improved_val)
-            .expect("improved indices are unique and in range");
-    }
-    Ok(WidestResult { capacities: cap, report })
+    let stepper = Relax::from_source(Rc::new(engine), source, options.max_iterations)?;
+    let (cap, report) = stepper.run(sys)?;
+    Ok(WidestResult { capacities: cap.values, report })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semiring::Semiring;
     use alpha_pim_sim::{PimConfig, SimFidelity};
     use alpha_pim_sparse::Graph;
 

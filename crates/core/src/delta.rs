@@ -46,7 +46,7 @@ use alpha_pim_sparse::delta::{apply_batch, canonicalize};
 use alpha_pim_sparse::partition::structural_fingerprint;
 use alpha_pim_sparse::{Csc, Csr, DeltaStats, EpochPlan, Graph, MutationBatch, SparseVector};
 
-use crate::apps::sssp::SsspStepper;
+use crate::apps::stepper::{Relax, Stepper};
 use crate::apps::{BfsResult, MvEngine};
 use crate::error::AlphaPimError;
 use crate::framework::AlphaPim;
@@ -419,11 +419,9 @@ impl<'a> DeltaEngine<'a> {
             let engine = self.repair_engine(sssp)?;
             let frontier = SparseVector::from_pairs(n as usize, seed_idx, seed_val)?;
             let max_iterations = self.serve.config().options.max_iterations;
-            let mut stepper = SsspStepper::seeded(engine, dist, frontier, max_iterations)?;
-            let sys = self.engine.system();
-            while stepper.step(sys)? {}
-            let r = stepper.into_result();
-            (r.distances, r.report)
+            let stepper = Stepper::new(engine, Relax { values: dist }, frontier, max_iterations);
+            let (repaired, report) = stepper.run(self.engine.system())?;
+            (repaired.values, report)
         };
 
         self.remember(sssp, source, &values, &report);

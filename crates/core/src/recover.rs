@@ -503,9 +503,9 @@ impl<'a> Dec<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Report/state codecs shared by the stepper snapshots (apps/*) and the batch
-// snapshot (serve). f64/f32 round-trip by bit pattern, so restored reports
-// are bit-identical to the originals.
+// Report/state codecs shared by the stepper snapshots (apps::stepper) and
+// the batch snapshot (serve). f64/f32 round-trip by bit pattern, so
+// restored reports are bit-identical to the originals.
 // ---------------------------------------------------------------------------
 
 pub(crate) fn put_counters(out: &mut Vec<u8>, c: &CounterSet) {
@@ -638,7 +638,7 @@ pub(crate) fn put_kernel_report(out: &mut Vec<u8>, r: &KernelReport) {
     put_f64(out, r.avg_active_threads);
     put_u64(out, r.total_instructions);
     put_bool(out, r.degraded);
-    put_u32_slice(out, &r.corrupted_dpus);
+    put_slice(out, &r.corrupted_dpus);
     put_u64(out, r.dpu_details.len() as u64);
     for dt in &r.dpu_details {
         put_u32(out, dt.dpu_id);
@@ -663,7 +663,7 @@ pub(crate) fn read_kernel_report(d: &mut Dec) -> Result<KernelReport, RecoverErr
     let avg_active_threads = d.f64()?;
     let total_instructions = d.u64()?;
     let degraded = d.bool()?;
-    let corrupted_dpus = read_u32_vec(d)?;
+    let corrupted_dpus = read_vec(d)?;
     let n_details = d.seq_len(4 + 8 + 8, "dpu_details")?;
     let mut dpu_details = Vec::with_capacity(n_details);
     for _ in 0..n_details {
@@ -742,78 +742,84 @@ pub(crate) fn read_app_report(d: &mut Dec) -> Result<AppReport, RecoverError> {
     Ok(AppReport { iterations, total, useful_ops, converged, degraded })
 }
 
-pub(crate) fn put_u32_slice(out: &mut Vec<u8>, v: &[u32]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        put_u32(out, x);
+/// A fixed-width scalar the slice and sparse-vector codecs can carry:
+/// answer vectors, visited masks and frontiers of every semiring.
+pub(crate) trait Wire: Copy {
+    /// Encoded bytes per element.
+    const WIDTH: usize;
+    /// What a sequence of these is called in length errors.
+    const SEQ: &'static str;
+
+    fn put(out: &mut Vec<u8>, v: Self);
+
+    fn read(d: &mut Dec) -> Result<Self, RecoverError>;
+}
+
+impl Wire for u32 {
+    const WIDTH: usize = 4;
+    const SEQ: &'static str = "u32 vector";
+
+    fn put(out: &mut Vec<u8>, v: Self) {
+        put_u32(out, v);
+    }
+
+    fn read(d: &mut Dec) -> Result<Self, RecoverError> {
+        d.u32()
     }
 }
 
-pub(crate) fn read_u32_vec(d: &mut Dec) -> Result<Vec<u32>, RecoverError> {
-    let n = d.seq_len(4, "u32 vector")?;
+impl Wire for f32 {
+    const WIDTH: usize = 4;
+    const SEQ: &'static str = "f32 vector";
+
+    fn put(out: &mut Vec<u8>, v: Self) {
+        put_f32(out, v);
+    }
+
+    fn read(d: &mut Dec) -> Result<Self, RecoverError> {
+        d.f32()
+    }
+}
+
+impl Wire for bool {
+    const WIDTH: usize = 1;
+    const SEQ: &'static str = "bool vector";
+
+    fn put(out: &mut Vec<u8>, v: Self) {
+        put_bool(out, v);
+    }
+
+    fn read(d: &mut Dec) -> Result<Self, RecoverError> {
+        d.bool()
+    }
+}
+
+pub(crate) fn put_slice<T: Wire>(out: &mut Vec<u8>, v: &[T]) {
+    put_u64(out, v.len() as u64);
+    for &x in v {
+        T::put(out, x);
+    }
+}
+
+pub(crate) fn read_vec<T: Wire>(d: &mut Dec) -> Result<Vec<T>, RecoverError> {
+    let n = d.seq_len(T::WIDTH, T::SEQ)?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
-        v.push(d.u32()?);
+        v.push(T::read(d)?);
     }
     Ok(v)
 }
 
-pub(crate) fn put_f32_slice(out: &mut Vec<u8>, v: &[f32]) {
+pub(crate) fn put_sparse<T: Wire>(out: &mut Vec<u8>, v: &SparseVector<T>) {
     put_u64(out, v.len() as u64);
-    for &x in v {
-        put_f32(out, x);
-    }
+    put_slice(out, v.indices());
+    put_slice(out, v.values());
 }
 
-pub(crate) fn read_f32_vec(d: &mut Dec) -> Result<Vec<f32>, RecoverError> {
-    let n = d.seq_len(4, "f32 vector")?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(d.f32()?);
-    }
-    Ok(v)
-}
-
-pub(crate) fn put_bool_slice(out: &mut Vec<u8>, v: &[bool]) {
-    put_u64(out, v.len() as u64);
-    for &x in v {
-        put_bool(out, x);
-    }
-}
-
-pub(crate) fn read_bool_vec(d: &mut Dec) -> Result<Vec<bool>, RecoverError> {
-    let n = d.seq_len(1, "bool vector")?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(d.bool()?);
-    }
-    Ok(v)
-}
-
-pub(crate) fn put_sparse_u32(out: &mut Vec<u8>, v: &SparseVector<u32>) {
-    put_u64(out, v.len() as u64);
-    put_u32_slice(out, v.indices());
-    put_u32_slice(out, v.values());
-}
-
-pub(crate) fn read_sparse_u32(d: &mut Dec) -> Result<SparseVector<u32>, RecoverError> {
+pub(crate) fn read_sparse<T: Wire>(d: &mut Dec) -> Result<SparseVector<T>, RecoverError> {
     let len = d.u64()? as usize;
-    let indices = read_u32_vec(d)?;
-    let values = read_u32_vec(d)?;
-    SparseVector::from_pairs(len, indices, values)
-        .map_err(|e| RecoverError::Malformed(format!("sparse vector: {e}")))
-}
-
-pub(crate) fn put_sparse_f32(out: &mut Vec<u8>, v: &SparseVector<f32>) {
-    put_u64(out, v.len() as u64);
-    put_u32_slice(out, v.indices());
-    put_f32_slice(out, v.values());
-}
-
-pub(crate) fn read_sparse_f32(d: &mut Dec) -> Result<SparseVector<f32>, RecoverError> {
-    let len = d.u64()? as usize;
-    let indices = read_u32_vec(d)?;
-    let values = read_f32_vec(d)?;
+    let indices = read_vec(d)?;
+    let values = read_vec(d)?;
     SparseVector::from_pairs(len, indices, values)
         .map_err(|e| RecoverError::Malformed(format!("sparse vector: {e}")))
 }
@@ -966,16 +972,16 @@ mod tests {
     fn sparse_vector_codecs_round_trip_bitwise() {
         let v = SparseVector::from_pairs(10, vec![1, 4, 7], vec![3u32, 9, 27]).unwrap();
         let mut out = Vec::new();
-        put_sparse_u32(&mut out, &v);
-        let back = read_sparse_u32(&mut Dec::new(&out)).unwrap();
+        put_sparse(&mut out, &v);
+        let back = read_sparse::<u32>(&mut Dec::new(&out)).unwrap();
         assert_eq!(back.len(), v.len());
         assert_eq!(back.indices(), v.indices());
         assert_eq!(back.values(), v.values());
 
         let f = SparseVector::from_pairs(5, vec![0, 3], vec![0.25f32, -1.5e-9]).unwrap();
         let mut out2 = Vec::new();
-        put_sparse_f32(&mut out2, &f);
-        let back2 = read_sparse_f32(&mut Dec::new(&out2)).unwrap();
+        put_sparse(&mut out2, &f);
+        let back2 = read_sparse::<f32>(&mut Dec::new(&out2)).unwrap();
         let bits: Vec<u32> = back2.values().iter().map(|x| x.to_bits()).collect();
         let want: Vec<u32> = f.values().iter().map(|x| x.to_bits()).collect();
         assert_eq!(bits, want);

@@ -37,9 +37,9 @@ use alpha_pim_sparse::Graph;
 
 use crate::adaptive;
 pub use crate::adaptive::FastPath;
-use crate::apps::bfs::BfsStepper;
-use crate::apps::ppr::{self, PprStepper};
-use crate::apps::sssp::SsspStepper;
+use crate::apps::bfs::Bfs;
+use crate::apps::ppr::{self, Ppr};
+use crate::apps::stepper::{Relax, Rule, Stepper};
 use crate::apps::{
     AppOptions, AppReport, BfsResult, KernelPolicy, MvEngine, PprOptions, PprResult, SsspResult,
 };
@@ -80,6 +80,12 @@ impl Query {
             Query::Bfs { .. } => AppKind::Bfs,
             Query::Sssp { .. } => AppKind::Sssp,
             Query::Ppr { .. } => AppKind::Ppr,
+        }
+    }
+
+    fn source(self) -> u32 {
+        match self {
+            Query::Bfs { source } | Query::Sssp { source } | Query::Ppr { source } => source,
         }
     }
 }
@@ -165,11 +171,13 @@ impl Default for ServeConfig {
     }
 }
 
+/// The application a query runs; its discriminant is the application tag
+/// of every checkpoint record (queries, live steppers, journaled results).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AppKind {
-    Bfs,
-    Sssp,
-    Ppr,
+    Bfs = 0,
+    Sssp = 1,
+    Ppr = 2,
 }
 
 /// What identifies a prepared, MRAM-resident matrix: the graph's exact
@@ -539,7 +547,7 @@ impl<'a> ServeEngine<'a> {
     /// # Errors
     ///
     /// As [`Self::run_batch_resilient`].
-    pub fn run_batch_budgeted(
+    pub(crate) fn run_batch_budgeted(
         &mut self,
         graph: &Graph,
         queries: &[Query],
@@ -548,20 +556,8 @@ impl<'a> ServeEngine<'a> {
         crash: Option<HostCrashPlan>,
         store: Option<&CheckpointStore>,
     ) -> Result<BatchOutcome, AlphaPimError> {
-        let mut run = self.fresh_run(graph, queries, deadlines, tag)?;
-        match self.execute(&mut run, crash, store)? {
-            Some(superstep) => Ok(BatchOutcome::Crashed {
-                superstep,
-                checkpoint: BatchCheckpoint {
-                    snapshot: run.latest_snapshot.unwrap_or_default(),
-                    journal: run.journal,
-                },
-            }),
-            None => {
-                let (results, report) = finish_run(run);
-                Ok(BatchOutcome::Completed(results, report))
-            }
-        }
+        let run = self.fresh_run(graph, queries, deadlines, tag)?;
+        self.outcome(run, crash, store)
     }
 
     /// Resumes an interrupted batch from `checkpoint` and replays only the
@@ -588,20 +584,31 @@ impl<'a> ServeEngine<'a> {
         crash: Option<HostCrashPlan>,
         store: Option<&CheckpointStore>,
     ) -> Result<BatchOutcome, AlphaPimError> {
-        let mut run = self.restore_run(graph, checkpoint)?;
-        match self.execute(&mut run, crash, store)? {
-            Some(superstep) => Ok(BatchOutcome::Crashed {
+        let run = self.restore_run(graph, checkpoint)?;
+        self.outcome(run, crash, store)
+    }
+
+    /// Executes `run` and reports how it ended: completed, or dead at the
+    /// crash plan's boundary with its latest snapshot and journal.
+    fn outcome(
+        &self,
+        mut run: BatchRun,
+        crash: Option<HostCrashPlan>,
+        store: Option<&CheckpointStore>,
+    ) -> Result<BatchOutcome, AlphaPimError> {
+        Ok(match self.execute(&mut run, crash, store)? {
+            Some(superstep) => BatchOutcome::Crashed {
                 superstep,
                 checkpoint: BatchCheckpoint {
                     snapshot: run.latest_snapshot.unwrap_or_default(),
                     journal: run.journal,
                 },
-            }),
+            },
             None => {
                 let (results, report) = finish_run(run);
-                Ok(BatchOutcome::Completed(results, report))
+                BatchOutcome::Completed(results, report)
             }
-        }
+        })
     }
 
     /// Builds the in-flight state of a fresh batch: one live stepper per
@@ -622,7 +629,8 @@ impl<'a> ServeEngine<'a> {
         let evicted_bytes_before = self.evicted_bytes;
         let mut slots = Vec::with_capacity(queries.len());
         for q in queries {
-            slots.push(Slot::Live(self.make_stepper(graph, graph_fp, *q)?));
+            let engine = self.cached_engine(graph, graph_fp, q.app_kind())?;
+            slots.push(Slot::Live(engine.start(q.source(), &self.config)?));
         }
         let hits_delta = self.hits - hits_before;
         let misses_delta = self.misses - misses_before;
@@ -681,7 +689,7 @@ impl<'a> ServeEngine<'a> {
         let tag = d.u64()?;
         let graph_fp = d.u64()?;
         let dpus = d.u32()?;
-        let quarantine = recover::read_u32_vec(&mut d)?;
+        let quarantine = recover::read_vec(&mut d)?;
         let pbits = d.u64()?;
         let tbits = d.u64()?;
         let want_fp = structural_fingerprint(graph.adjacency(), u64::from);
@@ -777,7 +785,14 @@ impl<'a> ServeEngine<'a> {
                 }
                 1 => {
                     let engine = self.cached_engine(graph, graph_fp, q.app_kind())?;
-                    slots.push(Slot::Live(AnyStepper::restore(&engine, &mut d)?));
+                    let tag = d.u8()?;
+                    if tag != q.app_kind() as u8 {
+                        return Err(RecoverError::Malformed(format!(
+                            "stepper tag {tag} does not match the query's application kind"
+                        ))
+                        .into());
+                    }
+                    slots.push(Slot::Live(engine.restore(&mut d)?));
                 }
                 t => {
                     return Err(
@@ -920,16 +935,6 @@ impl<'a> ServeEngine<'a> {
         Ok(None)
     }
 
-    fn make_stepper(
-        &mut self,
-        graph: &Graph,
-        graph_fp: u64,
-        query: Query,
-    ) -> Result<AnyStepper, AlphaPimError> {
-        let engine = self.cached_engine(graph, graph_fp, query.app_kind())?;
-        stepper_from(&engine, query, &self.config)
-    }
-
     /// Looks up (or prepares, caches, and LRU-evicts for) the prepared
     /// matrix engine serving `app` on `graph`.
     fn cached_engine(
@@ -1030,103 +1035,80 @@ fn engine_footprint_bytes(graph: &Graph) -> u64 {
         .saturating_add(2 * u64::from(graph.nodes()) * ELEM_BYTES)
 }
 
-fn stepper_from(
-    engine: &CachedEngine,
-    query: Query,
-    config: &ServeConfig,
-) -> Result<AnyStepper, AlphaPimError> {
-    Ok(match (engine, query) {
-        (CachedEngine::Bfs(e), Query::Bfs { source }) => AnyStepper::Bfs(BfsStepper::new(
-            Rc::clone(e),
-            source,
-            config.options.max_iterations,
-        )?),
-        (CachedEngine::Sssp(e), Query::Sssp { source }) => AnyStepper::Sssp(SsspStepper::new(
-            Rc::clone(e),
-            source,
-            config.options.max_iterations,
-        )?),
-        (CachedEngine::Ppr(e), Query::Ppr { source }) => {
-            AnyStepper::Ppr(PprStepper::new(Rc::clone(e), source, &config.ppr)?)
-        }
-        // The cache key pins the application kind, so this never fires in
-        // practice — but a serving path must not panic on an invariant.
-        _ => {
-            return Err(AlphaPimError::Config(
-                "cached engine does not match the query's application kind".into(),
-            ))
-        }
-    })
+impl CachedEngine {
+    /// A fresh query from `source` against this engine. The cache key pins
+    /// the application, so the engine's kind is the query's.
+    fn start(
+        &self,
+        source: u32,
+        config: &ServeConfig,
+    ) -> Result<Box<dyn LiveQuery>, AlphaPimError> {
+        let cap = config.options.max_iterations;
+        Ok(match self {
+            CachedEngine::Bfs(e) => Box::new(Bfs::from_source(Rc::clone(e), source, cap)?),
+            CachedEngine::Sssp(e) => Box::new(Relax::from_source(Rc::clone(e), source, cap)?),
+            CachedEngine::Ppr(e) => Box::new(Ppr::from_source(Rc::clone(e), source, &config.ppr)?),
+        })
+    }
+
+    /// Rebuilds a snapshotted query against this engine.
+    fn restore(&self, d: &mut recover::Dec) -> Result<Box<dyn LiveQuery>, RecoverError> {
+        Ok(match self {
+            CachedEngine::Bfs(e) => Box::new(Stepper::<Bfs>::restore(Rc::clone(e), d)?),
+            CachedEngine::Sssp(e) => Box::new(Stepper::<Relax<_>>::restore(Rc::clone(e), d)?),
+            CachedEngine::Ppr(e) => Box::new(Stepper::<Ppr>::restore(Rc::clone(e), d)?),
+        })
+    }
 }
 
-/// A type-erased stepper: one live query of any application.
-enum AnyStepper {
-    Bfs(BfsStepper),
-    Sssp(SsspStepper),
-    Ppr(PprStepper),
+/// A served application's host rule: how its state reads as an answer.
+trait Served: Rule {
+    fn answer(&self, report: AppReport) -> QueryResult;
 }
 
-impl AnyStepper {
-    fn is_done(&self) -> bool {
-        match self {
-            AnyStepper::Bfs(s) => s.is_done(),
-            AnyStepper::Sssp(s) => s.is_done(),
-            AnyStepper::Ppr(s) => s.is_done(),
-        }
+impl Served for Bfs {
+    fn answer(&self, report: AppReport) -> QueryResult {
+        QueryResult::Bfs(BfsResult { levels: self.levels.clone(), report })
     }
+}
 
-    fn frontier_nnz(&self) -> u64 {
-        match self {
-            AnyStepper::Bfs(s) => s.frontier_nnz(),
-            AnyStepper::Sssp(s) => s.frontier_nnz(),
-            AnyStepper::Ppr(s) => s.frontier_nnz(),
-        }
+impl Served for Relax<MinPlus> {
+    fn answer(&self, report: AppReport) -> QueryResult {
+        QueryResult::Sssp(SsspResult { distances: self.values.clone(), report })
     }
+}
 
-    fn step(&mut self, sys: &PimSystem) -> Result<bool, AlphaPimError> {
-        match self {
-            AnyStepper::Bfs(s) => s.step(sys),
-            AnyStepper::Sssp(s) => s.step(sys),
-            AnyStepper::Ppr(s) => s.step(sys),
-        }
+impl Served for Ppr {
+    fn answer(&self, report: AppReport) -> QueryResult {
+        QueryResult::Ppr(PprResult { scores: self.scores.clone(), report })
     }
+}
+
+/// One live query of any application: the batch executor's handle on a
+/// [`Stepper`].
+trait LiveQuery {
+    fn is_done(&self) -> bool;
+    fn frontier_nnz(&self) -> u64;
+    fn n(&self) -> u32;
+    fn report(&self) -> &AppReport;
+    fn step(&mut self, sys: &PimSystem) -> Result<bool, AlphaPimError>;
+    /// Sheds the query: done, `degraded`, partial answer retained.
+    fn shed(&mut self);
+    /// The answer so far, cloned without consuming the query.
+    fn result(&self) -> QueryResult;
+    fn snapshot(&self, out: &mut Vec<u8>);
 
     /// When the just-executed superstep loaded its input as a full dense
     /// broadcast (1D SpMV), the vector length — the packing opportunity.
     /// `None` for 2D/SpMSpV supersteps, whose loads are already segmented
     /// or compressed.
     fn last_step_dense_broadcast(&self) -> Option<u32> {
-        let report = match self {
-            AnyStepper::Bfs(s) => s.report(),
-            AnyStepper::Sssp(s) => s.report(),
-            AnyStepper::Ppr(s) => s.report(),
-        };
-        let stats = report.iterations.last()?;
+        let stats = self.report().iterations.last()?;
         match stats.kernel {
             KernelKind::Spmv(SpmvVariant::Coo1d)
             | KernelKind::Spmv(SpmvVariant::CsrRow1d)
-            | KernelKind::Spmv(SpmvVariant::CsrNnz1d) => Some(match self {
-                AnyStepper::Bfs(s) => s.n(),
-                AnyStepper::Sssp(s) => s.n(),
-                AnyStepper::Ppr(s) => s.n(),
-            }),
+            | KernelKind::Spmv(SpmvVariant::CsrNnz1d) => Some(self.n()),
             _ => None,
-        }
-    }
-
-    fn finish(self) -> QueryResult {
-        match self {
-            AnyStepper::Bfs(s) => QueryResult::Bfs(s.into_result()),
-            AnyStepper::Sssp(s) => QueryResult::Sssp(s.into_result()),
-            AnyStepper::Ppr(s) => QueryResult::Ppr(s.into_result()),
-        }
-    }
-
-    fn report(&self) -> &AppReport {
-        match self {
-            AnyStepper::Bfs(s) => s.report(),
-            AnyStepper::Sssp(s) => s.report(),
-            AnyStepper::Ppr(s) => s.report(),
         }
     }
 
@@ -1135,66 +1117,46 @@ impl AnyStepper {
     fn kernel_cycles(&self) -> u64 {
         self.report().iterations.iter().map(|s| s.kernel_report.max_cycles).sum()
     }
+}
 
-    /// Sheds the query: done, `degraded`, partial answer retained.
+impl<R: Served> LiveQuery for Stepper<R> {
+    fn is_done(&self) -> bool {
+        Stepper::is_done(self)
+    }
+
+    fn frontier_nnz(&self) -> u64 {
+        Stepper::frontier_nnz(self)
+    }
+
+    fn n(&self) -> u32 {
+        Stepper::n(self)
+    }
+
+    fn report(&self) -> &AppReport {
+        Stepper::report(self)
+    }
+
+    fn step(&mut self, sys: &PimSystem) -> Result<bool, AlphaPimError> {
+        Stepper::step(self, sys)
+    }
+
     fn shed(&mut self) {
-        match self {
-            AnyStepper::Bfs(s) => s.shed(),
-            AnyStepper::Sssp(s) => s.shed(),
-            AnyStepper::Ppr(s) => s.shed(),
-        }
+        Stepper::shed(self)
     }
 
-    /// A result clone taken without consuming the stepper.
-    fn result_snapshot(&self) -> QueryResult {
-        match self {
-            AnyStepper::Bfs(s) => QueryResult::Bfs(s.result_snapshot()),
-            AnyStepper::Sssp(s) => QueryResult::Sssp(s.result_snapshot()),
-            AnyStepper::Ppr(s) => QueryResult::Ppr(s.result_snapshot()),
-        }
+    fn result(&self) -> QueryResult {
+        self.rule().answer(self.report().clone())
     }
 
-    /// Serializes this stepper (application tag + state) into a snapshot.
     fn snapshot(&self, out: &mut Vec<u8>) {
-        match self {
-            AnyStepper::Bfs(s) => {
-                recover::put_u8(out, 0);
-                s.snapshot(out);
-            }
-            AnyStepper::Sssp(s) => {
-                recover::put_u8(out, 1);
-                s.snapshot(out);
-            }
-            AnyStepper::Ppr(s) => {
-                recover::put_u8(out, 2);
-                s.snapshot(out);
-            }
-        }
-    }
-
-    /// Rebuilds a stepper against the cached engine of the same kind.
-    fn restore(engine: &CachedEngine, d: &mut recover::Dec) -> Result<Self, RecoverError> {
-        match (d.u8()?, engine) {
-            (0, CachedEngine::Bfs(e)) => {
-                Ok(AnyStepper::Bfs(BfsStepper::restore(Rc::clone(e), d)?))
-            }
-            (1, CachedEngine::Sssp(e)) => {
-                Ok(AnyStepper::Sssp(SsspStepper::restore(Rc::clone(e), d)?))
-            }
-            (2, CachedEngine::Ppr(e)) => {
-                Ok(AnyStepper::Ppr(PprStepper::restore(Rc::clone(e), d)?))
-            }
-            (t, _) => Err(RecoverError::Malformed(format!(
-                "stepper tag {t} does not match the query's application kind"
-            ))),
-        }
+        Stepper::snapshot(self, out)
     }
 }
 
 /// One query's seat in a batch: still stepping, or finished with its
 /// (possibly journaled) result.
 enum Slot {
-    Live(AnyStepper),
+    Live(Box<dyn LiveQuery>),
     Done(QueryResult),
 }
 
@@ -1264,7 +1226,7 @@ fn finish_run(run: BatchRun) -> (Vec<QueryResult>, BatchReport) {
         .into_iter()
         .map(|slot| match slot {
             Slot::Done(r) => r,
-            Slot::Live(s) => s.finish(),
+            Slot::Live(s) => s.result(),
         })
         .collect();
     let seq_seconds: f64 = results.iter().map(|r| r.report().total_seconds()).sum();
@@ -1295,7 +1257,7 @@ fn complete_slot(
     store: Option<&CheckpointStore>,
 ) -> Result<(), AlphaPimError> {
     let result = match &run.slots[i] {
-        Slot::Live(s) => s.result_snapshot(),
+        Slot::Live(s) => s.result(),
         Slot::Done(_) => return Ok(()),
     };
     if armed {
@@ -1339,7 +1301,7 @@ fn encode_snapshot(run: &BatchRun) -> Vec<u8> {
     recover::put_u64(&mut out, run.tag);
     recover::put_u64(&mut out, run.graph_fp);
     recover::put_u32(&mut out, run.dpus);
-    recover::put_u32_slice(&mut out, &run.quarantine);
+    recover::put_slice(&mut out, &run.quarantine);
     recover::put_u64(&mut out, run.policy_bits);
     recover::put_u64(&mut out, run.threshold_bits);
     recover::put_u64(&mut out, run.queries.len() as u64);
@@ -1358,13 +1320,14 @@ fn encode_snapshot(run: &BatchRun) -> Vec<u8> {
     recover::put_u64(&mut out, run.hits_delta);
     recover::put_u64(&mut out, run.misses_delta);
     recover::put_counters(&mut out, &run.counters);
-    for slot in &run.slots {
+    for (slot, q) in run.slots.iter().zip(&run.queries) {
         match slot {
             // Done slots carry no payload: the write-ahead journal holds
             // their results, keyed by query index.
             Slot::Done(_) => recover::put_u8(&mut out, 0),
             Slot::Live(s) => {
                 recover::put_u8(&mut out, 1);
+                recover::put_u8(&mut out, q.app_kind() as u8);
                 s.snapshot(&mut out);
             }
         }
@@ -1373,13 +1336,8 @@ fn encode_snapshot(run: &BatchRun) -> Vec<u8> {
 }
 
 fn put_query(out: &mut Vec<u8>, q: Query) {
-    let (tag, source) = match q {
-        Query::Bfs { source } => (0u8, source),
-        Query::Sssp { source } => (1, source),
-        Query::Ppr { source } => (2, source),
-    };
-    recover::put_u8(out, tag);
-    recover::put_u32(out, source);
+    recover::put_u8(out, q.app_kind() as u8);
+    recover::put_u32(out, q.source());
 }
 
 fn read_query(d: &mut recover::Dec) -> Result<Query, RecoverError> {
@@ -1394,44 +1352,31 @@ fn read_query(d: &mut recover::Dec) -> Result<Query, RecoverError> {
 }
 
 fn put_query_result(out: &mut Vec<u8>, r: &QueryResult) {
+    recover::put_u8(out, r.app_kind() as u8);
     match r {
-        QueryResult::Bfs(b) => {
-            recover::put_u8(out, 0);
-            recover::put_u32_slice(out, &b.levels);
-            recover::put_app_report(out, &b.report);
-        }
-        QueryResult::Sssp(s) => {
-            recover::put_u8(out, 1);
-            recover::put_u32_slice(out, &s.distances);
-            recover::put_app_report(out, &s.report);
-        }
-        QueryResult::Ppr(p) => {
-            recover::put_u8(out, 2);
-            recover::put_f32_slice(out, &p.scores);
-            recover::put_app_report(out, &p.report);
-        }
+        QueryResult::Bfs(b) => recover::put_slice(out, &b.levels),
+        QueryResult::Sssp(s) => recover::put_slice(out, &s.distances),
+        QueryResult::Ppr(p) => recover::put_slice(out, &p.scores),
     }
+    recover::put_app_report(out, r.report());
 }
 
 fn read_query_result(d: &mut recover::Dec) -> Result<QueryResult, RecoverError> {
-    match d.u8()? {
-        0 => {
-            let levels = recover::read_u32_vec(d)?;
-            let report = recover::read_app_report(d)?;
-            Ok(QueryResult::Bfs(BfsResult { levels, report }))
-        }
-        1 => {
-            let distances = recover::read_u32_vec(d)?;
-            let report = recover::read_app_report(d)?;
-            Ok(QueryResult::Sssp(SsspResult { distances, report }))
-        }
-        2 => {
-            let scores = recover::read_f32_vec(d)?;
-            let report = recover::read_app_report(d)?;
-            Ok(QueryResult::Ppr(PprResult { scores, report }))
-        }
-        t => Err(RecoverError::Malformed(format!("unknown result tag {t}"))),
-    }
+    Ok(match d.u8()? {
+        0 => QueryResult::Bfs(BfsResult {
+            levels: recover::read_vec(d)?,
+            report: recover::read_app_report(d)?,
+        }),
+        1 => QueryResult::Sssp(SsspResult {
+            distances: recover::read_vec(d)?,
+            report: recover::read_app_report(d)?,
+        }),
+        2 => QueryResult::Ppr(PprResult {
+            scores: recover::read_vec(d)?,
+            report: recover::read_app_report(d)?,
+        }),
+        t => return Err(RecoverError::Malformed(format!("unknown result tag {t}"))),
+    })
 }
 
 /// The FNV-1a64 offset basis [`fingerprint_fold`] chains start from.

@@ -18,7 +18,7 @@
 //! 3. **Queue-time deadline budgets** — one budget covers waiting *and*
 //!    execution. Queries whose budget is gone before dispatch are shed
 //!    without executing (`queue.shed_wait`); the rest carry the remainder
-//!    into [`crate::serve::ServeEngine::run_batch_budgeted`], where the
+//!    into the serve engine's batch as per-query deadlines, where the
 //!    existing `deadline_cycles` machinery sheds them mid-run if it runs
 //!    out (`queue.shed_deadline`, balanced against `serve.shed`).
 //! 4. **Multi-graph hosting** — batches are formed per graph against the
@@ -358,7 +358,8 @@ pub enum ServiceOutcome {
     /// The workload drained; the full report.
     Completed(ServiceReport),
     /// A planned host crash killed batch `batch_tag`; `checkpoint` is what
-    /// a restarted process finds (pass it to [`ServiceEngine::resume`]).
+    /// a restarted process finds (pass it to
+    /// [`ServiceEngine::resume_dynamic`]).
     Crashed {
         /// Tag of the batch that died.
         batch_tag: u64,
@@ -464,13 +465,7 @@ impl<'a> ServiceEngine<'a> {
         graphs: &[Graph],
         workload: &[Arrival],
     ) -> Result<ServiceReport, AlphaPimError> {
-        match self.drive(graphs, workload, &[], Mode::Normal, None)? {
-            ServiceOutcome::Completed(report) => Ok(report),
-            // Unreachable: Mode::Normal never injects a crash.
-            ServiceOutcome::Crashed { .. } => {
-                Err(AlphaPimError::Config("service run crashed without a crash plan".into()))
-            }
-        }
+        self.run_dynamic(graphs, workload, &[])
     }
 
     /// [`Self::run`] with mutation admission: `mutations` share the model
@@ -498,18 +493,22 @@ impl<'a> ServiceEngine<'a> {
     ) -> Result<ServiceReport, AlphaPimError> {
         match self.drive(graphs, workload, mutations, Mode::Normal, None)? {
             ServiceOutcome::Completed(report) => Ok(report),
+            // Unreachable: Mode::Normal never injects a crash.
             ServiceOutcome::Crashed { .. } => {
                 Err(AlphaPimError::Config("service run crashed without a crash plan".into()))
             }
         }
     }
 
-    /// [`Self::run_dynamic`] with the crash-recovery surface of
-    /// [`Self::run_resilient`]. A crash may land in any batch — including
-    /// one straddling a mutation-epoch boundary; [`Self::resume_dynamic`]
-    /// replays the mutation schedule deterministically, so the resumed
-    /// run's graphs (and the checkpoint world-check fingerprints) match
-    /// the uninterrupted run's.
+    /// [`Self::run_dynamic`] with the crash-recovery surface: an optional
+    /// planned host crash (`(batch_tag, plan)` — the plan fires inside the
+    /// batch with that tag) and an optional [`CheckpointStore`] persisting
+    /// snapshots and the write-ahead journal. A crash may land in any
+    /// batch — including one straddling a mutation-epoch boundary;
+    /// [`Self::resume_dynamic`] replays the mutation schedule
+    /// deterministically, so the resumed run's graphs (and the checkpoint
+    /// world-check fingerprints) match the uninterrupted run's. Pass `&[]`
+    /// mutations for a static workload.
     ///
     /// # Errors
     ///
@@ -529,12 +528,18 @@ impl<'a> ServiceEngine<'a> {
         self.drive(graphs, workload, mutations, mode, store)
     }
 
-    /// Resumes a crashed dynamic run: [`Self::resume`] with the same
-    /// mutation schedule the crashed run was given.
+    /// Resumes a crashed run from `checkpoint`, given the same mutation
+    /// schedule the crashed run was: the deterministic service loop
+    /// replays from the top, pre-crash batches re-execute bit-identically,
+    /// and the tagged batch continues from its snapshot instead of
+    /// restarting. Driven to completion, every result fingerprint,
+    /// latency, and dispatch decision matches the uninterrupted run
+    /// (`ckpt.restores` aside).
     ///
     /// # Errors
     ///
-    /// As [`Self::resume`].
+    /// As [`Self::run_dynamic`], plus [`AlphaPimError::Recover`] when the
+    /// checkpoint fails validation or does not belong to this workload.
     pub fn resume_dynamic(
         &mut self,
         graphs: &[Graph],
@@ -545,50 +550,6 @@ impl<'a> ServiceEngine<'a> {
     ) -> Result<ServiceOutcome, AlphaPimError> {
         let tag = checkpoint_tag(checkpoint)?;
         self.drive(graphs, workload, mutations, Mode::Resume { tag, checkpoint }, store)
-    }
-
-    /// [`Self::run`] with the crash-recovery surface: an optional planned
-    /// host crash (`(batch_tag, plan)` — the plan fires inside the batch
-    /// with that tag) and an optional [`CheckpointStore`] persisting
-    /// snapshots and the write-ahead journal.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`]; a planned crash is not an error.
-    pub fn run_resilient(
-        &mut self,
-        graphs: &[Graph],
-        workload: &[Arrival],
-        crash: Option<(u64, HostCrashPlan)>,
-        store: Option<&CheckpointStore>,
-    ) -> Result<ServiceOutcome, AlphaPimError> {
-        let mode = match crash {
-            Some((tag, plan)) => Mode::Crash { tag, plan },
-            None => Mode::Normal,
-        };
-        self.drive(graphs, workload, &[], mode, store)
-    }
-
-    /// Resumes a crashed sustained-load run from `checkpoint`: the
-    /// deterministic service loop replays from the top, pre-crash batches
-    /// re-execute bit-identically, and the tagged batch continues from its
-    /// snapshot instead of restarting. Driven to completion, every result
-    /// fingerprint, latency, and dispatch decision matches the
-    /// uninterrupted run (`ckpt.restores` aside).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`], plus [`AlphaPimError::Recover`] when the
-    /// checkpoint fails validation or does not belong to this workload.
-    pub fn resume(
-        &mut self,
-        graphs: &[Graph],
-        workload: &[Arrival],
-        checkpoint: &BatchCheckpoint,
-        store: Option<&CheckpointStore>,
-    ) -> Result<ServiceOutcome, AlphaPimError> {
-        let tag = checkpoint_tag(checkpoint)?;
-        self.drive(graphs, workload, &[], Mode::Resume { tag, checkpoint }, store)
     }
 
     /// The deterministic service loop shared by every entry point.

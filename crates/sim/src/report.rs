@@ -3,6 +3,7 @@
 //! Load/Kernel/Retrieve/Merge phase decomposition the paper's figures are
 //! built from.
 
+use std::ops::ControlFlow;
 
 use crate::analytic::TaskletStats;
 use crate::config::{PimConfig, SimFidelity};
@@ -508,43 +509,10 @@ impl KernelAccumulator {
     /// order so floating-point reductions stay bit-identical to a
     /// sequential run.
     pub fn evaluate(&self, dpu_id: u32, traces: &[TaskletTrace]) -> DpuEval {
-        if traces.is_empty() {
-            // Structurally empty partition (e.g. more DPUs than index
-            // ranges): nothing was loaded and no kernel is launched, so no
-            // cycles accrue, no events are recorded, and no fault verdict
-            // is drawn — an idle DPU cannot be a fault site.
-            return DpuEval {
-                dpu_id,
-                mix: InstrMix::new(),
-                instructions: 0,
-                est_cycles: 0,
-                detailed: None,
-                fault_events: CounterSet::new(),
-                lost: false,
-            };
-        }
-        let mut fault_events = CounterSet::new();
-        let verdict = match &self.faults {
-            Some(engine) => {
-                let v = engine.verdict(dpu_id);
-                engine.record_events(v, &mut fault_events);
-                v
-            }
-            None => FaultVerdict::Healthy,
+        let (verdict, fault_events) = match self.fault_verdict(dpu_id, traces.is_empty()) {
+            ControlFlow::Continue(drawn) => drawn,
+            ControlFlow::Break(idle) => return idle,
         };
-        if verdict.is_dropped() {
-            // The partition is gone: no instructions retire and no cycles
-            // accrue; only the loss survives, in the event ledger.
-            return DpuEval {
-                dpu_id,
-                mix: InstrMix::new(),
-                instructions: 0,
-                est_cycles: 0,
-                detailed: None,
-                fault_events,
-                lost: true,
-            };
-        }
         let TraceEstimate { cycles: mut est_cycles, instructions, mix } =
             estimate_cycles(traces, &self.cfg.pipeline);
         let mut detailed = dpu_id
@@ -567,37 +535,10 @@ impl KernelAccumulator {
     /// identity. Fault semantics (verdicts, penalties, drops) are identical
     /// to the replay path.
     pub fn evaluate_stats(&self, dpu_id: u32, stats: &[crate::analytic::TaskletStats]) -> DpuEval {
-        if stats.is_empty() {
-            return DpuEval {
-                dpu_id,
-                mix: InstrMix::new(),
-                instructions: 0,
-                est_cycles: 0,
-                detailed: None,
-                fault_events: CounterSet::new(),
-                lost: false,
-            };
-        }
-        let mut fault_events = CounterSet::new();
-        let verdict = match &self.faults {
-            Some(engine) => {
-                let v = engine.verdict(dpu_id);
-                engine.record_events(v, &mut fault_events);
-                v
-            }
-            None => FaultVerdict::Healthy,
+        let (verdict, fault_events) = match self.fault_verdict(dpu_id, stats.is_empty()) {
+            ControlFlow::Continue(drawn) => drawn,
+            ControlFlow::Break(idle) => return idle,
         };
-        if verdict.is_dropped() {
-            return DpuEval {
-                dpu_id,
-                mix: InstrMix::new(),
-                instructions: 0,
-                est_cycles: 0,
-                detailed: None,
-                fault_events,
-                lost: true,
-            };
-        }
         let mut mix = InstrMix::new();
         let mut instructions = 0u64;
         for s in stats {
@@ -618,6 +559,46 @@ impl KernelAccumulator {
             fault_events,
             lost: false,
         }
+    }
+
+    /// The prologue both evaluators share: draws `dpu_id`'s fault verdict
+    /// and records its events, or breaks with the finished evaluation when
+    /// nothing runs. A structurally `empty` partition (e.g. more DPUs
+    /// than index ranges) loads nothing and launches no kernel, so no
+    /// cycles accrue, no events are recorded, and no verdict is drawn — an
+    /// idle DPU cannot be a fault site. A dropped DPU's partition is gone:
+    /// no instructions retire and no cycles accrue; only the loss survives,
+    /// in the event ledger.
+    fn fault_verdict(
+        &self,
+        dpu_id: u32,
+        empty: bool,
+    ) -> ControlFlow<DpuEval, (FaultVerdict, CounterSet)> {
+        let idle = |fault_events, lost| DpuEval {
+            dpu_id,
+            mix: InstrMix::new(),
+            instructions: 0,
+            est_cycles: 0,
+            detailed: None,
+            fault_events,
+            lost,
+        };
+        if empty {
+            return ControlFlow::Break(idle(CounterSet::new(), false));
+        }
+        let mut fault_events = CounterSet::new();
+        let verdict = match &self.faults {
+            Some(engine) => {
+                let v = engine.verdict(dpu_id);
+                engine.record_events(v, &mut fault_events);
+                v
+            }
+            None => FaultVerdict::Healthy,
+        };
+        if verdict.is_dropped() {
+            return ControlFlow::Break(idle(fault_events, true));
+        }
+        ControlFlow::Continue((verdict, fault_events))
     }
 
     /// Evaluates one DPU's recorders of either kind via [`EvalRecord`].

@@ -50,13 +50,9 @@ echo "==> panic-free lint (typed errors, never panics, every sparse + core sourc
 # that names its invariant.
 INVARIANT_EXPECT_OK="
 crates/core/src/adaptive.rs
-crates/core/src/apps/bfs.rs
 crates/core/src/apps/kcore.rs
 crates/core/src/apps/ppr.rs
-crates/core/src/apps/sssp.rs
 crates/core/src/apps/triangles.rs
-crates/core/src/apps/wcc.rs
-crates/core/src/apps/widest.rs
 crates/core/src/cost_model.rs
 crates/core/src/gblas.rs
 crates/core/src/kernel/integrity.rs

@@ -427,7 +427,13 @@ fn service_sustained_load_survives_host_crash_mid_run() {
     // Kill batch 2 at its first superstep boundary, snapshots on disk.
     let store = CheckpointStore::open(&dir).expect("store opens");
     let outcome = ServiceEngine::new(&eng, service_config())
-        .run_resilient(&graphs, &workload, Some((2, HostCrashPlan::at(1))), Some(&store))
+        .run_dynamic_resilient(
+            &graphs,
+            &workload,
+            &[],
+            Some((2, HostCrashPlan::at(1))),
+            Some(&store),
+        )
         .expect("crashing run returns its checkpoint");
     let ServiceOutcome::Crashed { batch_tag, checkpoint } = outcome else {
         panic!("the planned host crash did not fire");
@@ -440,7 +446,7 @@ fn service_sustained_load_survives_host_crash_mid_run() {
     let loaded = reopened.load().expect("load succeeds").expect("checkpoint present");
     assert_eq!(loaded.snapshot, checkpoint.snapshot, "snapshot survives the process boundary");
     let resumed = ServiceEngine::new(&eng, service_config())
-        .resume(&graphs, &workload, &loaded, Some(&reopened))
+        .resume_dynamic(&graphs, &workload, &[], &loaded, Some(&reopened))
         .expect("resumed run completes");
     let ServiceOutcome::Completed(resumed) = resumed else {
         panic!("the resumed run crashed again without a plan");
