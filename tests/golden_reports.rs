@@ -4,7 +4,10 @@
 //! walk shows up here as a diff against the frozen fingerprint — update
 //! the constants only when the model change is intentional. Whole
 //! application runs (BFS, SSSP, PPR, widest-path, WCC) and one crashed
-//! batch's checkpoint bytes are frozen on the same graph as digests.
+//! batch's checkpoint bytes are frozen on the same graph as digests. The
+//! `Sampled` goldens freeze the estimate path on a 64-DPU machine that
+//! replays every eighth DPU: every kernel variant on a one-vertex and a
+//! dense frontier, fault-free and faulty, plus BFS, SSSP and PPR runs.
 //!
 //! Last regeneration: the counter registry grew the six `sdc.*`
 //! silent-corruption ledgers and the six `quarantine.*` scoreboard
@@ -21,6 +24,7 @@ use alpha_pim::{
     SpmspvVariant, SpmvVariant,
 };
 use alpha_pim_bench::harness::striped_vector;
+use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::report::KernelReport;
 use alpha_pim_sim::{
     CounterId, FaultPlan, HostCrashPlan, ObservabilityLevel, PimConfig, PimSystem,
@@ -38,23 +42,28 @@ fn system() -> PimSystem {
     .expect("valid config")
 }
 
-/// The same machine under the canonical chaos plan the faulty goldens
-/// freeze: a survivable fixed-seed mix of every fault kind.
+/// The canonical chaos plan the faulty goldens freeze: a survivable
+/// fixed-seed mix of every fault kind.
+fn fault_plan() -> FaultPlan {
+    FaultPlan {
+        seed: 0xFA_0173,
+        dpu_loss_rate: 0.10,
+        straggler_rate: 0.20,
+        straggler_multiplier: 1.5,
+        bitflip_rate: 0.10,
+        timeout_rate: 0.25,
+        silent_flip_rate: 0.0,
+        policy: ResiliencePolicy::default(),
+    }
+}
+
+/// The same machine under [`fault_plan`].
 fn faulty_system() -> PimSystem {
     PimSystem::new(PimConfig {
         num_dpus: 16,
         fidelity: SimFidelity::Full,
         observability: ObservabilityLevel::PerTasklet,
-        faults: Some(FaultPlan {
-            seed: 0xFA_0173,
-            dpu_loss_rate: 0.10,
-            straggler_rate: 0.20,
-            straggler_multiplier: 1.5,
-            bitflip_rate: 0.10,
-            timeout_rate: 0.25,
-            silent_flip_rate: 0.0,
-            policy: ResiliencePolicy::default(),
-        }),
+        faults: Some(fault_plan()),
         ..Default::default()
     })
     .expect("valid config")
@@ -316,6 +325,213 @@ fn crashed_batch_snapshot_matches_golden_digest() {
     h.bytes(&checkpoint.snapshot);
     assert_app_golden(h.0, CRASHED_BATCH_SNAPSHOT_GOLDEN, "crashed-batch snapshot");
 }
+
+/// The `Sampled` goldens: a 64-DPU machine that replays every eighth DPU
+/// (stride 8) and estimates the rest, fault-free and under
+/// [`fault_plan`]. Every kernel runs on a one-vertex and a dense
+/// frontier, and each digest folds in every number a sampled report
+/// carries plus the output vector.
+fn sampled_config(faults: Option<FaultPlan>) -> PimConfig {
+    PimConfig { num_dpus: 64, fidelity: SimFidelity::Sampled(8), faults, ..Default::default() }
+}
+
+/// The frontiers each sampled kernel golden runs on.
+const FRONTIERS: [&str; 2] = ["one", "dense"];
+
+fn frontier(which: &str) -> alpha_pim_sparse::SparseVector<u32> {
+    match which {
+        "one" => alpha_pim_sparse::SparseVector::one_hot(3_000, 0, 1u32),
+        _ => striped_vector(3_000, 1.0),
+    }
+}
+
+/// Folds a kernel report into `h`: makespan, mean and seconds bits, the
+/// replayed-DPU count, instructions, the mix, every counter, the degraded
+/// flag and the corrupted DPUs.
+fn report_digest(h: &mut Fnv, r: &KernelReport) {
+    h.word(r.max_cycles);
+    h.word(r.mean_cycles.to_bits());
+    h.word(r.seconds.to_bits());
+    h.word(u64::from(r.detailed_dpus));
+    h.word(r.total_instructions);
+    for class in InstrClass::ALL {
+        h.word(r.instr_mix.count(class));
+    }
+    for (_, v) in r.breakdown.counters.iter() {
+        h.word(v);
+    }
+    h.word(u64::from(r.degraded));
+    h.word(r.corrupted_dpus.len() as u64);
+    for &d in &r.corrupted_dpus {
+        h.word(u64::from(d));
+    }
+}
+
+/// Runs `launch` on the fault-free and the faulty sampled system at both
+/// frontiers, labelling each digest `clean/one`, `faulty/dense`, ….
+fn sampled_digests(
+    launch: impl Fn(&PimSystem, &str) -> (KernelReport, Vec<u64>),
+) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (mode, faults) in [("clean", None), ("faulty", Some(fault_plan()))] {
+        let sys = PimSystem::new(sampled_config(faults)).expect("valid config");
+        for which in FRONTIERS {
+            let (report, y) = launch(&sys, which);
+            let mut h = Fnv::new();
+            report_digest(&mut h, &report);
+            for w in y {
+                h.word(w);
+            }
+            out.push((format!("{mode}/{which}"), h.0));
+        }
+    }
+    out
+}
+
+/// Compares labelled digests with their frozen values, listing every
+/// actual digest on a mismatch.
+fn assert_digests(actual: &[(String, u64)], expected: &[(&str, u64)], what: &str) {
+    let listing: String =
+        actual.iter().map(|(label, d)| format!("    (\"{label}\", {d:#018x}),\n")).collect();
+    let frozen: Vec<(String, u64)> =
+        expected.iter().map(|&(label, d)| (label.to_string(), d)).collect();
+    assert_eq!(actual, frozen.as_slice(), "{what} digests drifted; actual:\n{listing}");
+}
+
+#[test]
+fn sampled_spmv_reports_match_golden_digests() {
+    let m = matrix();
+    let mut actual = Vec::new();
+    for variant in SpmvVariant::ALL {
+        for (label, d) in sampled_digests(|sys, which| {
+            let x = frontier(which).to_dense(0u32);
+            let out = PreparedSpmv::<BoolOrAnd>::prepare(&m, variant, sys)
+                .expect("fits")
+                .run(&x, sys)
+                .expect("dims");
+            (out.kernel, out.y.values().iter().map(|&v| u64::from(v)).collect())
+        }) {
+            actual.push((format!("{variant}/{label}"), d));
+        }
+    }
+    assert_digests(&actual, SAMPLED_SPMV_GOLDEN, "sampled SpMV");
+}
+
+#[test]
+fn sampled_spmspv_reports_match_golden_digests() {
+    let m = matrix();
+    let mut actual = Vec::new();
+    for variant in SpmspvVariant::ALL {
+        for (label, d) in sampled_digests(|sys, which| {
+            let out = PreparedSpmspv::<BoolOrAnd>::prepare(&m, variant, sys)
+                .expect("fits")
+                .run(&frontier(which), sys)
+                .expect("dims");
+            (out.kernel, out.y.values().iter().map(|&v| u64::from(v)).collect())
+        }) {
+            actual.push((format!("{variant}/{label}"), d));
+        }
+    }
+    assert_digests(&actual, SAMPLED_SPMSPV_GOLDEN, "sampled SpMSpV");
+}
+
+#[test]
+fn sampled_spmm_reports_match_golden_digests() {
+    let m = matrix();
+    let actual = sampled_digests(|sys, which| {
+        let mut x = MultiVector::filled(3_000, 4, 0u32);
+        for (i, &v) in frontier(which).to_dense(0u32).values().iter().enumerate() {
+            for j in 0..4 {
+                x.set(i, j, v);
+            }
+        }
+        let out = PreparedSpmm::<BoolOrAnd>::prepare(&m, 4, sys)
+            .expect("fits")
+            .run(&x, sys)
+            .expect("dims");
+        let y = (0..3_000).flat_map(|i| (0..4).map(move |j| (i, j)));
+        (out.kernel, y.map(|(i, j)| u64::from(out.y.get(i, j))).collect())
+    });
+    assert_digests(&actual, SAMPLED_SPMM_GOLDEN, "sampled SpMM");
+}
+
+/// BFS, SSSP and PPR end to end on the fault-free sampled system.
+fn sampled_engine() -> AlphaPim {
+    AlphaPim::new(sampled_config(None)).expect("valid config")
+}
+
+#[test]
+fn sampled_app_runs_match_golden_digests() {
+    let engine = sampled_engine();
+    let opts = AppOptions::default();
+    let bfs = engine.bfs(&app_graph(), 0, &opts).expect("runs");
+    let sssp = engine.sssp(&weighted_app_graph(), 0, &opts).expect("runs");
+    let ppr = engine.ppr(&app_graph(), 0, &PprOptions::default()).expect("runs");
+    let actual = vec![
+        ("bfs".to_string(), app_digest(bfs.levels.iter().map(|&l| u64::from(l)), &bfs.report)),
+        (
+            "sssp".to_string(),
+            app_digest(sssp.distances.iter().map(|&d| u64::from(d)), &sssp.report),
+        ),
+        (
+            "ppr".to_string(),
+            app_digest(ppr.scores.iter().map(|s| u64::from(s.to_bits())), &ppr.report),
+        ),
+    ];
+    assert_digests(&actual, SAMPLED_APP_GOLDEN, "sampled app run");
+}
+
+const SAMPLED_SPMV_GOLDEN: &[(&str, u64)] = &[
+    ("COO.nnz-1D/clean/one", 0x3c70_d668_5e43_8fea),
+    ("COO.nnz-1D/clean/dense", 0x1886_5cc0_26f1_91ab),
+    ("COO.nnz-1D/faulty/one", 0x8a48_79e2_29e9_e378),
+    ("COO.nnz-1D/faulty/dense", 0x665e_0039_f297_e539),
+    ("CSR.row-1D/clean/one", 0x242e_baf4_bace_9921),
+    ("CSR.row-1D/clean/dense", 0x4819_349c_f220_9760),
+    ("CSR.row-1D/faulty/one", 0x6e2e_9c2f_8683_39a5),
+    ("CSR.row-1D/faulty/dense", 0x9219_15d7_bdd5_37e4),
+    ("CSR.nnz-1D/clean/one", 0xa9bd_008d_8bbc_fa15),
+    ("CSR.nnz-1D/clean/dense", 0xcda7_7a35_c30e_f854),
+    ("CSR.nnz-1D/faulty/one", 0xe209_9486_f2fa_951a),
+    ("CSR.nnz-1D/faulty/dense", 0xbe1f_1ade_bba8_96db),
+    ("DCOO-2D/clean/one", 0xd2e3_0148_cadd_8269),
+    ("DCOO-2D/clean/dense", 0xf6cd_7af1_022f_80a8),
+    ("DCOO-2D/faulty/one", 0x4489_6d2a_d5d1_4c67),
+    ("DCOO-2D/faulty/dense", 0x6873_e6d3_0d23_4aa6),
+];
+const SAMPLED_SPMSPV_GOLDEN: &[(&str, u64)] = &[
+    ("COO/clean/one", 0x5899_a6e5_520e_bb26),
+    ("COO/clean/dense", 0x6bc8_eae6_38aa_8dd8),
+    ("COO/faulty/one", 0x99b4_d0ab_f680_131b),
+    ("COO/faulty/dense", 0x6e17_9e6c_8ef9_d995),
+    ("CSR/clean/one", 0x382d_4a69_cf7d_5e8b),
+    ("CSR/clean/dense", 0x32a9_ccb6_01c7_f139),
+    ("CSR/faulty/one", 0x118a_0dcc_c230_8628),
+    ("CSR/faulty/dense", 0xd299_1a52_26c6_8df2),
+    ("CSC-R/clean/one", 0xccbe_1fad_c2ce_3b7e),
+    ("CSC-R/clean/dense", 0x2062_8ae1_2f3f_1882),
+    ("CSC-R/faulty/one", 0x328d_c08f_75dc_f38e),
+    ("CSC-R/faulty/dense", 0xfa48_4ba8_66b7_e32f),
+    ("CSC-C/clean/one", 0x3881_cdc4_331f_9613),
+    ("CSC-C/clean/dense", 0x914d_232c_6faf_92db),
+    ("CSC-C/faulty/one", 0x8e76_c305_63b4_4b27),
+    ("CSC-C/faulty/dense", 0xf982_00b7_21ef_1c20),
+    ("CSC-2D/clean/one", 0x5342_736f_c649_4974),
+    ("CSC-2D/clean/dense", 0x338c_bec1_6801_1516),
+    ("CSC-2D/faulty/one", 0xa4ce_d4d1_80d1_f94a),
+    ("CSC-2D/faulty/dense", 0xafab_db60_78b1_3457),
+];
+const SAMPLED_SPMM_GOLDEN: &[(&str, u64)] = &[
+    ("clean/one", 0x22b9_7e5a_a910_ee4b),
+    ("clean/dense", 0x5628_bfd9_c4ce_a70b),
+    ("faulty/one", 0x42f8_582b_56d4_9757),
+    ("faulty/dense", 0x7667_99aa_7292_5017),
+];
+const SAMPLED_APP_GOLDEN: &[(&str, u64)] = &[
+    ("bfs", 0x85ee_310e_1ebd_34de),
+    ("sssp", 0xeab3_e4d7_3e4f_19f9),
+    ("ppr", 0xe3d8_0e16_d273_1086),
+];
 
 const BFS_RUN_GOLDEN: u64 = 0x486f_b910_d469_3e87;
 const SSSP_RUN_GOLDEN: u64 = 0x8076_8d4b_c416_f42c;
