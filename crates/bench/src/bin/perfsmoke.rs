@@ -1,29 +1,33 @@
 //! Performance smoke test for the parallel replay engine.
 //!
-//! Replays one SpMV launch across 2048 simulated DPUs with the host-side
-//! pool pinned to 1 thread and then to N threads, asserting that the
-//! resulting `KernelReport` — including every floating-point field, the
-//! full counter rollup, the per-DPU/per-tasklet observability details, and
-//! the JSON/CSV exporter strings — is bit-identical, and — when the
-//! machine actually has ≥4 cores — that the parallel replay is at least
-//! 2× faster. Emits `BENCH_parallel_sim.json` in the working directory.
-//! On a single core the threads can only take turns, so the speedup is
-//! recorded as `null` and reported as not measured.
+//! Replays two launches across 2048 simulated DPUs (64 of them replayed
+//! per launch) with the host-side pool pinned to 1 thread and then to N
+//! threads: a dense-input SpMV launch, where nearly every replayed trace
+//! set is distinct, and a one-vertex-frontier CSC-2D SpMSpV launch, where
+//! most replayed sets repeat one the launch already replayed. For each it
+//! asserts that the resulting `KernelReport` — including every
+//! floating-point field, the full counter rollup, the per-DPU/per-tasklet
+//! observability details, and the JSON/CSV exporter strings — is
+//! bit-identical, and — when the machine actually has ≥4 cores — that the
+//! parallel SpMV replay is at least 2× faster. Emits
+//! `BENCH_parallel_sim.json` in the working directory. On a single core
+//! the threads can only take turns, so the speedup is recorded as `null`
+//! and reported as not measured.
 
 use std::time::Instant;
 
 use alpha_pim::semiring::BoolOrAnd;
-use alpha_pim::{PreparedSpmv, SpmvVariant};
+use alpha_pim::{PreparedSpmspv, PreparedSpmv, SpmspvVariant, SpmvVariant};
 use alpha_pim_sim::{
     set_sim_threads, CounterId, KernelReport, ObservabilityLevel, PimConfig, PimSystem,
     SimFidelity,
 };
-use alpha_pim_sparse::{gen, DenseVector, Graph};
+use alpha_pim_sparse::{gen, DenseVector, Graph, SparseVector};
 
 const DPUS: u32 = 2048;
 const ITERS: u32 = 5;
 
-/// Frozen fault-free makespan of this exact launch (2048 DPUs, 64 sampled,
+/// Frozen fault-free makespan of the SpMV launch (2048 DPUs, 64 sampled,
 /// Erdős–Rényi 60k nodes / 600k edges seed 7, Coo1d, all-ones input). The
 /// fault-injection layer must be a strict no-op when no plan is
 /// configured; any drift here means the fault-free path picked up a tax.
@@ -32,8 +36,81 @@ const ITERS: u32 = 5;
 /// legitimately dropped.)
 const FAULT_FREE_MAX_CYCLES: u64 = 33_136;
 
-fn replay(prep: &PreparedSpmv<BoolOrAnd>, x: &DenseVector<u32>, sys: &PimSystem) -> KernelReport {
-    prep.run(x, sys).expect("dims match").kernel
+/// Frozen makespan of the SpMSpV launch (same system and graph, Csc2d,
+/// frontier = vertex 0). Replaying a trace set once per launch and reusing
+/// its profile for every equal set must not move it.
+const ONE_VERTEX_MAX_CYCLES: u64 = 7_346;
+
+/// What one launch measured.
+struct Timed {
+    name: &'static str,
+    max_cycles: u64,
+    secs_seq: f64,
+    secs_par: f64,
+}
+
+/// Runs `launch` once and then `ITERS` timed times at `threads_seq` and at
+/// `threads_par` threads, asserting the 1-vs-N reports are bit-identical
+/// down to the per-tasklet details and the exporter strings.
+fn time_launch(
+    name: &'static str,
+    threads_seq: usize,
+    threads_par: usize,
+    launch: impl Fn() -> KernelReport,
+) -> (Timed, KernelReport) {
+    let timed = |threads: usize| {
+        set_sim_threads(threads);
+        let report = launch();
+        let start = Instant::now();
+        for _ in 0..ITERS {
+            std::hint::black_box(launch());
+        }
+        (report, start.elapsed().as_secs_f64() / f64::from(ITERS))
+    };
+    let (seq_report, secs_seq) = timed(threads_seq);
+    let (par_report, secs_par) = timed(threads_par);
+
+    // The determinism guarantee holds unconditionally: identical reports,
+    // down to the bits of the floating-point time, and it extends to the
+    // observability layer — per-DPU details, per-tasklet counter sets, and
+    // the exporter strings.
+    assert_eq!(
+        seq_report, par_report,
+        "{name}: KernelReport diverged between 1 and {threads_par} threads"
+    );
+    assert_eq!(
+        seq_report.seconds.to_bits(),
+        par_report.seconds.to_bits(),
+        "{name}: simulated seconds not bit-identical"
+    );
+    assert!(
+        !seq_report.dpu_details.is_empty(),
+        "{name}: PerTasklet observability retains DPU details"
+    );
+    assert!(seq_report.dpu_details.iter().all(|d| !d.tasklets.is_empty()));
+    assert_eq!(
+        seq_report.to_json(),
+        par_report.to_json(),
+        "{name}: JSON export diverged between 1 and {threads_par} threads"
+    );
+    assert_eq!(
+        seq_report.counters_csv(),
+        par_report.counters_csv(),
+        "{name}: counter CSV diverged between 1 and {threads_par} threads"
+    );
+    let c = &seq_report.breakdown.counters;
+    assert_eq!(
+        c.sum(&CounterId::SLOT_CYCLES),
+        c.get(CounterId::DpuCycles),
+        "{name}: slot attribution must partition the detailed DPU cycles"
+    );
+    assert_eq!(
+        c.sum(&CounterId::TASKLET_CYCLES),
+        c.get(CounterId::TaskletBudget),
+        "{name}: tasklet attribution must partition the tasklet budget"
+    );
+    let max_cycles = seq_report.max_cycles;
+    (Timed { name, max_cycles, secs_seq, secs_par }, seq_report)
 }
 
 fn main() {
@@ -46,8 +123,12 @@ fn main() {
         ..Default::default()
     })
     .expect("valid config");
-    let x = DenseVector::filled(graph.nodes() as usize, 1u32);
-    let prep = PreparedSpmv::<BoolOrAnd>::prepare(&m, SpmvVariant::Coo1d, &sys).expect("fits");
+    let n = graph.nodes() as usize;
+    let dense = DenseVector::filled(n, 1u32);
+    let one_vertex = SparseVector::one_hot(n, 0, 1u32);
+    let spmv = PreparedSpmv::<BoolOrAnd>::prepare(&m, SpmvVariant::Coo1d, &sys).expect("fits");
+    let spmspv =
+        PreparedSpmspv::<BoolOrAnd>::prepare(&m, SpmspvVariant::Csc2d, &sys).expect("fits");
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // The parallel leg must actually be parallel: honor ALPHA_PIM_THREADS
@@ -71,81 +152,56 @@ fn main() {
         "sequential and parallel replay configs must differ for the comparison to mean anything"
     );
 
-    set_sim_threads(threads_seq);
-    let seq_report = replay(&prep, &x, &sys);
+    let (dense_launch, report) = time_launch("spmv_coo1d_dense", threads_seq, threads_par, || {
+        spmv.run(&dense, &sys).expect("dims match").kernel
+    });
     assert_eq!(
-        seq_report.max_cycles, FAULT_FREE_MAX_CYCLES,
+        report.max_cycles, FAULT_FREE_MAX_CYCLES,
         "fault-free makespan drifted — the resilience layer must cost nothing when disabled"
     );
-    assert!(!seq_report.degraded, "no fault plan, nothing may degrade");
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        std::hint::black_box(replay(&prep, &x, &sys));
+    assert!(!report.degraded, "no fault plan, nothing may degrade");
+    let (sparse_launch, report) =
+        time_launch("spmspv_csc2d_one_vertex", threads_seq, threads_par, || {
+            spmspv.run(&one_vertex, &sys).expect("dims match").kernel
+        });
+    assert_eq!(
+        report.max_cycles, ONE_VERTEX_MAX_CYCLES,
+        "one-vertex SpMSpV makespan drifted — reusing a replayed profile must not move it"
+    );
+
+    let speedup = |t: &Timed| (cores >= 2).then(|| t.secs_seq / t.secs_par);
+    let mut launches = Vec::new();
+    for t in [&dense_launch, &sparse_launch] {
+        let s = speedup(t);
+        println!(
+            "perfsmoke: {} dpus {DPUS} threads {threads_seq}→{threads_par} ({cores} cores) \
+             seq {:.4}s par {:.4}s speedup {}",
+            t.name,
+            t.secs_seq,
+            t.secs_par,
+            s.map_or("not measured".to_string(), |s| format!("{s:.2}x")),
+        );
+        launches.push(format!(
+            "{{\"name\": \"{}\", \"max_cycles\": {}, \"secs_seq\": {:.6}, \"secs_par\": {:.6}, \
+             \"speedup\": {}}}",
+            t.name,
+            t.max_cycles,
+            t.secs_seq,
+            t.secs_par,
+            s.map_or("null".to_string(), |s| format!("{s:.3}")),
+        ));
     }
-    let secs_seq = start.elapsed().as_secs_f64() / f64::from(ITERS);
-
-    set_sim_threads(threads_par);
-    let par_report = replay(&prep, &x, &sys);
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        std::hint::black_box(replay(&prep, &x, &sys));
-    }
-    let secs_par = start.elapsed().as_secs_f64() / f64::from(ITERS);
-
-    // The determinism guarantee holds unconditionally: identical reports,
-    // down to the bits of the floating-point time, and it extends to the
-    // observability layer — per-DPU details, per-tasklet counter sets, and
-    // the exporter strings.
-    assert_eq!(
-        seq_report, par_report,
-        "KernelReport diverged between 1 and {threads_par} threads"
-    );
-    assert_eq!(
-        seq_report.seconds.to_bits(),
-        par_report.seconds.to_bits(),
-        "simulated seconds not bit-identical"
-    );
-    assert!(!seq_report.dpu_details.is_empty(), "PerTasklet observability retains DPU details");
-    assert!(seq_report.dpu_details.iter().all(|d| !d.tasklets.is_empty()));
-    assert_eq!(
-        seq_report.to_json(),
-        par_report.to_json(),
-        "JSON export diverged between 1 and {threads_par} threads"
-    );
-    assert_eq!(
-        seq_report.counters_csv(),
-        par_report.counters_csv(),
-        "counter CSV diverged between 1 and {threads_par} threads"
-    );
-    let c = &seq_report.breakdown.counters;
-    assert_eq!(
-        c.sum(&CounterId::SLOT_CYCLES),
-        c.get(CounterId::DpuCycles),
-        "slot attribution must partition the detailed DPU cycles"
-    );
-    assert_eq!(
-        c.sum(&CounterId::TASKLET_CYCLES),
-        c.get(CounterId::TaskletBudget),
-        "tasklet attribution must partition the tasklet budget"
-    );
-
-    let speedup = (cores >= 2).then(|| secs_seq / secs_par);
-    let speedup_text = speedup.map_or("not measured".to_string(), |s| format!("{s:.2}x"));
-    println!(
-        "perfsmoke: dpus {DPUS} threads {threads_seq}→{threads_par} ({cores} cores) \
-         seq {secs_seq:.4}s par {secs_par:.4}s speedup {speedup_text}"
-    );
-
-    let speedup_json = speedup.map_or("null".to_string(), |s| format!("{s:.3}"));
     let json = format!(
         "{{{}, \"threads_seq\": {threads_seq}, \"threads_par\": {threads_par}, \
-         \"cores\": {cores}, \"dpus\": {DPUS}, \"secs_seq\": {secs_seq:.6}, \
-         \"secs_par\": {secs_par:.6}, \"speedup\": {speedup_json}}}\n",
+         \"cores\": {cores}, \"dpus\": {DPUS}, \"launches\": [{}]}}\n",
         alpha_pim_bench::report::bench_schema_fields("perfsmoke"),
+        launches.join(", "),
     );
     std::fs::write("BENCH_parallel_sim.json", json).expect("write BENCH_parallel_sim.json");
 
-    if let Some(speedup) = speedup.filter(|_| threads_par >= 4 && cores >= 4) {
+    // The dense launch replays 64 distinct sets, so it is the one whose
+    // replay parallelizes; the sparse launch is mostly reuse.
+    if let Some(speedup) = speedup(&dense_launch).filter(|_| threads_par >= 4 && cores >= 4) {
         assert!(
             speedup >= 2.0,
             "expected >=2x speedup on {threads_par} threads ({cores} cores), \

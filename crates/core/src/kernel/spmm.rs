@@ -9,9 +9,9 @@
 
 use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::par::par_map_indexed;
-use alpha_pim_sim::report::{EvalRecord, PhaseBreakdown};
-use alpha_pim_sim::trace::TaskletTrace;
-use alpha_pim_sim::{CounterSet, PimSystem, SimFidelity, TaskletStats};
+use alpha_pim_sim::report::{DpuJob, PhaseBreakdown};
+use alpha_pim_sim::trace::Record;
+use alpha_pim_sim::{CounterSet, PimSystem};
 use alpha_pim_sparse::partition::{near_square_grid, partition_grid, GridPartition};
 use alpha_pim_sparse::Coo;
 
@@ -113,26 +113,15 @@ impl<S: Semiring> PreparedSpmm<S> {
 
     /// Runs one `Y = M ⊗ X` multiplication.
     ///
-    /// Under [`SimFidelity::Analytic`] the tiles record O(1)-space
-    /// [`TaskletStats`] and timing comes from the closed-form predictor;
-    /// `y` is bit-identical either way because the value math is shared.
+    /// Each tile records event traces where the launch replays its DPU and
+    /// O(1)-space closed-form statistics everywhere else
+    /// ([`alpha_pim_sim::KernelAccumulator::replays`]); `y` is
+    /// bit-identical either way because the value math is shared.
     ///
     /// # Errors
     ///
     /// Returns [`AlphaPimError::Dimension`] if `x.n() != n`.
     pub fn run(
-        &self,
-        x: &MultiVector<S::Elem>,
-        sys: &PimSystem,
-    ) -> Result<SpmmOutcome<S>, AlphaPimError> {
-        if matches!(sys.config().fidelity, SimFidelity::Analytic) {
-            self.run_impl::<TaskletStats>(x, sys)
-        } else {
-            self.run_impl::<TaskletTrace>(x, sys)
-        }
-    }
-
-    fn run_impl<R: EvalRecord>(
         &self,
         x: &MultiVector<S::Elem>,
         sys: &PimSystem,
@@ -148,20 +137,18 @@ impl<S: Semiring> PreparedSpmm<S> {
         let mut load = vec![0u64; self.grid.tiles.len()];
         let mut retrieve = vec![0u64; self.grid.tiles.len()];
         let mut ops = 0u64;
-        let proto = R::fresh(sys.config());
         let evals = par_map_indexed(&self.grid.tiles, |_, t| {
             let rows = (t.row_range.end - t.row_range.start) as usize;
             let mut local = MultiVector::filled(rows, k, S::zero());
-            let traces = spmm_tile_traces::<S, R>(
-                &t.matrix,
+            let job = SpmmTileJob::<S> {
+                m: &t.matrix,
                 x,
-                t.col_range.start,
-                &mut local,
+                col_offset: t.col_range.start,
+                local_y: &mut local,
                 tasklets,
-                sys.config().wram_bytes,
-                &proto,
-            );
-            (acc.evaluate_records(t.part, &traces), local)
+                wram_bytes: sys.config().wram_bytes,
+            };
+            (acc.evaluate_job(t.part, job), local)
         });
         // Tiles in one grid row overlap in `y`: reduce in tile order so the
         // result matches a sequential run exactly.
@@ -227,63 +214,67 @@ pub struct SpmmOutcome<S: Semiring> {
 
 /// Functional + trace execution of one tile: stream entries, and for each
 /// apply the semiring across all `k` columns of the cached vector slab.
-fn spmm_tile_traces<S: Semiring, R: EvalRecord>(
-    m: &Coo<S::Elem>,
-    x: &MultiVector<S::Elem>,
+struct SpmmTileJob<'a, S: Semiring> {
+    m: &'a Coo<S::Elem>,
+    x: &'a MultiVector<S::Elem>,
     col_offset: u32,
-    local_y: &mut MultiVector<S::Elem>,
+    local_y: &'a mut MultiVector<S::Elem>,
     tasklets: u32,
     wram_bytes: u32,
-    proto: &R,
-) -> Vec<R> {
-    let k = x.k() as u32;
-    let eb = S::elem_bytes();
-    let entry_bytes = coo_entry_bytes(eb);
-    let per_chunk = (CHUNK_BYTES / entry_bytes).max(1) as usize;
-    // The k-wide row slab of the input segment: cache in WRAM when small.
-    let slab_cached = (local_y.n() as u64 * k as u64 * eb as u64) < (wram_bytes as u64) / 2;
-    let ranges = tasklet_ranges(m.nnz(), tasklets);
-    let (rows, cols, vals) = (m.rows(), m.cols(), m.vals());
-    let mut traces = Vec::with_capacity(tasklets as usize);
-    for range in ranges {
-        let mut t = proto.clone();
-        tasklet_prologue(&mut t);
-        let mut idx = range.start;
-        while idx < range.end {
-            let chunk_end = (idx + per_chunk).min(range.end);
-            t.dma((chunk_end - idx) as u32 * entry_bytes);
-            t.compute(InstrClass::Control, CHUNK_OVERHEAD);
-            for e in idx..chunk_end {
-                edge_base_cost(&mut t);
-                if slab_cached {
-                    t.compute(InstrClass::LoadStore, 1);
-                } else {
-                    // One row-slab fetch serves all k columns.
-                    t.dma((k * eb).max(8));
+}
+
+impl<S: Semiring> DpuJob for SpmmTileJob<'_, S> {
+    fn record<R: Record + Clone>(self, proto: &R) -> Vec<R> {
+        let SpmmTileJob { m, x, col_offset, local_y, tasklets, wram_bytes } = self;
+        let k = x.k() as u32;
+        let eb = S::elem_bytes();
+        let entry_bytes = coo_entry_bytes(eb);
+        let per_chunk = (CHUNK_BYTES / entry_bytes).max(1) as usize;
+        // The k-wide row slab of the input segment: cache in WRAM when small.
+        let slab_cached = (local_y.n() as u64 * k as u64 * eb as u64) < (wram_bytes as u64) / 2;
+        let ranges = tasklet_ranges(m.nnz(), tasklets);
+        let (rows, cols, vals) = (m.rows(), m.cols(), m.vals());
+        let mut traces = Vec::with_capacity(tasklets as usize);
+        for range in ranges {
+            let mut t = proto.clone();
+            tasklet_prologue(&mut t);
+            let mut idx = range.start;
+            while idx < range.end {
+                let chunk_end = (idx + per_chunk).min(range.end);
+                t.dma((chunk_end - idx) as u32 * entry_bytes);
+                t.compute(InstrClass::Control, CHUNK_OVERHEAD);
+                for e in idx..chunk_end {
+                    edge_base_cost(&mut t);
+                    if slab_cached {
+                        t.compute(InstrClass::LoadStore, 1);
+                    } else {
+                        // One row-slab fetch serves all k columns.
+                        t.dma((k * eb).max(8));
+                    }
+                    for _ in 0..k {
+                        S::mul_cost().record(&mut t);
+                        S::add_cost().record(&mut t);
+                    }
+                    t.compute(InstrClass::LoadStore, 2 * k);
+                    let global_col = (col_offset + cols[e]) as usize;
+                    for j in 0..k as usize {
+                        let contrib = S::mul(vals[e], x.get(global_col, j));
+                        let cur = local_y.get(rows[e] as usize, j);
+                        local_y.set(rows[e] as usize, j, S::add(cur, contrib));
+                    }
                 }
-                for _ in 0..k {
-                    S::mul_cost().record(&mut t);
-                    S::add_cost().record(&mut t);
-                }
-                t.compute(InstrClass::LoadStore, 2 * k);
-                let global_col = (col_offset + cols[e]) as usize;
-                for j in 0..k as usize {
-                    let contrib = S::mul(vals[e], x.get(global_col, j));
-                    let cur = local_y.get(rows[e] as usize, j);
-                    local_y.set(rows[e] as usize, j, S::add(cur, contrib));
-                }
+                idx = chunk_end;
             }
-            idx = chunk_end;
+            t.dma_stream(
+                (local_y.n() as u64 * k as u64 * eb as u64 / tasklets.max(1) as u64).max(8),
+                CHUNK_BYTES,
+                CHUNK_OVERHEAD,
+            );
+            t.barrier();
+            traces.push(t);
         }
-        t.dma_stream(
-            (local_y.n() as u64 * k as u64 * eb as u64 / tasklets.max(1) as u64).max(8),
-            CHUNK_BYTES,
-            CHUNK_OVERHEAD,
-        );
-        t.barrier();
-        traces.push(t);
+        traces
     }
-    traces
 }
 
 #[cfg(test)]

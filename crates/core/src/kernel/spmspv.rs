@@ -19,9 +19,9 @@ use std::collections::HashMap;
 
 use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::par::{par_map_indexed, par_map_indexed_with};
-use alpha_pim_sim::report::{EvalRecord, PhaseBreakdown};
-use alpha_pim_sim::trace::{Record, TaskletTrace};
-use alpha_pim_sim::{CounterSet, PimSystem, SimFidelity, TaskletStats};
+use alpha_pim_sim::report::{DpuEval, DpuJob, PhaseBreakdown};
+use alpha_pim_sim::trace::Record;
+use alpha_pim_sim::{CounterSet, KernelAccumulator, PimSystem};
 use alpha_pim_sparse::partition::{
     near_square_grid, partition_cols, partition_grid, partition_rows, Balance,
 };
@@ -189,10 +189,10 @@ impl<S: Semiring> PreparedSpmspv<S> {
 
     /// Runs one `y = M ⊗ x` iteration with a compressed input vector.
     ///
-    /// Under [`SimFidelity::Analytic`] the kernel records closed-form
-    /// statistics and predicts timing analytically; all other fidelities
-    /// record event traces for cycle replay. The value math is shared, so
-    /// `y` is bit-identical across fidelities.
+    /// Each partition records event traces where the launch replays its
+    /// DPU and closed-form statistics everywhere else
+    /// ([`KernelAccumulator::replays`]). The value math is shared, so `y`
+    /// is bit-identical across fidelities.
     ///
     /// # Errors
     ///
@@ -202,34 +202,22 @@ impl<S: Semiring> PreparedSpmspv<S> {
         x: &SparseVector<S::Elem>,
         sys: &PimSystem,
     ) -> Result<IterationOutcome<S>, AlphaPimError> {
-        if matches!(sys.config().fidelity, SimFidelity::Analytic) {
-            self.run_impl::<TaskletStats>(x, sys)
-        } else {
-            self.run_impl::<TaskletTrace>(x, sys)
-        }
-    }
-
-    fn run_impl<R: EvalRecord>(
-        &self,
-        x: &SparseVector<S::Elem>,
-        sys: &PimSystem,
-    ) -> Result<IterationOutcome<S>, AlphaPimError> {
         if x.len() != self.n as usize {
             return Err(AlphaPimError::Dimension { expected: self.n as usize, actual: x.len() });
         }
         match &self.data {
-            SpmspvData::Coo(parts) => self.run_matched::<R>(x, sys, MatchedKind::Coo(parts)),
-            SpmspvData::Csr(bands) => self.run_matched::<R>(x, sys, MatchedKind::Csr(bands)),
-            SpmspvData::CscR(bands) => self.run_csc_r::<R>(x, sys, bands),
-            SpmspvData::CscC(bands) => self.run_csc_c::<R>(x, sys, bands),
+            SpmspvData::Coo(parts) => self.run_matched(x, sys, MatchedKind::Coo(parts)),
+            SpmspvData::Csr(bands) => self.run_matched(x, sys, MatchedKind::Csr(bands)),
+            SpmspvData::CscR(bands) => self.run_csc_r(x, sys, bands),
+            SpmspvData::CscC(bands) => self.run_csc_c(x, sys, bands),
             SpmspvData::Csc2d { grid_cols, tiles } => {
-                self.run_csc_2d::<R>(x, sys, *grid_cols, tiles)
+                self.run_csc_2d(x, sys, *grid_cols, tiles)
             }
         }
     }
 
     /// COO and CSR: stream the whole matrix, match entries against `x`.
-    fn run_matched<R: EvalRecord>(
+    fn run_matched(
         &self,
         x: &SparseVector<S::Elem>,
         sys: &PimSystem,
@@ -239,7 +227,6 @@ impl<S: Semiring> PreparedSpmspv<S> {
         let ventry = vec_entry_bytes(eb) as u64;
         let tasklets = sys.config().tasklets_per_dpu;
         let mut acc = sys.accumulator();
-        let proto = R::fresh(sys.config());
         let mut y = vec![S::zero(); self.n as usize];
         let mut ops = 0u64;
         let num_parts = kind.len();
@@ -250,25 +237,29 @@ impl<S: Semiring> PreparedSpmspv<S> {
             let band = (rows_range.end - rows_range.start) as usize;
             let mut local = vec![S::zero(); band];
             let mut part_ops = 0u64;
-            let traces = match &kind {
-                MatchedKind::Coo(parts) => coo_matched_traces::<S, R>(
-                    &parts[part as usize].matrix,
-                    x,
-                    &mut local,
-                    tasklets,
-                    &mut part_ops,
-                    &proto,
+            let eval = match &kind {
+                MatchedKind::Coo(parts) => acc.evaluate_job(
+                    part,
+                    CooMatchedJob::<S> {
+                        m: &parts[part as usize].matrix,
+                        x,
+                        local_y: &mut local,
+                        tasklets,
+                        ops: &mut part_ops,
+                    },
                 ),
-                MatchedKind::Csr(bands) => csr_matched_traces::<S, R>(
-                    &bands[part as usize].matrix,
-                    x,
-                    &mut local,
-                    tasklets,
-                    &mut part_ops,
-                    &proto,
+                MatchedKind::Csr(bands) => acc.evaluate_job(
+                    part,
+                    CsrMatchedJob::<S> {
+                        m: &bands[part as usize].matrix,
+                        x,
+                        local_y: &mut local,
+                        tasklets,
+                        ops: &mut part_ops,
+                    },
                 ),
             };
-            (acc.evaluate_records(part, &traces), local, part_ops)
+            (eval, local, part_ops)
         });
         let mut guard = IntegrityGuard::new(sys);
         for (part, (eval, mut local, part_ops)) in evals.into_iter().enumerate() {
@@ -317,7 +308,7 @@ impl<S: Semiring> PreparedSpmspv<S> {
 
     /// CSC-R: row bands, full compressed vector broadcast, active-column
     /// traversal, shared-WRAM output under mutexes.
-    fn run_csc_r<R: EvalRecord>(
+    fn run_csc_r(
         &self,
         x: &SparseVector<S::Elem>,
         sys: &PimSystem,
@@ -331,9 +322,7 @@ impl<S: Semiring> PreparedSpmspv<S> {
         let mut retrieve = vec![0u64; bands.len()];
         let entries: Vec<(u32, S::Elem)> = x.iter().collect();
         let evals = par_map_indexed_with(bands, BandScratch::<S>::default, |scratch, part, b| {
-            let (traces, pairs, part_ops) =
-                scratch.run::<R>(&b.matrix, b.rows.len(), &entries, sys);
-            (acc.evaluate_records(part as u32, &traces), pairs, part_ops)
+            scratch.run(&acc, part as u32, &b.matrix, b.rows.len(), &entries, sys)
         });
         let mut guard = IntegrityGuard::new(sys);
         for (part, (b, (eval, mut pairs, part_ops))) in bands.iter().zip(evals).enumerate() {
@@ -376,7 +365,7 @@ impl<S: Semiring> PreparedSpmspv<S> {
 
     /// CSC-C: column bands, segmented vector scatter, full-length partial
     /// outputs compressed on the DPU and merged on the host.
-    fn run_csc_c<R: EvalRecord>(
+    fn run_csc_c(
         &self,
         x: &SparseVector<S::Elem>,
         sys: &PimSystem,
@@ -385,6 +374,7 @@ impl<S: Semiring> PreparedSpmspv<S> {
         let eb = S::elem_bytes();
         let ventry = vec_entry_bytes(eb) as u64;
         let tasklets = sys.config().tasklets_per_dpu;
+        let wram_bytes = sys.config().wram_bytes;
         let mut acc = sys.accumulator();
         let mut y = vec![S::zero(); self.n as usize];
         let mut ops = 0u64;
@@ -397,20 +387,21 @@ impl<S: Semiring> PreparedSpmspv<S> {
             let seg_bytes = seg.compressed_bytes(eb as usize) as u64;
             let mut partial: HashMap<u32, S::Elem> = HashMap::new();
             let mut part_ops = 0u64;
-            let traces = csc_active_traces::<S, R>(
-                &b.matrix,
-                &entries,
+            let job = CscActiveJob::<S> {
+                m: &b.matrix,
+                x_entries: &entries,
                 // Output band is the whole vector: never fits WRAM.
-                u64::MAX,
-                sys,
+                band_bytes: u64::MAX,
+                wram_bytes,
                 tasklets,
-                &mut |r, contrib| {
+                apply: &mut |r, contrib| {
                     let slot = partial.entry(r).or_insert_with(S::zero);
                     *slot = S::add(*slot, contrib);
                 },
-                &mut part_ops,
-            );
-            (acc.evaluate_records(part as u32, &traces), partial, seg_bytes, part_ops)
+                ops: &mut part_ops,
+            };
+            let eval = acc.evaluate_job(part as u32, job);
+            (eval, partial, seg_bytes, part_ops)
         });
         let mut guard = IntegrityGuard::new(sys);
         for (part, (eval, mut partial, seg_bytes, part_ops)) in evals.into_iter().enumerate() {
@@ -448,7 +439,7 @@ impl<S: Semiring> PreparedSpmspv<S> {
 
     /// CSC-2D: tiles with segmented inputs and banded outputs — the best
     /// overall SpMSpV (§6.1).
-    fn run_csc_2d<R: EvalRecord>(
+    fn run_csc_2d(
         &self,
         x: &SparseVector<S::Elem>,
         sys: &PimSystem,
@@ -473,10 +464,10 @@ impl<S: Semiring> PreparedSpmspv<S> {
             segment.extend(
                 x_idx[lo..hi].iter().zip(&x_vals[lo..hi]).map(|(&i, &v)| (i - t.cols.start, v)),
             );
-            let (traces, pairs, part_ops) =
-                scratch.run::<R>(&t.matrix, t.rows.len(), segment, sys);
+            let (eval, pairs, part_ops) =
+                scratch.run(&acc, part as u32, &t.matrix, t.rows.len(), segment, sys);
             let seg_bytes = segment.len() as u64 * ventry;
-            (acc.evaluate_records(part as u32, &traces), pairs, seg_bytes, part_ops)
+            (eval, pairs, seg_bytes, part_ops)
         });
         // Tiles sharing a grid row overlap in `y`; merge in tile order to
         // keep the cross-tile reduction identical to a sequential run.
@@ -569,100 +560,108 @@ fn record_search<R: Record>(trace: &mut R, x_nnz: u64, cached_entries: u64) {
 
 /// COO SpMSpV worker: stream the band's entries coarse-grained and match
 /// each against `x`.
-fn coo_matched_traces<S: Semiring, R: EvalRecord>(
-    m: &Coo<S::Elem>,
-    x: &SparseVector<S::Elem>,
-    local_y: &mut [S::Elem],
+struct CooMatchedJob<'a, S: Semiring> {
+    m: &'a Coo<S::Elem>,
+    x: &'a SparseVector<S::Elem>,
+    local_y: &'a mut [S::Elem],
     tasklets: u32,
-    ops: &mut u64,
-    proto: &R,
-) -> Vec<R> {
-    // Zero-length band (`parts > n`): a true no-op — no kernel launch, no
-    // events, no fault site.
-    if local_y.is_empty() {
-        return Vec::new();
-    }
-    let entry_bytes = coo_entry_bytes(S::elem_bytes());
-    let per_chunk = (CHUNK_BYTES / entry_bytes).max(1) as usize;
-    let ranges = tasklet_ranges(m.nnz(), tasklets);
-    let (rows, cols, vals) = (m.rows(), m.cols(), m.vals());
-    let mut traces = Vec::with_capacity(tasklets as usize);
-    for range in ranges {
-        let mut t = proto.clone();
-        tasklet_prologue(&mut t);
-        let mut out = BlockedOutput::new(S::elem_bytes());
-        let mut idx = range.start;
-        while idx < range.end {
-            let chunk_end = (idx + per_chunk).min(range.end);
-            t.dma((chunk_end - idx) as u32 * entry_bytes);
-            t.compute(InstrClass::Control, CHUNK_OVERHEAD);
-            for e in idx..chunk_end {
-                edge_base_cost(&mut t);
-                record_search(&mut t, x.nnz() as u64, SEARCH_CACHE_ENTRIES);
-                if let Some(xv) = x.get(cols[e]) {
-                    S::mul_cost().record(&mut t);
-                    let contrib = S::mul(vals[e], xv);
-                    out.update::<S, R>(local_y, rows[e], contrib, &mut t);
-                    *ops += 2;
-                }
-            }
-            idx = chunk_end;
+    ops: &'a mut u64,
+}
+
+impl<S: Semiring> DpuJob for CooMatchedJob<'_, S> {
+    fn record<R: Record + Clone>(self, proto: &R) -> Vec<R> {
+        let CooMatchedJob { m, x, local_y, tasklets, ops } = self;
+        // Zero-length band (`parts > n`): a true no-op — no kernel launch, no
+        // events, no fault site.
+        if local_y.is_empty() {
+            return Vec::new();
         }
-        out.flush(&mut t);
-        t.barrier();
-        traces.push(t);
+        let entry_bytes = coo_entry_bytes(S::elem_bytes());
+        let per_chunk = (CHUNK_BYTES / entry_bytes).max(1) as usize;
+        let ranges = tasklet_ranges(m.nnz(), tasklets);
+        let (rows, cols, vals) = (m.rows(), m.cols(), m.vals());
+        let mut traces = Vec::with_capacity(tasklets as usize);
+        for range in ranges {
+            let mut t = proto.clone();
+            tasklet_prologue(&mut t);
+            let mut out = BlockedOutput::new(S::elem_bytes());
+            let mut idx = range.start;
+            while idx < range.end {
+                let chunk_end = (idx + per_chunk).min(range.end);
+                t.dma((chunk_end - idx) as u32 * entry_bytes);
+                t.compute(InstrClass::Control, CHUNK_OVERHEAD);
+                for e in idx..chunk_end {
+                    edge_base_cost(&mut t);
+                    record_search(&mut t, x.nnz() as u64, SEARCH_CACHE_ENTRIES);
+                    if let Some(xv) = x.get(cols[e]) {
+                        S::mul_cost().record(&mut t);
+                        let contrib = S::mul(vals[e], xv);
+                        out.update::<S, R>(local_y, rows[e], contrib, &mut t);
+                        *ops += 2;
+                    }
+                }
+                idx = chunk_end;
+            }
+            out.flush(&mut t);
+            t.barrier();
+            traces.push(t);
+        }
+        traces
     }
-    traces
 }
 
 /// CSR SpMSpV worker: equal-row tasklet splitting, per-row pointer and
 /// element transfers (fine-grained DMA), per-element binary search with a
 /// smaller WRAM cache — deliberately the paper's worst performer.
-fn csr_matched_traces<S: Semiring, R: EvalRecord>(
-    m: &Csr<S::Elem>,
-    x: &SparseVector<S::Elem>,
-    local_y: &mut [S::Elem],
+struct CsrMatchedJob<'a, S: Semiring> {
+    m: &'a Csr<S::Elem>,
+    x: &'a SparseVector<S::Elem>,
+    local_y: &'a mut [S::Elem],
     tasklets: u32,
-    ops: &mut u64,
-    proto: &R,
-) -> Vec<R> {
-    // Zero-length band (`parts > n`): a true no-op, see coo_matched_traces.
-    if local_y.is_empty() {
-        return Vec::new();
-    }
-    let ranges = tasklet_ranges(m.n_rows() as usize, tasklets);
-    let elem_dma = vec_entry_bytes(S::elem_bytes()).max(8);
-    let mut traces = Vec::with_capacity(tasklets as usize);
-    for range in ranges {
-        let mut t = proto.clone();
-        tasklet_prologue(&mut t);
-        for r in range {
-            // Row pointer pair fetch.
-            t.dma(8);
-            t.compute(InstrClass::Control, 2);
-            let (row_cols, row_vals) = m.row(r as u32);
-            let mut acc = S::zero();
-            for (&c, &v) in row_cols.iter().zip(row_vals) {
-                t.dma(elem_dma);
-                edge_base_cost(&mut t);
-                record_search(&mut t, x.nnz() as u64, 16);
-                if let Some(xv) = x.get(c) {
-                    S::mul_cost().record(&mut t);
-                    S::add_cost().record(&mut t);
-                    acc = S::add(acc, S::mul(v, xv));
-                    *ops += 2;
+    ops: &'a mut u64,
+}
+
+impl<S: Semiring> DpuJob for CsrMatchedJob<'_, S> {
+    fn record<R: Record + Clone>(self, proto: &R) -> Vec<R> {
+        let CsrMatchedJob { m, x, local_y, tasklets, ops } = self;
+        // Zero-length band (`parts > n`): a true no-op, see `CooMatchedJob`.
+        if local_y.is_empty() {
+            return Vec::new();
+        }
+        let ranges = tasklet_ranges(m.n_rows() as usize, tasklets);
+        let elem_dma = vec_entry_bytes(S::elem_bytes()).max(8);
+        let mut traces = Vec::with_capacity(tasklets as usize);
+        for range in ranges {
+            let mut t = proto.clone();
+            tasklet_prologue(&mut t);
+            for r in range {
+                // Row pointer pair fetch.
+                t.dma(8);
+                t.compute(InstrClass::Control, 2);
+                let (row_cols, row_vals) = m.row(r as u32);
+                let mut acc = S::zero();
+                for (&c, &v) in row_cols.iter().zip(row_vals) {
+                    t.dma(elem_dma);
+                    edge_base_cost(&mut t);
+                    record_search(&mut t, x.nnz() as u64, 16);
+                    if let Some(xv) = x.get(c) {
+                        S::mul_cost().record(&mut t);
+                        S::add_cost().record(&mut t);
+                        acc = S::add(acc, S::mul(v, xv));
+                        *ops += 2;
+                    }
+                }
+                if !S::is_zero(&acc) {
+                    t.dma(8);
+                    t.compute(InstrClass::LoadStore, 1);
+                    local_y[r] = acc;
                 }
             }
-            if !S::is_zero(&acc) {
-                t.dma(8);
-                t.compute(InstrClass::LoadStore, 1);
-                local_y[r] = acc;
-            }
+            t.barrier();
+            traces.push(t);
         }
-        t.barrier();
-        traces.push(t);
+        traces
     }
-    traces
 }
 
 /// A partition's non-zero outputs as `(local row, value)` pairs in
@@ -688,16 +687,18 @@ impl<S: Semiring> Default for BandScratch<S> {
 }
 
 impl<S: Semiring> BandScratch<S> {
-    /// Runs one partition of `band` output rows against its input
-    /// `entries`. Returns the partition's records, its output pairs, and
+    /// Runs DPU `dpu`'s partition of `band` output rows against its input
+    /// `entries`. Returns the partition's evaluation, its output pairs, and
     /// its useful operations.
-    fn run<R: EvalRecord>(
+    fn run(
         &mut self,
+        acc: &KernelAccumulator,
+        dpu: u32,
         m: &Csc<S::Elem>,
         band: usize,
         entries: &[(u32, S::Elem)],
         sys: &PimSystem,
-    ) -> (Vec<R>, RowPairs<S::Elem>, u64) {
+    ) -> (DpuEval, RowPairs<S::Elem>, u64) {
         let words = band.div_ceil(64);
         if self.acc.len() < band {
             self.acc.resize(band, S::zero());
@@ -705,25 +706,26 @@ impl<S: Semiring> BandScratch<S> {
         if self.touched.len() < words {
             self.touched.resize(words, 0);
         }
-        let (acc, touched) = (&mut self.acc, &mut self.touched);
+        let (sums, touched) = (&mut self.acc, &mut self.touched);
         let mut rows = 0usize;
         let mut ops = 0u64;
-        let traces = csc_active_traces::<S, R>(
+        let job = CscActiveJob::<S> {
             m,
-            entries,
-            band as u64 * S::elem_bytes() as u64,
-            sys,
-            sys.config().tasklets_per_dpu,
-            &mut |r, contrib| {
+            x_entries: entries,
+            band_bytes: band as u64 * S::elem_bytes() as u64,
+            wram_bytes: sys.config().wram_bytes,
+            tasklets: sys.config().tasklets_per_dpu,
+            apply: &mut |r, contrib| {
                 let (word, bit) = (r as usize / 64, 1u64 << (r % 64));
                 if touched[word] & bit == 0 {
                     touched[word] |= bit;
                     rows += 1;
                 }
-                acc[r as usize] = S::add(acc[r as usize], contrib);
+                sums[r as usize] = S::add(sums[r as usize], contrib);
             },
-            &mut ops,
-        );
+            ops: &mut ops,
+        };
+        let eval = acc.evaluate_job(dpu, job);
         // Walk the marks in row order, handing out the non-zero rows and
         // resetting each touched row for the next partition. A row whose
         // contributions summed to the semiring zero yields no pair, just
@@ -735,14 +737,14 @@ impl<S: Semiring> BandScratch<S> {
                 while bits != 0 {
                     let r = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let v = std::mem::replace(&mut acc[r], S::zero());
+                    let v = std::mem::replace(&mut sums[r], S::zero());
                     if !S::is_zero(&v) {
                         pairs.push((r as u32, v));
                     }
                 }
             }
         }
-        (traces, pairs, ops)
+        (eval, pairs, ops)
     }
 }
 
@@ -759,132 +761,137 @@ const QUEUE_MUTEX: u16 = crate::kernel::layout::DATA_MUTEXES;
 /// traffic (the Fig 11 effect). Column contributions are applied to the
 /// output band under one stripe mutex per column when the band fits in
 /// shared WRAM, or through the per-tasklet blocked MRAM cache otherwise.
-fn csc_active_traces<S: Semiring, R: EvalRecord>(
-    m: &Csc<S::Elem>,
-    x_entries: &[(u32, S::Elem)],
+struct CscActiveJob<'a, S: Semiring> {
+    m: &'a Csc<S::Elem>,
+    x_entries: &'a [(u32, S::Elem)],
     band_bytes: u64,
-    sys: &PimSystem,
+    wram_bytes: u32,
     tasklets: u32,
-    apply: &mut dyn FnMut(u32, S::Elem),
-    ops: &mut u64,
-) -> Vec<R> {
-    // Structurally empty partition: a zero-length row band (`band_bytes ==
-    // 0`) or a zero-width column band (no matrix entries and no input
-    // segment). Nothing resides on the DPU, so no kernel is launched and
-    // no events, cycles, or fault sites may appear.
-    if m.nnz() == 0 && (band_bytes == 0 || x_entries.is_empty()) {
-        return Vec::new();
-    }
-    let eb = S::elem_bytes();
-    let ventry = vec_entry_bytes(eb);
-    let proto = R::fresh(sys.config());
-    // The shared-WRAM accumulator needs the whole band plus streaming room.
-    let shared_wram = band_bytes <= (sys.config().wram_bytes as u64 * 3) / 4;
-    // Dynamic chunking: enough chunks for balance, large enough to
-    // amortize queue synchronization when the frontier is dense.
-    let chunk_cols = (x_entries.len() / (tasklets as usize * 2)).max(1);
-    let chunks: Vec<&[(u32, S::Elem)]> = x_entries.chunks(chunk_cols).collect();
-    let mut traces: Vec<R> = (0..tasklets as usize)
-        .map(|_| {
-            let mut t = proto.clone();
-            tasklet_prologue(&mut t);
-            if shared_wram {
-                // Tasklet-parallel zeroing of the shared accumulator
-                // (64-bit stores cover two elements each).
-                let share = (band_bytes / 2 / tasklets.max(1) as u64 / eb as u64) as u32;
-                t.compute(InstrClass::LoadStore, share.min(1 << 20));
-                t.barrier();
-            }
-            t
-        })
-        .collect();
-    let mut blocked: Vec<BlockedOutput> =
-        (0..tasklets as usize).map(|_| BlockedOutput::new(eb)).collect();
-    // Deterministic round-robin stands in for the dynamic queue order.
-    for (ci, chunk) in chunks.iter().enumerate() {
-        let tid = ci % tasklets as usize;
-        let t = &mut traces[tid];
-        // Dequeue: grab the next chunk descriptor under the queue mutex.
-        t.mutex_lock(QUEUE_MUTEX);
-        t.compute(InstrClass::LoadStore, 2);
-        t.mutex_unlock(QUEUE_MUTEX);
-        // Stream the chunk's input entries and batch-fetch column pointers.
-        t.dma(chunk.len() as u32 * ventry);
-        t.dma(chunk.len() as u32 * 8);
-        t.compute(InstrClass::Control, CHUNK_OVERHEAD);
-        // When the active columns are dense enough, their CSC data is
-        // nearly contiguous: stream the whole span once instead of issuing
-        // one small DMA per column (§4.1.3 — SpMSpV's accesses are "more
-        // localized than in SpMV"). Sparse frontiers fall back to
-        // per-column fetches and stay DMA-latency-bound.
-        let first_col = chunk.first().map(|&(j, _)| j).unwrap_or(0);
-        let last_col = chunk.last().map(|&(j, _)| j).unwrap_or(0);
-        let span_entries = m.col_ptr()[last_col as usize + 1] - m.col_ptr()[first_col as usize];
-        let useful_entries: usize =
-            chunk.iter().map(|&(j, _)| m.col_nnz(j)).sum();
-        let span_streamed = useful_entries > 0 && span_entries <= 2 * useful_entries;
-        if span_streamed {
-            t.dma_stream(span_entries as u64 * ventry as u64, CHUNK_BYTES, CHUNK_OVERHEAD);
+    apply: &'a mut dyn FnMut(u32, S::Elem),
+    ops: &'a mut u64,
+}
+
+impl<S: Semiring> DpuJob for CscActiveJob<'_, S> {
+    fn record<R: Record + Clone>(self, proto: &R) -> Vec<R> {
+        let CscActiveJob { m, x_entries, band_bytes, wram_bytes, tasklets, apply, ops } = self;
+        // Structurally empty partition: a zero-length row band (`band_bytes ==
+        // 0`) or a zero-width column band (no matrix entries and no input
+        // segment). Nothing resides on the DPU, so no kernel is launched and
+        // no events, cycles, or fault sites may appear.
+        if m.nnz() == 0 && (band_bytes == 0 || x_entries.is_empty()) {
+            return Vec::new();
         }
-        // Per-stripe update counts buffered over this chunk (§4.1.3:
-        // partial results for the same output rows are buffered in WRAM
-        // and merged under one stripe mutex per chunk).
-        let mut stripe_updates = [0u32; crate::kernel::layout::DATA_MUTEXES as usize];
-        for &(j, xv) in *chunk {
-            t.compute(InstrClass::Arith, 3);
-            t.compute(InstrClass::Control, 2);
-            let (col_rows, col_vals) = m.col(j);
-            if col_rows.is_empty() {
-                continue;
-            }
-            if !span_streamed {
-                t.dma_stream(col_rows.len() as u64 * ventry as u64, CHUNK_BYTES, CHUNK_OVERHEAD);
-            }
-            for (&r, &v) in col_rows.iter().zip(col_vals) {
-                edge_base_cost(t);
-                S::mul_cost().record(t);
+        let eb = S::elem_bytes();
+        let ventry = vec_entry_bytes(eb);
+        // The shared-WRAM accumulator needs the whole band plus streaming room.
+        let shared_wram = band_bytes <= (wram_bytes as u64 * 3) / 4;
+        // Dynamic chunking: enough chunks for balance, large enough to
+        // amortize queue synchronization when the frontier is dense.
+        let chunk_cols = (x_entries.len() / (tasklets as usize * 2)).max(1);
+        let chunks: Vec<&[(u32, S::Elem)]> = x_entries.chunks(chunk_cols).collect();
+        let mut traces: Vec<R> = (0..tasklets as usize)
+            .map(|_| {
+                let mut t = proto.clone();
+                tasklet_prologue(&mut t);
                 if shared_wram {
-                    // Buffer into the tasklet-private WRAM staging area.
-                    t.compute(InstrClass::LoadStore, 2);
-                    stripe_updates[crate::kernel::layout::mutex_for(r) as usize] += 1;
-                } else {
-                    blocked[tid].touch::<S, R>(r, t);
+                    // Tasklet-parallel zeroing of the shared accumulator
+                    // (64-bit stores cover two elements each).
+                    let share = (band_bytes / 2 / tasklets.max(1) as u64 / eb as u64) as u32;
+                    t.compute(InstrClass::LoadStore, share.min(1 << 20));
+                    t.barrier();
                 }
-                apply(r, S::mul(v, xv));
-                *ops += 2;
+                t
+            })
+            .collect();
+        let mut blocked: Vec<BlockedOutput> =
+            (0..tasklets as usize).map(|_| BlockedOutput::new(eb)).collect();
+        // Deterministic round-robin stands in for the dynamic queue order.
+        for (ci, chunk) in chunks.iter().enumerate() {
+            let tid = ci % tasklets as usize;
+            let t = &mut traces[tid];
+            // Dequeue: grab the next chunk descriptor under the queue mutex.
+            t.mutex_lock(QUEUE_MUTEX);
+            t.compute(InstrClass::LoadStore, 2);
+            t.mutex_unlock(QUEUE_MUTEX);
+            // Stream the chunk's input entries and batch-fetch column pointers.
+            t.dma(chunk.len() as u32 * ventry);
+            t.dma(chunk.len() as u32 * 8);
+            t.compute(InstrClass::Control, CHUNK_OVERHEAD);
+            // When the active columns are dense enough, their CSC data is
+            // nearly contiguous: stream the whole span once instead of issuing
+            // one small DMA per column (§4.1.3 — SpMSpV's accesses are "more
+            // localized than in SpMV"). Sparse frontiers fall back to
+            // per-column fetches and stay DMA-latency-bound.
+            let first_col = chunk.first().map(|&(j, _)| j).unwrap_or(0);
+            let last_col = chunk.last().map(|&(j, _)| j).unwrap_or(0);
+            let span_entries = m.col_ptr()[last_col as usize + 1] - m.col_ptr()[first_col as usize];
+            let useful_entries: usize =
+                chunk.iter().map(|&(j, _)| m.col_nnz(j)).sum();
+            let span_streamed = useful_entries > 0 && span_entries <= 2 * useful_entries;
+            if span_streamed {
+                t.dma_stream(span_entries as u64 * ventry as u64, CHUNK_BYTES, CHUNK_OVERHEAD);
             }
-        }
-        if shared_wram {
-            // Merge the chunk's buffered contributions into the shared
-            // accumulator, one stripe mutex per touched stripe.
-            for (stripe, &count) in stripe_updates.iter().enumerate() {
-                if count == 0 {
+            // Per-stripe update counts buffered over this chunk (§4.1.3:
+            // partial results for the same output rows are buffered in WRAM
+            // and merged under one stripe mutex per chunk).
+            let mut stripe_updates = [0u32; crate::kernel::layout::DATA_MUTEXES as usize];
+            for &(j, xv) in *chunk {
+                t.compute(InstrClass::Arith, 3);
+                t.compute(InstrClass::Control, 2);
+                let (col_rows, col_vals) = m.col(j);
+                if col_rows.is_empty() {
                     continue;
                 }
-                t.mutex_lock(stripe as u16);
-                t.compute(InstrClass::LoadStore, 2 * count);
-                for _ in 0..count {
-                    S::add_cost().record(t);
+                if !span_streamed {
+                    let bytes = col_rows.len() as u64 * ventry as u64;
+                    t.dma_stream(bytes, CHUNK_BYTES, CHUNK_OVERHEAD);
                 }
-                t.mutex_unlock(stripe as u16);
+                for (&r, &v) in col_rows.iter().zip(col_vals) {
+                    edge_base_cost(t);
+                    S::mul_cost().record(t);
+                    if shared_wram {
+                        // Buffer into the tasklet-private WRAM staging area.
+                        t.compute(InstrClass::LoadStore, 2);
+                        stripe_updates[crate::kernel::layout::mutex_for(r) as usize] += 1;
+                    } else {
+                        blocked[tid].touch::<S, R>(r, t);
+                    }
+                    apply(r, S::mul(v, xv));
+                    *ops += 2;
+                }
+            }
+            if shared_wram {
+                // Merge the chunk's buffered contributions into the shared
+                // accumulator, one stripe mutex per touched stripe.
+                for (stripe, &count) in stripe_updates.iter().enumerate() {
+                    if count == 0 {
+                        continue;
+                    }
+                    t.mutex_lock(stripe as u16);
+                    t.compute(InstrClass::LoadStore, 2 * count);
+                    for _ in 0..count {
+                        S::add_cost().record(t);
+                    }
+                    t.mutex_unlock(stripe as u16);
+                }
             }
         }
-    }
-    for (tid, t) in traces.iter_mut().enumerate() {
-        // Work-stealing termination: one final empty-queue poll.
-        t.mutex_lock(QUEUE_MUTEX);
-        t.compute(InstrClass::LoadStore, 1);
-        t.mutex_unlock(QUEUE_MUTEX);
-        if shared_wram {
-            // Write the shared accumulator band back to MRAM in parallel.
-            let share = band_bytes / tasklets as u64;
-            t.dma_stream(share, CHUNK_BYTES, CHUNK_OVERHEAD);
-        } else {
-            blocked[tid].flush(t);
+        for (tid, t) in traces.iter_mut().enumerate() {
+            // Work-stealing termination: one final empty-queue poll.
+            t.mutex_lock(QUEUE_MUTEX);
+            t.compute(InstrClass::LoadStore, 1);
+            t.mutex_unlock(QUEUE_MUTEX);
+            if shared_wram {
+                // Write the shared accumulator band back to MRAM in parallel.
+                let share = band_bytes / tasklets as u64;
+                t.dma_stream(share, CHUNK_BYTES, CHUNK_OVERHEAD);
+            } else {
+                blocked[tid].flush(t);
+            }
+            t.barrier();
         }
-        t.barrier();
+        traces
     }
-    traces
 }
 
 

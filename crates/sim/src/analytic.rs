@@ -141,6 +141,12 @@ impl TaskletStats {
         self.closed.iter().map(|s| s.dma_bytes).sum::<u64>() + self.current.dma_bytes
     }
 
+    /// Total engine cycles of every DMA transfer, each costed as
+    /// [`PipelineConfig::dma_cycles`] would.
+    pub fn dma_cycles(&self) -> u64 {
+        self.closed.iter().map(|s| s.dma_cycles).sum::<u64>() + self.current.dma_cycles
+    }
+
     /// Exact instruction-mix histogram (identical to the trace recorder's).
     pub fn instr_mix(&self) -> InstrMix {
         self.mix

@@ -445,10 +445,13 @@ impl Default for HostConfig {
 pub enum SimFidelity {
     /// Discrete-event-simulate every DPU.
     Full,
-    /// Discrete-event-simulate a stride sample of this many DPUs (always
-    /// including the most heavily loaded one); estimate the rest
-    /// analytically, self-calibrated against the sampled ratio.
-    /// Instruction mixes are exact in both modes.
+    /// Discrete-event-simulate a stride sample of this many DPUs: the
+    /// DPUs whose ids are multiples of `num_dpus / k` (k of them when k
+    /// divides `num_dpus`), chosen with no regard to load. Only these
+    /// record event traces; the rest record closed-form statistics and are
+    /// estimated, self-calibrated against the sampled ratio, so the most
+    /// heavily loaded DPU is covered only through the calibrated estimate
+    /// maximum. Instruction mixes are exact in both modes.
     Sampled(u32),
     /// No discrete-event simulation at all: kernels record closed-form
     /// per-tasklet statistics instead of event traces, and the analytic

@@ -88,7 +88,7 @@ pub use energy::EnergyModel;
 pub use instr::{InstrClass, InstrMix};
 pub use par::{par_map_indexed, par_map_indexed_with, set_sim_threads, sim_threads, SimThreads};
 pub use report::{
-    BatchReport, CycleBreakdown, DpuDetail, DpuEval, DpuProfile, DpuReport, EvalRecord,
+    BatchReport, CycleBreakdown, DpuDetail, DpuEval, DpuJob, DpuProfile, DpuReport,
     KernelAccumulator, KernelReport, PhaseBreakdown,
 };
 pub use resilience::{FaultSummary, RecoverySummary};

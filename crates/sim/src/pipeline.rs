@@ -27,6 +27,7 @@
 //!   post-trace tail — so the per-tasklet counters sum *exactly* to the
 //!   DPU makespan, a property the invariant test suite enforces.
 
+use crate::analytic::TaskletStats;
 use crate::config::PipelineConfig;
 use crate::counters::{CounterId, CounterSet};
 use crate::instr::{InstrClass, InstrMix};
@@ -473,18 +474,18 @@ pub fn straggler_extra_cycles(base_cycles: u64, multiplier: f64) -> u64 {
     ((multiplier - 1.0).max(0.0) * base_cycles as f64).ceil() as u64
 }
 
-/// What one walk over a DPU's tasklet traces yields: the cycle estimate
-/// of [`estimate_cycles`] plus the exact instruction accounting that
+/// What [`estimate_cycles`] and [`estimate_stats`] yield for one DPU: the
+/// cycle estimate plus the exact instruction accounting that
 /// [`TaskletTrace::instructions`] and [`TaskletTrace::instr_mix`] would
-/// give summed over the traces.
+/// give summed over the tasklets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEstimate {
     /// Estimated makespan in cycles, including pipeline drain.
     pub cycles: u64,
-    /// Instructions the traces issue (compute + one per DMA, mutex op and
-    /// barrier).
+    /// Instructions the tasklets issue (compute + one per DMA, mutex op
+    /// and barrier).
     pub instructions: u64,
-    /// Instruction-mix histogram of the traces.
+    /// Instruction-mix histogram of the tasklets.
     pub mix: InstrMix,
 }
 
@@ -499,10 +500,7 @@ pub struct TraceEstimate {
 /// engine bound.
 pub fn estimate_cycles(traces: &[TaskletTrace], cfg: &PipelineConfig) -> TraceEstimate {
     let mut mix = InstrMix::new();
-    let mut issue_bound: u64 = 0;
-    let mut thread_bound: u64 = 0;
-    let mut dma_bound: u64 = 0;
-    for t in traces {
+    let loads = traces.iter().map(|t| {
         let mut instrs = 0u64;
         let mut dma_wait = 0u64;
         for e in t.events() {
@@ -524,15 +522,38 @@ pub fn estimate_cycles(traces: &[TaskletTrace], cfg: &PipelineConfig) -> TraceEs
                 }
             }
         }
+        (instrs, dma_wait)
+    });
+    let (cycles, instructions) = estimate_bound(loads, cfg);
+    TraceEstimate { cycles, instructions, mix }
+}
+
+/// [`estimate_cycles`] fed by [`TaskletStats`] recorders instead of event
+/// traces: the same calls recorded into either recorder give the same
+/// estimate, instruction count and mix.
+pub fn estimate_stats(stats: &[TaskletStats], cfg: &PipelineConfig) -> TraceEstimate {
+    let mut mix = InstrMix::new();
+    for s in stats {
+        mix.merge(&s.instr_mix());
+    }
+    let (cycles, instructions) =
+        estimate_bound(stats.iter().map(|s| (s.instructions(), s.dma_cycles())), cfg);
+    TraceEstimate { cycles, instructions, mix }
+}
+
+/// The estimate formula over per-tasklet `(instructions, DMA cycles)`
+/// loads: the largest of the issue, per-thread revolver and DMA engine
+/// bounds plus pipeline drain, and the total instruction count.
+fn estimate_bound(loads: impl Iterator<Item = (u64, u64)>, cfg: &PipelineConfig) -> (u64, u64) {
+    let mut issue_bound: u64 = 0;
+    let mut thread_bound: u64 = 0;
+    let mut dma_bound: u64 = 0;
+    for (instrs, dma_wait) in loads {
         issue_bound += instrs;
         dma_bound += dma_wait;
         thread_bound = thread_bound.max(instrs * cfg.revolver_period as u64 + dma_wait);
     }
-    TraceEstimate {
-        cycles: issue_bound.max(thread_bound).max(dma_bound) + cfg.pipeline_depth as u64,
-        instructions: issue_bound,
-        mix,
-    }
+    (issue_bound.max(thread_bound).max(dma_bound) + cfg.pipeline_depth as u64, issue_bound)
 }
 
 #[cfg(test)]

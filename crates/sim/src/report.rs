@@ -3,48 +3,66 @@
 //! Load/Kernel/Retrieve/Merge phase decomposition the paper's figures are
 //! built from.
 
+use std::collections::HashMap;
 use std::ops::ControlFlow;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::analytic::TaskletStats;
 use crate::config::{PimConfig, SimFidelity};
 use crate::counters::{CounterId, CounterSet};
 use crate::faults::{FaultEngine, FaultVerdict};
 use crate::instr::{InstrClass, InstrMix};
-use crate::pipeline::{estimate_cycles, simulate_dpu_profiled, TraceEstimate};
-use crate::trace::{Record, TaskletTrace};
+use crate::pipeline::{
+    estimate_cycles, estimate_stats, mix64, simulate_dpu_profiled, TraceEstimate,
+};
+use crate::trace::{Record, TaskletTrace, TraceEvent};
 
-/// A recorder kind the accumulator knows how to evaluate — the tie between
-/// a [`Record`] implementation and its evaluation path. Kernel code generic
-/// over `R: EvalRecord` runs identical value math under either fidelity:
-/// [`TaskletTrace`] records replayable events and evaluates through the
-/// discrete-event pipeline, while [`TaskletStats`] records closed-form
-/// statistics and evaluates through the analytic predictor with no replay.
-pub trait EvalRecord: Record + Clone + Send + Sync {
-    /// A fresh recorder for a kernel launched under `cfg`.
-    fn fresh(cfg: &PimConfig) -> Self;
-
-    /// Evaluates one DPU's recorded tasklets against `acc`.
-    fn evaluate(acc: &KernelAccumulator, dpu_id: u32, recs: &[Self]) -> DpuEval;
+/// One DPU partition's functional run, recorded tasklet by tasklet.
+/// Kernels implement it once, generic over the recorder, and
+/// [`KernelAccumulator::evaluate_job`] runs it with the recorder the DPU
+/// needs: [`TaskletTrace`] events where the launch replays the DPU,
+/// closed-form [`TaskletStats`] everywhere else. Both recorders observe the
+/// same calls from the same kernel code, so result values are
+/// bit-identical whichever one runs.
+pub trait DpuJob {
+    /// Runs the partition, recording each tasklet into a clone of `proto`.
+    fn record<R: Record + Clone>(self, proto: &R) -> Vec<R>;
 }
 
-impl EvalRecord for TaskletTrace {
-    fn fresh(_cfg: &PimConfig) -> Self {
-        TaskletTrace::new()
-    }
+/// Most trace events one launch keeps for replay reuse (8 bytes each):
+/// enough for every replayed set of a `Sampled` launch, while a `Full`
+/// launch over a large graph stops storing sets instead of holding all of
+/// its traces.
+const REUSE_EVENTS: usize = 1 << 22;
 
-    fn evaluate(acc: &KernelAccumulator, dpu_id: u32, recs: &[Self]) -> DpuEval {
-        acc.evaluate(dpu_id, recs)
-    }
+/// The distinct trace sets a launch has replayed, each with its
+/// fault-free profile, bucketed by [`trace_set_key`].
+#[derive(Debug, Default)]
+struct ReplayStore {
+    sets: HashMap<u64, Vec<(Vec<TaskletTrace>, DpuProfile)>>,
+    /// Events held across every stored set.
+    events: usize,
 }
 
-impl EvalRecord for TaskletStats {
-    fn fresh(cfg: &PimConfig) -> Self {
-        TaskletStats::new(&cfg.pipeline)
+/// A hash of a trace set's tasklet boundaries and events. It only picks a
+/// [`ReplayStore`] bucket: a stored set is reused only when its traces
+/// compare equal.
+fn trace_set_key(traces: &[TaskletTrace]) -> u64 {
+    let mut h = traces.len() as u64;
+    for t in traces {
+        h = mix64(h ^ t.events().len() as u64);
+        for e in t.events() {
+            let word = match *e {
+                TraceEvent::Compute { class, count } => (class as u64) << 32 | u64::from(count),
+                TraceEvent::Dma { bytes } => 1 << 40 | u64::from(bytes),
+                TraceEvent::MutexLock { id } => 2 << 40 | u64::from(id),
+                TraceEvent::MutexUnlock { id } => 3 << 40 | u64::from(id),
+                TraceEvent::Barrier => 4 << 40,
+            };
+            h = mix64(h ^ word);
+        }
     }
-
-    fn evaluate(acc: &KernelAccumulator, dpu_id: u32, recs: &[Self]) -> DpuEval {
-        acc.evaluate_stats(dpu_id, recs)
-    }
+    h
 }
 
 /// Cycle-level result of simulating one DPU (the Fig 9–11 metrics).
@@ -378,10 +396,10 @@ fn json_f64(x: f64) -> String {
 }
 
 /// One DPU's evaluated contribution to a [`KernelReport`], produced by
-/// [`KernelAccumulator::evaluate`] and consumed by
-/// [`KernelAccumulator::merge`]. Opaque: it exists so that evaluation (the
-/// expensive, embarrassingly parallel part) can run on worker threads while
-/// the order-sensitive reduction stays sequential.
+/// [`KernelAccumulator::evaluate_job`] (or its per-recorder halves) and
+/// consumed by [`KernelAccumulator::merge`]. Opaque: it exists so that
+/// evaluation (the expensive, embarrassingly parallel part) can run on
+/// worker threads while the order-sensitive reduction stays sequential.
 #[derive(Debug, Clone)]
 pub struct DpuEval {
     dpu_id: u32,
@@ -436,13 +454,13 @@ fn apply_fault_penalty(engine: &FaultEngine, verdict: FaultVerdict, profile: &mu
 }
 
 /// Incremental builder for a [`KernelReport`]: feed it one DPU's tasklet
-/// traces at a time; it decides (per the configured fidelity) whether to
-/// run the discrete-event pipeline model or the analytic estimate, and
+/// recorders at a time; it decides (per the configured fidelity) whether
+/// to run the discrete-event pipeline model or the analytic estimate, and
 /// self-calibrates the estimates against the detailed sample.
 ///
 /// For parallel replay, use [`Self::add_batch`] (whole trace batches) or the
-/// [`Self::evaluate`] / [`Self::merge`] pair (custom fan-out): both produce
-/// reports bit-identical to a sequential [`Self::add`] loop.
+/// [`Self::evaluate_job`] / [`Self::merge`] pair (custom fan-out): both
+/// produce reports bit-identical to a sequential [`Self::add`] loop.
 #[derive(Debug)]
 pub struct KernelAccumulator {
     cfg: PimConfig,
@@ -465,6 +483,8 @@ pub struct KernelAccumulator {
     total_instructions: u64,
     spin_retries: u64,
     details: Vec<DpuDetail>,
+    /// This launch's replayed trace sets, for reuse by identical ones.
+    replayed: Mutex<ReplayStore>,
 }
 
 impl KernelAccumulator {
@@ -496,49 +516,77 @@ impl KernelAccumulator {
             total_instructions: 0,
             spin_retries: 0,
             details: Vec::new(),
+            replayed: Mutex::new(ReplayStore::default()),
         }
     }
 
-    /// Evaluates one DPU's tasklet traces without touching accumulator
-    /// state: instruction accounting, the analytic cycle estimate, and —
-    /// when `dpu_id` falls on the fidelity sampling stride — the full
-    /// discrete-event simulation with its observability profile.
+    /// Whether `dpu_id`'s partition records event traces for
+    /// discrete-event replay: every DPU under [`SimFidelity::Full`]; under
+    /// [`SimFidelity::Sampled`]`(k)` the DPUs whose ids are multiples of
+    /// `num_dpus / k` (k of them when k divides `num_dpus`), with no
+    /// regard to load — the heaviest DPU is covered only through the
+    /// calibrated estimate maximum; none under [`SimFidelity::Analytic`].
+    /// Every other partition records [`TaskletStats`].
+    pub fn replays(&self, dpu_id: u32) -> bool {
+        self.cfg.fidelity != SimFidelity::Analytic && dpu_id.is_multiple_of(self.stride)
+    }
+
+    /// Runs one partition's `job` with the recorder [`Self::replays`]
+    /// picks for `dpu_id` and evaluates what it recorded.
+    pub fn evaluate_job(&self, dpu_id: u32, job: impl DpuJob) -> DpuEval {
+        if self.replays(dpu_id) {
+            self.evaluate(dpu_id, &job.record(&TaskletTrace::new()))
+        } else {
+            self.evaluate_stats(dpu_id, &job.record(&TaskletStats::new(&self.cfg.pipeline)))
+        }
+    }
+
+    /// Evaluates one DPU's tasklet traces: instruction accounting, the
+    /// analytic cycle estimate, and — when `dpu_id` falls on the fidelity
+    /// sampling stride — the full discrete-event simulation with its
+    /// observability profile. Traces handed in under
+    /// [`SimFidelity::Analytic`] (triangle counting records nothing else)
+    /// replay on every DPU, as under [`SimFidelity::Full`].
     ///
-    /// This is the pure (and therefore thread-safe) half of [`Self::add`];
-    /// the returned [`DpuEval`] must be handed to [`Self::merge`] in DPU
-    /// order so floating-point reductions stay bit-identical to a
-    /// sequential run.
+    /// This is the thread-safe half of [`Self::add`], and it is
+    /// deterministic but not stateless: a replayed trace set is kept for
+    /// the rest of the launch, and a later DPU whose traces equal it reuses
+    /// its profile instead of replaying again (each DPU still draws and
+    /// pays its own fault penalty). The DES is a pure function of the
+    /// traces and the pipeline configuration, so which thread stored a set
+    /// never shows in the result. The returned [`DpuEval`] must be handed
+    /// to [`Self::merge`] in DPU order so floating-point reductions stay
+    /// bit-identical to a sequential run.
     pub fn evaluate(&self, dpu_id: u32, traces: &[TaskletTrace]) -> DpuEval {
         let (verdict, fault_events) = match self.fault_verdict(dpu_id, traces.is_empty()) {
             ControlFlow::Continue(drawn) => drawn,
             ControlFlow::Break(idle) => return idle,
         };
-        let TraceEstimate { cycles: mut est_cycles, instructions, mix } =
-            estimate_cycles(traces, &self.cfg.pipeline);
-        let mut detailed = dpu_id
-            .is_multiple_of(self.stride)
-            .then(|| simulate_dpu_profiled(traces, &self.cfg.pipeline));
-        if let Some(engine) = &self.faults {
-            est_cycles += engine.penalty_cycles(verdict, est_cycles);
-            if let Some(profile) = detailed.as_mut() {
-                apply_fault_penalty(engine, verdict, profile);
-            }
-        }
-        DpuEval { dpu_id, mix, instructions, est_cycles, detailed, fault_events, lost: false }
+        let detailed = dpu_id.is_multiple_of(self.stride).then(|| self.replay(traces));
+        let estimate = estimate_cycles(traces, &self.cfg.pipeline);
+        self.estimated(dpu_id, estimate, detailed, verdict, fault_events)
     }
 
-    /// The analytic-fidelity counterpart of [`Self::evaluate`]: evaluates
-    /// one DPU from closed-form [`TaskletStats`] instead of event traces.
-    /// No replay runs; the observability profile is synthesized by
+    /// The counterpart of [`Self::evaluate`] for closed-form
+    /// [`TaskletStats`]. Under [`SimFidelity::Sampled`] these are the DPUs
+    /// the launch does not replay, and the evaluation is exactly what
+    /// [`Self::evaluate`] gives an unreplayed DPU for the same recorded
+    /// calls: the estimate of [`estimate_stats`], which equals
+    /// [`estimate_cycles`]. Otherwise no replay runs either: the
+    /// observability profile is synthesized by
     /// [`crate::analytic::predict_dpu`] for *every* DPU, and the estimate
     /// equals the prediction so the accumulator's self-calibration is the
     /// identity. Fault semantics (verdicts, penalties, drops) are identical
     /// to the replay path.
-    pub fn evaluate_stats(&self, dpu_id: u32, stats: &[crate::analytic::TaskletStats]) -> DpuEval {
+    pub fn evaluate_stats(&self, dpu_id: u32, stats: &[TaskletStats]) -> DpuEval {
         let (verdict, fault_events) = match self.fault_verdict(dpu_id, stats.is_empty()) {
             ControlFlow::Continue(drawn) => drawn,
             ControlFlow::Break(idle) => return idle,
         };
+        if let SimFidelity::Sampled(_) = self.cfg.fidelity {
+            let estimate = estimate_stats(stats, &self.cfg.pipeline);
+            return self.estimated(dpu_id, estimate, None, verdict, fault_events);
+        }
         let mut mix = InstrMix::new();
         let mut instructions = 0u64;
         for s in stats {
@@ -559,6 +607,57 @@ impl KernelAccumulator {
             fault_events,
             lost: false,
         }
+    }
+
+    /// The fault-free profile of `traces`: a copy of the stored one when
+    /// this launch already replayed an equal trace set, otherwise a fresh
+    /// discrete-event replay, stored for later repeats while the launch
+    /// holds fewer than [`REUSE_EVENTS`] events.
+    fn replay(&self, traces: &[TaskletTrace]) -> DpuProfile {
+        let key = trace_set_key(traces);
+        let stored = |store: &ReplayStore| {
+            let bucket = store.sets.get(&key)?;
+            bucket.iter().find(|(set, _)| set.as_slice() == traces).map(|(_, p)| p.clone())
+        };
+        if let Some(profile) = stored(&self.store()) {
+            return profile;
+        }
+        let profile = simulate_dpu_profiled(traces, &self.cfg.pipeline);
+        let events: usize = traces.iter().map(|t| t.events().len()).sum();
+        let mut store = self.store();
+        // A racing worker may have stored the same set meanwhile.
+        if store.events + events <= REUSE_EVENTS && stored(&store).is_none() {
+            store.events += events;
+            store.sets.entry(key).or_default().push((traces.to_vec(), profile.clone()));
+        }
+        profile
+    }
+
+    /// The launch's replay store. A worker that panicked while holding it
+    /// left every stored set whole (each is pushed in one step), so a
+    /// poisoned lock is simply taken over.
+    fn store(&self) -> MutexGuard<'_, ReplayStore> {
+        self.replayed.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Finishes an estimated evaluation: charges the fault verdict's
+    /// penalty to the estimate and, on a replayed DPU, to its profile.
+    fn estimated(
+        &self,
+        dpu_id: u32,
+        estimate: TraceEstimate,
+        mut detailed: Option<DpuProfile>,
+        verdict: FaultVerdict,
+        fault_events: CounterSet,
+    ) -> DpuEval {
+        let TraceEstimate { cycles: mut est_cycles, instructions, mix } = estimate;
+        if let Some(engine) = &self.faults {
+            est_cycles += engine.penalty_cycles(verdict, est_cycles);
+            if let Some(profile) = detailed.as_mut() {
+                apply_fault_penalty(engine, verdict, profile);
+            }
+        }
+        DpuEval { dpu_id, mix, instructions, est_cycles, detailed, fault_events, lost: false }
     }
 
     /// The prologue both evaluators share: draws `dpu_id`'s fault verdict
@@ -599,11 +698,6 @@ impl KernelAccumulator {
             return ControlFlow::Break(idle(fault_events, true));
         }
         ControlFlow::Continue((verdict, fault_events))
-    }
-
-    /// Evaluates one DPU's recorders of either kind via [`EvalRecord`].
-    pub fn evaluate_records<R: EvalRecord>(&self, dpu_id: u32, recs: &[R]) -> DpuEval {
-        R::evaluate(self, dpu_id, recs)
     }
 
     /// Folds one evaluated DPU into the aggregate. Order-dependent: callers

@@ -1,10 +1,15 @@
 //! Integration tests for the host-side parallel replay pool: reuse across
-//! many calls, panic propagation, and the bit-identical-report guarantee.
+//! many calls, panic propagation, the bit-identical-report guarantee, and
+//! a launch's reuse of the profile of a trace set it already replayed.
 
 use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::par::{par_map_indexed, set_sim_threads};
+use alpha_pim_sim::pipeline::simulate_dpu_profiled;
 use alpha_pim_sim::trace::TaskletTrace;
-use alpha_pim_sim::{KernelReport, PimConfig, PimSystem, SimFidelity};
+use alpha_pim_sim::{
+    CounterId, DpuDetail, DpuProfile, FaultEngine, FaultPlan, FaultVerdict, KernelReport,
+    ObservabilityLevel, PimConfig, PimSystem, SimFidelity,
+};
 use alpha_pim_sparse::gen::rng::SplitMix64;
 
 /// Deterministic pseudo-random trace batches for `dpus` DPUs, skewed so
@@ -104,4 +109,132 @@ fn report_is_bit_identical_across_thread_counts() {
         );
     }
     set_sim_threads(1);
+}
+
+/// A launch over `sets` (one per DPU, in DPU order) that replays every DPU
+/// and keeps each one's per-tasklet profile.
+fn replay_all(sets: &[Vec<TaskletTrace>], faults: Option<FaultPlan>) -> KernelReport {
+    let sys = PimSystem::new(PimConfig {
+        num_dpus: sets.len() as u32,
+        fidelity: SimFidelity::Full,
+        observability: ObservabilityLevel::PerTasklet,
+        faults,
+        ..Default::default()
+    })
+    .expect("valid config");
+    let mut acc = sys.accumulator();
+    acc.add_batch(0, sets);
+    acc.finish()
+}
+
+/// Asserts that a retained DPU record is exactly `profile`.
+fn assert_detail_is(detail: &DpuDetail, profile: &DpuProfile) {
+    assert_eq!(detail.total_cycles, profile.report.total_cycles, "DPU {}", detail.dpu_id);
+    assert_eq!(detail.issued_instructions, profile.report.issued_instructions);
+    assert_eq!(detail.counters, profile.counters, "DPU {}", detail.dpu_id);
+    assert_eq!(detail.tasklets, profile.tasklets, "DPU {}", detail.dpu_id);
+}
+
+/// Four tasklets with unequal work, each opening with a DMA of
+/// `dma_bytes(tasklet)` bytes, so that tasklet order and transfer sizes
+/// both show in the profile.
+fn set_with_dma(dma_bytes: impl Fn(u32) -> u32) -> Vec<TaskletTrace> {
+    (0..4u32)
+        .map(|i| {
+            let mut t = TaskletTrace::new();
+            t.dma(dma_bytes(i));
+            t.compute(InstrClass::Arith, 20 + 15 * i);
+            t.mutex_lock(0);
+            t.compute(InstrClass::LoadStore, 2);
+            t.mutex_unlock(0);
+            t.barrier();
+            t
+        })
+        .collect()
+}
+
+fn base_set() -> Vec<TaskletTrace> {
+    set_with_dma(|i| 64 * (i + 1))
+}
+
+#[test]
+fn repeated_sets_reuse_exactly_the_replayed_profile() {
+    let set = base_set();
+    let report = replay_all(&vec![set.clone(); 8], None);
+    let profile = simulate_dpu_profiled(&set, &PimConfig::default().pipeline);
+    assert_eq!(report.dpu_details.len(), 8);
+    for detail in &report.dpu_details {
+        assert_detail_is(detail, &profile);
+    }
+}
+
+#[test]
+fn sets_differing_in_one_dma_or_in_tasklet_order_are_each_replayed() {
+    let base = base_set();
+    let one_dma = set_with_dma(|i| if i == 2 { 200 } else { 64 * (i + 1) });
+    let mut reordered = base.clone();
+    reordered.swap(0, 3);
+    let sets = vec![base.clone(), one_dma, base, reordered];
+    let report = replay_all(&sets, None);
+    let pipeline = PimConfig::default().pipeline;
+    let profiles: Vec<DpuProfile> =
+        sets.iter().map(|s| simulate_dpu_profiled(s, &pipeline)).collect();
+    // The variants really do replay differently, so a reused profile
+    // would show.
+    assert_ne!(profiles[0], profiles[1]);
+    assert_ne!(profiles[0].tasklets, profiles[3].tasklets);
+    for (detail, profile) in report.dpu_details.iter().zip(&profiles) {
+        assert_detail_is(detail, profile);
+    }
+}
+
+#[test]
+fn a_repeat_on_a_straggler_still_pays_its_own_penalty() {
+    let plan = FaultPlan {
+        seed: 0x5_7A6,
+        straggler_rate: 0.5,
+        straggler_multiplier: 1.75,
+        ..FaultPlan::default()
+    };
+    let set = base_set();
+    let sets = vec![set.clone(); 16];
+    let cfg = PimConfig { num_dpus: 16, faults: Some(plan.clone()), ..Default::default() };
+    let engine = FaultEngine::from_config(&cfg).expect("the plan injects faults");
+    let verdicts: Vec<FaultVerdict> = (0..16).map(|d| engine.verdict(d)).collect();
+    // Stragglers and healthy DPUs alternate with the same set, so each
+    // kind reuses a profile the other kind stored first.
+    let straggler = |d: usize| verdicts[d] == FaultVerdict::Straggler;
+    assert!((1..16).any(|d| straggler(d) && !straggler(d - 1)));
+    assert!((1..16).any(|d| !straggler(d) && straggler(d - 1)));
+    let base = simulate_dpu_profiled(&set, &cfg.pipeline);
+    let report = replay_all(&sets, Some(plan));
+    for (d, detail) in report.dpu_details.iter().enumerate() {
+        let pen = engine.penalty_cycles(verdicts[d], base.report.total_cycles);
+        assert_eq!(pen > 0, straggler(d), "DPU {d}");
+        assert_eq!(detail.total_cycles, base.report.total_cycles + pen, "DPU {d}");
+        assert_eq!(detail.counters.get(CounterId::FaultStragglerCycles), pen, "DPU {d}");
+        let tasklets = base.tasklets.len() as u64;
+        assert_eq!(detail.counters.get(CounterId::TaskletFault), tasklets * pen, "DPU {d}");
+    }
+}
+
+#[test]
+fn a_launch_full_of_repeats_is_bit_identical_across_thread_counts() {
+    // 512 DPUs drawn from six distinct sets: nearly every replay repeats
+    // one stored earlier, by whichever worker got there first.
+    let distinct = trace_sets(6, 0xFACE);
+    let sets: Vec<Vec<TaskletTrace>> =
+        (0..512).map(|d| distinct[(d * 7 + d / 5) % 6].clone()).collect();
+    set_sim_threads(1);
+    let sequential = replay_all(&sets, None);
+    set_sim_threads(4);
+    let parallel = replay_all(&sets, None);
+    set_sim_threads(1);
+    assert_eq!(sequential, parallel);
+    assert_eq!(sequential.to_json(), parallel.to_json());
+    assert_eq!(sequential.dpu_details.len(), 512);
+    let pipeline = PimConfig::default().pipeline;
+    for (detail, set) in sequential.dpu_details.iter().zip(&sets) {
+        assert_detail_is(detail, &simulate_dpu_profiled(set, &pipeline));
+    }
 }

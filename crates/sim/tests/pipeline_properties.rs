@@ -4,9 +4,9 @@
 //! property), so every run exercises the same frozen trace set.
 
 use alpha_pim_sim::instr::{InstrClass, InstrMix};
-use alpha_pim_sim::pipeline::{estimate_cycles, simulate_dpu};
-use alpha_pim_sim::trace::{TaskletTrace, TraceEvent};
-use alpha_pim_sim::PipelineConfig;
+use alpha_pim_sim::pipeline::{estimate_cycles, estimate_stats, simulate_dpu};
+use alpha_pim_sim::trace::{Record, TaskletTrace, TraceEvent};
+use alpha_pim_sim::{PipelineConfig, TaskletStats};
 use alpha_pim_sparse::gen::rng::SplitMix64;
 
 const CASES: u64 = 64;
@@ -154,6 +154,76 @@ fn one_walk_estimate_matches_the_separate_calls() {
         assert_eq!(est.mix, mix);
         assert_eq!(est.instructions, traces.iter().map(|t| t.instructions()).sum::<u64>());
         assert_eq!(est.cycles, separate_bound(&traces, &c));
+    }
+}
+
+/// Records a random `Record` call sequence drawn from `seed` into `r`:
+/// every instruction class, zero counts, zero-byte DMAs, streams with and
+/// without a remainder chunk, mutex ids past the 16 the analytic recorder
+/// tracks, and barriers. The same seed replays the same calls into any
+/// recorder.
+fn record_random_calls(seed: u64, r: &mut dyn Record) {
+    let mut rng = SplitMix64::new(seed);
+    for _ in 0..rng.usize_below(40) {
+        match rng.u32_below(7) {
+            0 => {
+                let class = InstrClass::ALL[rng.usize_below(InstrClass::ALL.len())];
+                r.compute(class, rng.u32_below(64));
+            }
+            1 => r.dma(if rng.u32_below(4) == 0 { 0 } else { rng.u32_below(4096) }),
+            2 => {
+                let chunk = 1 + rng.u32_below(2048);
+                let whole = u64::from(chunk) * u64::from(rng.u32_below(6));
+                let rem = if rng.u32_below(2) == 0 { 0 } else { u64::from(rng.u32_below(chunk)) };
+                r.dma_stream(whole + rem, chunk, rng.u32_below(4));
+            }
+            3 => r.mutex_lock(rng.u32_below(40) as u16),
+            4 => r.mutex_unlock(rng.u32_below(40) as u16),
+            5 => r.barrier(),
+            _ => r.compute(InstrClass::Arith, 0),
+        }
+    }
+}
+
+#[test]
+fn stats_estimate_equals_the_trace_estimate() {
+    let mut rng = SplitMix64::new(0xD809);
+    let configs = [
+        cfg(),
+        PipelineConfig {
+            revolver_period: 14,
+            pipeline_depth: 9,
+            dma_startup_cycles: 61,
+            dma_cycles_per_byte: 0.37,
+            ..cfg()
+        },
+    ];
+    for c in &configs {
+        for _ in 0..CASES {
+            let tasklets = rng.usize_below(13);
+            let seeds: Vec<u64> = (0..tasklets).map(|_| rng.next_u64()).collect();
+            let traces: Vec<TaskletTrace> = seeds
+                .iter()
+                .map(|&seed| {
+                    let mut t = TaskletTrace::new();
+                    record_random_calls(seed, &mut t);
+                    t
+                })
+                .collect();
+            let stats: Vec<TaskletStats> = seeds
+                .iter()
+                .map(|&seed| {
+                    let mut s = TaskletStats::new(c);
+                    record_random_calls(seed, &mut s);
+                    s
+                })
+                .collect();
+            let from_traces = estimate_cycles(&traces, c);
+            let from_stats = estimate_stats(&stats, c);
+            assert_eq!(from_stats.cycles, from_traces.cycles);
+            assert_eq!(from_stats.instructions, from_traces.instructions);
+            assert_eq!(from_stats.mix, from_traces.mix);
+        }
     }
 }
 
