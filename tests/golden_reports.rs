@@ -8,6 +8,9 @@
 //! `Sampled` goldens freeze the estimate path on a 64-DPU machine that
 //! replays every eighth DPU: every kernel variant on a one-vertex and a
 //! dense frontier, fault-free and faulty, plus BFS, SSSP and PPR runs.
+//! The launch-path digests freeze, on the same machine, what every kernel
+//! variant does after its partitions evaluate, under five fault plans,
+//! and one digest freezes triangle counting's fault-free launch.
 //!
 //! Last regeneration: the counter registry grew the six `sdc.*`
 //! silent-corruption ledgers and the six `quarantine.*` scoreboard
@@ -25,7 +28,7 @@ use alpha_pim::{
 };
 use alpha_pim_bench::harness::striped_vector;
 use alpha_pim_sim::instr::InstrClass;
-use alpha_pim_sim::report::KernelReport;
+use alpha_pim_sim::report::{KernelReport, PhaseBreakdown};
 use alpha_pim_sim::{
     CounterId, FaultPlan, HostCrashPlan, ObservabilityLevel, PimConfig, PimSystem,
     ResiliencePolicy, SimFidelity,
@@ -481,6 +484,185 @@ fn sampled_app_runs_match_golden_digests() {
     assert_digests(&actual, SAMPLED_APP_GOLDEN, "sampled app run");
 }
 
+/// The launch path's decisions, frozen per kernel variant: what a launch
+/// does after its partitions evaluate. Besides the clean and faulty plans,
+/// three plans reach the decisions those leave untouched — silent output
+/// flips with and without merge verification (the ABFT guard's hand-off
+/// to active partitions) and DPU loss without redistribution (the
+/// lost-partition drop). One digest per variant and plan folds, for both
+/// frontiers, the report, the four phase seconds, `useful_ops`,
+/// `output_nnz` and `y`.
+fn launch_plans() -> [(&'static str, Option<FaultPlan>); 5] {
+    let silent = FaultPlan::silent(0x51_1E47, 0.5);
+    let unverified = FaultPlan {
+        policy: ResiliencePolicy { verify_merges: false, ..silent.policy },
+        ..silent.clone()
+    };
+    let loss = FaultPlan {
+        seed: 0x10_5517,
+        dpu_loss_rate: 0.25,
+        policy: ResiliencePolicy { redistribute: false, ..ResiliencePolicy::default() },
+        ..FaultPlan::default()
+    };
+    [
+        ("clean", None),
+        ("faulty", Some(fault_plan())),
+        ("silent", Some(silent)),
+        ("unverified", Some(unverified)),
+        ("loss", Some(loss)),
+    ]
+}
+
+/// Everything one launch hands back, as the launch-path digests read it.
+struct Launched {
+    kernel: KernelReport,
+    phases: PhaseBreakdown,
+    useful_ops: u64,
+    output_nnz: usize,
+    y: Vec<u64>,
+}
+
+/// Silent flips injected and degraded reports seen per plan, summed over
+/// a kernel family, so no launch-path digest is vacuous.
+#[derive(Default)]
+struct Fired(std::collections::BTreeMap<&'static str, (u64, bool)>);
+
+impl Fired {
+    fn assert_every_new_plan_fired(&self, what: &str) {
+        for plan in ["silent", "unverified"] {
+            assert!(self.0[plan].0 > 0, "{what}: the {plan} plan injected no flip");
+        }
+        assert!(self.0["loss"].1, "{what}: the loss plan degraded no report");
+    }
+}
+
+/// Runs `launch` on the sampled machine under every [`launch_plans`]
+/// plan, one digest per plan labelled `{prefix}/{plan}`.
+fn launch_digests(
+    prefix: &str,
+    fired: &mut Fired,
+    launch: impl Fn(&PimSystem, &str) -> Launched,
+) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for (plan, faults) in launch_plans() {
+        let sys = PimSystem::new(sampled_config(faults)).expect("valid config");
+        let mut h = Fnv::new();
+        let seen = fired.0.entry(plan).or_default();
+        for which in FRONTIERS {
+            let l = launch(&sys, which);
+            report_digest(&mut h, &l.kernel);
+            let p = &l.phases;
+            for phase in [p.load, p.kernel, p.retrieve, p.merge] {
+                h.word(phase.to_bits());
+            }
+            h.word(l.useful_ops);
+            h.word(l.output_nnz as u64);
+            for w in l.y {
+                h.word(w);
+            }
+            seen.0 += l.kernel.breakdown.counters.get(CounterId::SdcInjected);
+            seen.1 |= l.kernel.degraded;
+        }
+        out.push((format!("{prefix}/{plan}"), h.0));
+    }
+    out
+}
+
+#[test]
+fn spmv_launch_paths_match_golden_digests() {
+    let m = matrix();
+    let (mut actual, mut fired) = (Vec::new(), Fired::default());
+    for variant in SpmvVariant::ALL {
+        actual.extend(launch_digests(&variant.to_string(), &mut fired, |sys, which| {
+            let x = frontier(which).to_dense(0u32);
+            let out = PreparedSpmv::<BoolOrAnd>::prepare(&m, variant, sys)
+                .expect("fits")
+                .run(&x, sys)
+                .expect("dims");
+            Launched {
+                y: out.y.values().iter().map(|&v| u64::from(v)).collect(),
+                kernel: out.kernel,
+                phases: out.phases,
+                useful_ops: out.useful_ops,
+                output_nnz: out.output_nnz,
+            }
+        }));
+    }
+    fired.assert_every_new_plan_fired("SpMV");
+    assert_digests(&actual, SPMV_LAUNCH_GOLDEN, "SpMV launch path");
+}
+
+#[test]
+fn spmspv_launch_paths_match_golden_digests() {
+    let m = matrix();
+    let (mut actual, mut fired) = (Vec::new(), Fired::default());
+    for variant in SpmspvVariant::ALL {
+        actual.extend(launch_digests(&variant.to_string(), &mut fired, |sys, which| {
+            let out = PreparedSpmspv::<BoolOrAnd>::prepare(&m, variant, sys)
+                .expect("fits")
+                .run(&frontier(which), sys)
+                .expect("dims");
+            Launched {
+                y: out.y.values().iter().map(|&v| u64::from(v)).collect(),
+                kernel: out.kernel,
+                phases: out.phases,
+                useful_ops: out.useful_ops,
+                output_nnz: out.output_nnz,
+            }
+        }));
+    }
+    fired.assert_every_new_plan_fired("SpMSpV");
+    assert_digests(&actual, SPMSPV_LAUNCH_GOLDEN, "SpMSpV launch path");
+}
+
+#[test]
+fn spmm_launch_paths_match_golden_digests() {
+    let m = matrix();
+    let mut fired = Fired::default();
+    let actual = launch_digests("SpMM", &mut fired, |sys, which| {
+        let mut x = MultiVector::filled(3_000, 4, 0u32);
+        for (i, &v) in frontier(which).to_dense(0u32).values().iter().enumerate() {
+            for j in 0..4 {
+                x.set(i, j, v);
+            }
+        }
+        let out = PreparedSpmm::<BoolOrAnd>::prepare(&m, 4, sys)
+            .expect("fits")
+            .run(&x, sys)
+            .expect("dims");
+        let cells = (0..3_000).flat_map(|i| (0..4).map(move |j| (i, j)));
+        let y: Vec<u64> = cells.map(|(i, j)| u64::from(out.y.get(i, j))).collect();
+        Launched {
+            output_nnz: y.iter().filter(|&&v| v != 0).count(),
+            y,
+            kernel: out.kernel,
+            phases: out.phases,
+            useful_ops: out.useful_ops,
+        }
+    });
+    fired.assert_every_new_plan_fired("SpMM");
+    assert_digests(&actual, SPMM_LAUNCH_GOLDEN, "SpMM launch path");
+}
+
+/// Triangle counting's one fault-free launch: the count, the four phase
+/// seconds, the makespan, the instruction total and the mix.
+#[test]
+fn triangle_count_matches_golden_digest() {
+    let r = app_engine().triangle_count(&app_graph()).expect("runs");
+    let mut h = Fnv::new();
+    h.word(r.triangles);
+    let p = &r.phases;
+    for phase in [p.load, p.kernel, p.retrieve, p.merge] {
+        h.word(phase.to_bits());
+    }
+    h.word(r.kernel.max_cycles);
+    h.word(r.kernel.total_instructions);
+    for class in InstrClass::ALL {
+        h.word(r.kernel.instr_mix.count(class));
+    }
+    assert_app_golden(h.0, TRIANGLE_GOLDEN, "triangle count");
+}
+
 const SAMPLED_SPMV_GOLDEN: &[(&str, u64)] = &[
     ("COO.nnz-1D/clean/one", 0x3c70_d668_5e43_8fea),
     ("COO.nnz-1D/clean/dense", 0x1886_5cc0_26f1_91ab),
@@ -532,6 +714,64 @@ const SAMPLED_APP_GOLDEN: &[(&str, u64)] = &[
     ("sssp", 0xeab3_e4d7_3e4f_19f9),
     ("ppr", 0xe3d8_0e16_d273_1086),
 ];
+
+const SPMV_LAUNCH_GOLDEN: &[(&str, u64)] = &[
+    ("COO.nnz-1D/clean", 0xced3_78ab_4089_76b0),
+    ("COO.nnz-1D/faulty", 0x1573_7993_932a_054c),
+    ("COO.nnz-1D/silent", 0x409a_a181_6185_ff80),
+    ("COO.nnz-1D/unverified", 0x3dd3_b246_3635_9f17),
+    ("COO.nnz-1D/loss", 0x0f97_20fe_d751_59d7),
+    ("CSR.row-1D/clean", 0x0880_be6c_d6e6_2ca0),
+    ("CSR.row-1D/faulty", 0x8cae_3f11_b492_93c0),
+    ("CSR.row-1D/silent", 0x1513_1566_7a69_0c78),
+    ("CSR.row-1D/unverified", 0x709b_abee_7a82_44ff),
+    ("CSR.row-1D/loss", 0xe1b4_e12c_c096_049d),
+    ("CSR.nnz-1D/clean", 0x4bc6_479d_ce80_131c),
+    ("CSR.nnz-1D/faulty", 0x6acb_0702_189e_52bc),
+    ("CSR.nnz-1D/silent", 0x6394_b715_a178_1b18),
+    ("CSR.nnz-1D/unverified", 0xe73c_2a47_35ed_7f63),
+    ("CSR.nnz-1D/loss", 0xa262_557f_7331_14ab),
+    ("DCOO-2D/clean", 0x487d_b011_cdc0_866c),
+    ("DCOO-2D/faulty", 0x11ea_f623_d426_38c4),
+    ("DCOO-2D/silent", 0xdbb5_cf08_2551_0a44),
+    ("DCOO-2D/unverified", 0xde40_8067_ab11_6b47),
+    ("DCOO-2D/loss", 0xffd4_a924_87d7_1ab0),
+];
+const SPMSPV_LAUNCH_GOLDEN: &[(&str, u64)] = &[
+    ("COO/clean", 0xb9d8_bffc_da94_dc02),
+    ("COO/faulty", 0xa944_d488_1e09_4f56),
+    ("COO/silent", 0x1183_3110_12d9_5e9a),
+    ("COO/unverified", 0xab57_c9c3_362d_615a),
+    ("COO/loss", 0x631a_6a4a_72b2_777d),
+    ("CSR/clean", 0x172d_b7e7_618c_0e08),
+    ("CSR/faulty", 0x41ee_d2cc_dac2_d37b),
+    ("CSR/silent", 0xc12a_47fa_0fce_65e8),
+    ("CSR/unverified", 0x8981_f9aa_757c_3404),
+    ("CSR/loss", 0xe620_21cf_f1f5_b510),
+    ("CSC-R/clean", 0xa3bd_c85a_4155_79e9),
+    ("CSC-R/faulty", 0xf892_ee9d_89fb_a1cf),
+    ("CSC-R/silent", 0x626c_7203_493b_2989),
+    ("CSC-R/unverified", 0xaf03_f1ff_12d7_c411),
+    ("CSC-R/loss", 0x4991_2132_76a9_5f72),
+    ("CSC-C/clean", 0xb2b9_ca8b_db44_787d),
+    ("CSC-C/faulty", 0x8ca0_180d_a16c_9cae),
+    ("CSC-C/silent", 0x97dc_117b_470c_169b),
+    ("CSC-C/unverified", 0x97fc_0031_7be9_781b),
+    ("CSC-C/loss", 0xa9a2_0575_4b93_3d84),
+    ("CSC-2D/clean", 0x1bb7_a4c2_e5de_b242),
+    ("CSC-2D/faulty", 0xc381_663e_bb04_681a),
+    ("CSC-2D/silent", 0xcd6f_2530_8ca8_4bc6),
+    ("CSC-2D/unverified", 0xaa55_ecd7_e83d_6203),
+    ("CSC-2D/loss", 0x1c33_b7c2_52af_3a56),
+];
+const SPMM_LAUNCH_GOLDEN: &[(&str, u64)] = &[
+    ("SpMM/clean", 0xbae4_94c4_2bb8_b7ba),
+    ("SpMM/faulty", 0x718a_5ab7_d21e_5bca),
+    ("SpMM/silent", 0x0c8d_2a9e_b513_8c1a),
+    ("SpMM/unverified", 0xee1b_907b_3850_02e8),
+    ("SpMM/loss", 0x9c4d_08f5_42d6_faed),
+];
+const TRIANGLE_GOLDEN: u64 = 0x4a4a_0ab0_94ba_0f26;
 
 const BFS_RUN_GOLDEN: u64 = 0x486f_b910_d469_3e87;
 const SSSP_RUN_GOLDEN: u64 = 0x8076_8d4b_c416_f42c;
