@@ -134,6 +134,7 @@ impl AppReport {
 /// The per-application multiply engine: holds whichever kernel
 /// preparations the policy needs and dispatches each iteration to the
 /// right one based on input density.
+#[derive(Debug)]
 pub(crate) struct MvEngine<S: Semiring> {
     n: u32,
     threshold: f64,

@@ -12,6 +12,7 @@
 //! almost entirely Kernel time: the PIM-friendliest pattern in the suite.
 
 use alpha_pim_sim::instr::InstrClass;
+use alpha_pim_sim::par::par_map_indexed;
 use alpha_pim_sim::report::{KernelReport, PhaseBreakdown};
 use alpha_pim_sim::trace::TaskletTrace;
 use alpha_pim_sim::PimSystem;
@@ -19,9 +20,10 @@ use alpha_pim_sparse::partition::equal_ranges;
 use alpha_pim_sparse::{Csr, Graph};
 
 use crate::error::AlphaPimError;
+use crate::kernel::exec::{launch, Landed, LoadModel, MergeModel};
 use crate::kernel::layout::{
     edge_base_cost, tasklet_prologue, tasklet_ranges, vec_entry_bytes, CHUNK_BYTES,
-    CHUNK_OVERHEAD, KERNEL_LAUNCH_S,
+    CHUNK_OVERHEAD,
 };
 
 /// The output of a triangle-counting run.
@@ -79,33 +81,30 @@ pub fn run(graph: &Graph, sys: &PimSystem) -> Result<TriangleResult, AlphaPimErr
     }
 
     let tasklets = sys.config().tasklets_per_dpu;
-    let mut acc = sys.accumulator();
-    let mut total_pairs: u64 = 0;
-    let mut ops: u64 = 0;
-    for (dpu, range) in edge_ranges.iter().enumerate() {
+    let acc = sys.accumulator();
+    let evals = par_map_indexed(&edge_ranges, |dpu, range| {
         let slice = &edges[range.start as usize..range.end as usize];
-        let (traces, pairs, dpu_ops) = intersect_traces(&csr, slice, tasklets);
-        acc.add(dpu as u32, &traces);
-        total_pairs += pairs;
-        ops += dpu_ops;
-    }
-    let kernel = acc.finish();
-    let phases = PhaseBreakdown {
-        // Edge slices were resident with the matrix; per-launch load is
-        // just the band descriptors.
-        load: sys.scatter_time(&vec![64u64; sys.num_dpus() as usize]),
-        kernel: kernel.seconds + KERNEL_LAUNCH_S,
-        // One running count per DPU comes back.
-        retrieve: sys.gather_time(&vec![8u64; sys.num_dpus() as usize]),
-        merge: sys.scan_time(sys.num_dpus() as u64, 8),
-    };
+        let (traces, pairs, ops) = intersect_traces(&csr, slice, tasklets);
+        (acc.evaluate(dpu as u32, &traces), (pairs, ops))
+    });
+    // The host sums one 8-byte running count per DPU.
+    let merge = MergeModel::Scan { elements: u64::from(sys.num_dpus()), bytes: 8 };
+    let mut total_pairs = 0u64;
+    let (kernel, phases, useful_ops) =
+        launch(sys, acc, evals, LoadModel::Scatter, merge, |_, (pairs, ops), _| {
+            total_pairs += pairs;
+            // Edge slices were resident with the matrix: the per-launch
+            // load is just the band descriptors, and one running count
+            // per DPU comes back.
+            Landed { ops, load: 64, retrieve: 8, merged: 0 }
+        });
     Ok(TriangleResult {
         // Each triangle {a,b,c} is seen once per ordered edge and shared
         // neighbour: 6 times total on a symmetrized graph.
         triangles: total_pairs / 6,
         phases,
         kernel,
-        useful_ops: ops,
+        useful_ops,
     })
 }
 
@@ -160,7 +159,8 @@ fn intersect_traces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alpha_pim_sim::{PimConfig, SimFidelity};
+    use alpha_pim_sim::par::{set_sim_threads, sim_threads};
+    use alpha_pim_sim::{CounterId, FaultPlan, PimConfig, ResiliencePolicy, SimFidelity};
     use alpha_pim_sparse::{gen, Coo};
 
     fn system(dpus: u32) -> PimSystem {
@@ -246,6 +246,45 @@ mod tests {
             assert_eq!(r.triangles, reference(&g), "seed {seed}");
             assert!(r.phases.kernel > 0.0);
         }
+    }
+
+    #[test]
+    fn losing_every_dpu_counts_no_triangles() {
+        let plan = FaultPlan {
+            dpu_loss_rate: 1.0,
+            policy: ResiliencePolicy { redistribute: false, ..ResiliencePolicy::default() },
+            ..FaultPlan::default()
+        };
+        let sys = PimSystem::new(PimConfig {
+            num_dpus: 6,
+            fidelity: SimFidelity::Full,
+            faults: Some(plan),
+            ..Default::default()
+        })
+        .unwrap();
+        let g = Graph::from_coo(gen::erdos_renyi(80, 600, 3).unwrap());
+        let r = run(&g, &sys).unwrap();
+        assert_eq!(r.triangles, 0, "a dropped partition's count never lands");
+        assert!(r.kernel.degraded);
+    }
+
+    #[test]
+    fn transfers_are_counted_and_thread_count_invariant() {
+        let g = Graph::from_coo(gen::erdos_renyi(80, 600, 3).unwrap());
+        let sys = system(6);
+        let threads = sim_threads();
+        set_sim_threads(1);
+        let one = run(&g, &sys).unwrap();
+        set_sim_threads(4);
+        let four = run(&g, &sys).unwrap();
+        set_sim_threads(threads);
+        let c = &one.kernel.breakdown.counters;
+        assert_eq!(c.get(CounterId::XferScatterBytes), 64 * 6);
+        assert_eq!(c.get(CounterId::XferGatherBytes), 8 * 6);
+        assert_eq!(c.get(CounterId::HostScanBytes), 8 * 6);
+        assert_eq!(one.kernel, four.kernel);
+        assert_eq!(one.phases, four.phases);
+        assert_eq!((one.triangles, one.useful_ops), (four.triangles, four.useful_ops));
     }
 
     #[test]

@@ -182,6 +182,38 @@ struct PendingDelta {
     deletes: Vec<(u32, u32, u32)>,
 }
 
+/// Lands one mutation batch on `dynamic`: the epoch advances, the stale
+/// epoch's prepared kernels leave `serve`'s cache exactly once, and the
+/// `delta.*` ledgers (epochs, edges, partitions) absorb the epoch. Both
+/// [`DeltaEngine::mutate`] and the multi-tenant service land epochs here.
+///
+/// # Errors
+///
+/// As [`DynamicGraph::apply`]; on error nothing changes.
+pub(crate) fn land_epoch(
+    serve: &mut ServeEngine<'_>,
+    dynamic: &mut DynamicGraph,
+    batch: &MutationBatch,
+    counters: &mut CounterSet,
+) -> Result<EpochReport, AlphaPimError> {
+    let report = dynamic.apply(batch)?;
+    if report.fingerprint != report.previous_fingerprint {
+        let (entries, bytes) = serve.invalidate_graph(report.previous_fingerprint);
+        counters.add(CounterId::ServeCacheEvictions, entries);
+        counters.add(CounterId::ServeEvictedBytes, bytes);
+    }
+    counters.add(CounterId::DeltaEpochs, 1);
+    counters.add(CounterId::DeltaEdgesRequested, report.stats.requested);
+    counters.add(CounterId::DeltaEdgesApplied, report.stats.applied());
+    counters.add(CounterId::DeltaEdgesInserted, report.stats.inserted);
+    counters.add(CounterId::DeltaEdgesDeleted, report.stats.deleted);
+    counters.add(CounterId::DeltaEdgesRedundant, report.stats.redundant);
+    counters.add(CounterId::DeltaPartitionsTotal, dynamic.plan().parts() as u64);
+    counters.add(CounterId::DeltaPartitionsDirty, report.dirty_partitions);
+    counters.add(CounterId::DeltaPartitionsClean, report.clean_partitions);
+    Ok(report)
+}
+
 /// An epoch-serving engine: a [`ServeEngine`] plus a [`DynamicGraph`],
 /// wired so mutations invalidate stale cache entries exactly once and
 /// BFS/SSSP queries repeated across an epoch boundary are repaired
@@ -282,21 +314,7 @@ impl<'a> DeltaEngine<'a> {
     ///
     /// As [`DynamicGraph::apply`]; on error nothing changes.
     pub fn mutate(&mut self, batch: &MutationBatch) -> Result<EpochReport, AlphaPimError> {
-        let report = self.dynamic.apply(batch)?;
-        if report.fingerprint != report.previous_fingerprint {
-            let (entries, bytes) = self.serve.invalidate_graph(report.previous_fingerprint);
-            self.counters.add(CounterId::ServeCacheEvictions, entries);
-            self.counters.add(CounterId::ServeEvictedBytes, bytes);
-        }
-        self.counters.add(CounterId::DeltaEpochs, 1);
-        self.counters.add(CounterId::DeltaEdgesRequested, report.stats.requested);
-        self.counters.add(CounterId::DeltaEdgesApplied, report.stats.applied());
-        self.counters.add(CounterId::DeltaEdgesInserted, report.stats.inserted);
-        self.counters.add(CounterId::DeltaEdgesDeleted, report.stats.deleted);
-        self.counters.add(CounterId::DeltaEdgesRedundant, report.stats.redundant);
-        self.counters.add(CounterId::DeltaPartitionsTotal, self.dynamic.plan().parts() as u64);
-        self.counters.add(CounterId::DeltaPartitionsDirty, report.dirty_partitions);
-        self.counters.add(CounterId::DeltaPartitionsClean, report.clean_partitions);
+        let report = land_epoch(&mut self.serve, &mut self.dynamic, batch, &mut self.counters)?;
         // Only answers from the epoch we just left can seed repairs; older
         // ones are two deltas behind and would need a delta chain.
         let epoch = self.dynamic.epoch();

@@ -35,8 +35,8 @@ use alpha_pim_sim::report::PhaseBreakdown;
 use alpha_pim_sim::PimSystem;
 use alpha_pim_sparse::{Coo, SparseVector};
 
+use crate::apps::{AppOptions, KernelPolicy, MvEngine};
 use crate::error::AlphaPimError;
-use crate::kernel::{PreparedSpmspv, PreparedSpmv, SpmspvVariant, SpmvVariant};
 use crate::semiring::Semiring;
 
 /// A sparse vector in a semiring.
@@ -225,13 +225,12 @@ impl Mask {
 }
 
 /// A matrix prepared for masked vector×matrix products with adaptive
-/// kernel selection.
+/// kernel selection: the applications' engine under
+/// [`KernelPolicy::FixedThreshold`], over the default DCOO-2D and CSC-2D
+/// variants.
 #[derive(Debug)]
 pub struct GbMatrix<S: Semiring> {
-    n: u32,
-    threshold: f64,
-    spmv: PreparedSpmv<S>,
-    spmspv: PreparedSpmspv<S>,
+    engine: MvEngine<S>,
 }
 
 impl<S: Semiring> GbMatrix<S> {
@@ -247,17 +246,14 @@ impl<S: Semiring> GbMatrix<S> {
         threshold: f64,
         sys: &PimSystem,
     ) -> Result<Self, AlphaPimError> {
-        Ok(GbMatrix {
-            n: matrix.n_rows().max(matrix.n_cols()),
-            threshold,
-            spmv: PreparedSpmv::prepare(matrix, SpmvVariant::Dcoo2d, sys)?,
-            spmspv: PreparedSpmspv::prepare(matrix, SpmspvVariant::Csc2d, sys)?,
-        })
+        let options =
+            AppOptions { policy: KernelPolicy::FixedThreshold(threshold), ..AppOptions::default() };
+        Ok(GbMatrix { engine: MvEngine::new(matrix, &options, threshold, sys)? })
     }
 
     /// The matrix dimension.
     pub fn n(&self) -> u32 {
-        self.n
+        self.engine.n()
     }
 
     /// Masked vector×matrix product: `y = (M ⊗ x) ⟨mask⟩`, choosing
@@ -272,22 +268,16 @@ impl<S: Semiring> GbMatrix<S> {
         mask: Option<&Mask>,
         sys: &PimSystem,
     ) -> Result<(GbVector<S>, PhaseBreakdown), AlphaPimError> {
-        let outcome = if x.density() > self.threshold {
-            self.spmv.run(&x.as_sparse().to_dense(S::zero()), sys)?
-        } else {
-            self.spmspv.run(x.as_sparse(), sys)?
-        };
+        let (outcome, _) = self.engine.multiply(x.as_sparse(), sys)?;
         let mut phases = outcome.phases;
         let mut y = GbVector::from_sparse(outcome.output_sparse());
         if let Some(mask) = mask {
-            if mask.len() != self.n as usize {
-                return Err(AlphaPimError::Dimension {
-                    expected: self.n as usize,
-                    actual: mask.len(),
-                });
+            let n = self.n();
+            if mask.len() != n as usize {
+                return Err(AlphaPimError::Dimension { expected: n as usize, actual: mask.len() });
             }
             // Mask application is a host-side streaming pass.
-            phases.merge += sys.scan_time(self.n as u64, 4);
+            phases.merge += sys.scan_time(n as u64, 4);
             y = y.masked(mask);
         }
         Ok((y, phases))

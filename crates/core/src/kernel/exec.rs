@@ -1,8 +1,11 @@
-//! Kernel execution outcomes and the four-phase accounting of §4.1.
+//! Kernel execution outcomes and the one launch path every kernel shares:
+//! the four-phase accounting of §4.1.
 
-use alpha_pim_sim::report::{KernelReport, PhaseBreakdown};
+use alpha_pim_sim::report::{DpuEval, KernelReport, PhaseBreakdown};
+use alpha_pim_sim::{CounterSet, KernelAccumulator, PimSystem};
 use alpha_pim_sparse::DenseVector;
 
+use crate::kernel::integrity::IntegrityGuard;
 use crate::semiring::Semiring;
 
 /// The result of one matrix–vector multiplication on the PIM system.
@@ -22,6 +25,12 @@ pub struct IterationOutcome<S: Semiring> {
 }
 
 impl<S: Semiring> IterationOutcome<S> {
+    /// The outcome of a [`launch`] whose landed partitions wrote `y`.
+    pub(crate) fn new(y: Vec<S::Elem>, (kernel, phases, useful_ops): Launched) -> Self {
+        let output_nnz = y.iter().filter(|v| !S::is_zero(v)).count();
+        IterationOutcome { y: DenseVector::from_values(y), phases, kernel, useful_ops, output_nnz }
+    }
+
     /// Total wall-clock seconds of the iteration.
     pub fn total_seconds(&self) -> f64 {
         self.phases.total()
@@ -31,6 +40,114 @@ impl<S: Semiring> IterationOutcome<S> {
     pub fn output_sparse(&self) -> alpha_pim_sparse::SparseVector<S::Elem> {
         self.y.to_sparse(|v| !S::is_zero(v))
     }
+}
+
+/// How a launch ships its input to the DPUs (the Load phase).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LoadModel {
+    /// The same `bytes` go to each of the `live` DPUs holding rows.
+    Broadcast { bytes: u64, live: u32 },
+    /// Each landed partition receives its own [`Landed::load`] bytes.
+    Scatter,
+}
+
+/// How the host combines the landed partitions (the Merge phase).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MergeModel {
+    /// Partitions write disjoint slices of the output: nothing to merge.
+    None,
+    /// `elements` outputs, each reduced over `fan_in` partials of `bytes`.
+    Grid { elements: u64, fan_in: u32, bytes: u32 },
+    /// The landed partitions' [`Landed::merged`] entries (at least one),
+    /// `bytes` each.
+    Entries { bytes: u32 },
+    /// One scan over `elements` values of `bytes` each.
+    Scan { elements: u64, bytes: u32 },
+}
+
+/// What one landed partition adds to its launch's accounting.
+#[derive(Debug, Default)]
+pub(crate) struct Landed {
+    /// Useful semiring operations the partition performed.
+    pub(crate) ops: u64,
+    /// Bytes scattered to the partition under [`LoadModel::Scatter`].
+    pub(crate) load: u64,
+    /// Bytes retrieved from the partition.
+    pub(crate) retrieve: u64,
+    /// Output entries the host merges under [`MergeModel::Entries`].
+    pub(crate) merged: u64,
+}
+
+/// A finished launch: its report, its four phases and the useful
+/// operations of the partitions it landed.
+pub(crate) type Launched = (KernelReport, PhaseBreakdown, u64);
+
+/// The one launch path: everything after a launch's partitions evaluate.
+///
+/// `evals` holds each partition's evaluation and output in partition
+/// order. Each is merged into `acc` in that order, so reports stay
+/// bit-identical to a sequential run. A partition lost without
+/// redistribution is dropped: its output never lands and the report
+/// completes degraded. Every other output goes to `land`, which writes it
+/// into the variant's result and returns its [`Landed`] accounting; only
+/// a partition that executed work is lent the [`IntegrityGuard`] to admit
+/// its output first, since an idle DPU cannot be a fault site. The load,
+/// kernel, retrieve and merge phases are then charged — recording bus
+/// traffic and host work into the report's counters, timeouts included —
+/// and the guard folds its `sdc.*` ledger into the report.
+pub(crate) fn launch<T>(
+    sys: &PimSystem,
+    mut acc: KernelAccumulator,
+    evals: Vec<(DpuEval, T)>,
+    load: LoadModel,
+    merge: MergeModel,
+    mut land: impl FnMut(usize, T, Option<&mut IntegrityGuard<'_>>) -> Landed,
+) -> Launched {
+    /// Host-side kernel launch overhead added to the kernel phase, seconds.
+    const KERNEL_LAUNCH_S: f64 = 30e-6;
+    let mut guard = IntegrityGuard::new(sys);
+    let mut scattered = vec![0u64; evals.len()];
+    let mut retrieve = vec![0u64; evals.len()];
+    let (mut ops, mut merged) = (0u64, 0u64);
+    for (part, (eval, out)) in evals.into_iter().enumerate() {
+        let (lost, active) = (eval.is_lost(), eval.is_active());
+        acc.merge(eval);
+        if lost {
+            continue;
+        }
+        let landed = land(part, out, active.then_some(&mut guard));
+        ops += landed.ops;
+        scattered[part] = landed.load;
+        retrieve[part] = landed.retrieve;
+        merged += landed.merged;
+    }
+    let mut kernel = acc.finish();
+    let mut host = CounterSet::new();
+    let mut phases = PhaseBreakdown {
+        load: match load {
+            LoadModel::Broadcast { bytes, live } => {
+                sys.broadcast_time_counted(bytes, live, &mut host)
+            }
+            LoadModel::Scatter => sys.scatter_time_counted(&scattered, &mut host),
+        },
+        kernel: kernel.seconds + KERNEL_LAUNCH_S,
+        retrieve: sys.gather_time_counted(&retrieve, &mut host),
+        merge: match merge {
+            MergeModel::None => 0.0,
+            MergeModel::Grid { elements, fan_in, bytes } => {
+                sys.merge_time_counted(elements, fan_in, bytes, &mut host)
+            }
+            MergeModel::Entries { bytes } => {
+                sys.merge_time_counted(merged.max(1), 1, bytes, &mut host)
+            }
+            MergeModel::Scan { elements, bytes } => {
+                sys.scan_time_counted(elements, bytes, &mut host)
+            }
+        },
+    };
+    kernel.breakdown.counters.merge(&host);
+    guard.finalize(sys, &mut kernel, &mut phases);
+    (kernel, phases, ops)
 }
 
 #[cfg(test)]

@@ -113,11 +113,12 @@ fn checksum_map<S: Semiring>(partial: &HashMap<u32, S::Elem>) -> Checksum {
 
 /// The merge-loop integrity guard for one kernel launch.
 ///
-/// Build one per `run`, call an `admit_*` method on every *active,
-/// non-lost* partition right before its values enter the global output,
-/// then [`IntegrityGuard::finalize`] after `acc.finish()` to fold the
-/// `sdc.*` ledger, the offender list, and the recompute penalty into the
-/// kernel report.
+/// The launch path ([`crate::kernel::exec::launch`]) is its single merge
+/// point: it builds one per launch, lends it to every *active, non-lost*
+/// partition, whose variant calls an `admit_*` method right before the
+/// values enter the global output, and finalizes it once the report is
+/// finished, folding the `sdc.*` ledger, the offender list, and the
+/// recompute penalty into the kernel report.
 pub(crate) struct IntegrityGuard<'a> {
     /// Present only when the plan can actually flip outputs.
     faults: Option<&'a FaultEngine>,

@@ -37,8 +37,6 @@ pub(crate) const NUM_MUTEXES: u16 = 16;
 pub(crate) const DATA_MUTEXES: u16 = NUM_MUTEXES - 1;
 /// Bytes of one cached output block in [`BlockedOutput`] mode.
 pub(crate) const OUTPUT_BLOCK_BYTES: u32 = 2048;
-/// Host-side kernel launch overhead added to the kernel phase, seconds.
-pub(crate) const KERNEL_LAUNCH_S: f64 = 30e-6;
 /// Entries of the compressed input vector whose top binary-search levels
 /// are cached in WRAM by the COO/CSR SpMSpV kernels.
 pub(crate) const SEARCH_CACHE_ENTRIES: u64 = 256;

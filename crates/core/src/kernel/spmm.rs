@@ -11,14 +11,15 @@ use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::par::par_map_indexed;
 use alpha_pim_sim::report::{DpuJob, PhaseBreakdown};
 use alpha_pim_sim::trace::Record;
-use alpha_pim_sim::{CounterSet, PimSystem};
+use alpha_pim_sim::PimSystem;
 use alpha_pim_sparse::partition::{near_square_grid, partition_grid, GridPartition};
 use alpha_pim_sparse::Coo;
 
 use crate::error::AlphaPimError;
+use crate::kernel::exec::{launch, Landed, LoadModel, MergeModel};
 use crate::kernel::layout::{
     coo_entry_bytes, edge_base_cost, tasklet_prologue, tasklet_ranges, CHUNK_BYTES,
-    CHUNK_OVERHEAD, KERNEL_LAUNCH_S,
+    CHUNK_OVERHEAD,
 };
 use crate::semiring::Semiring;
 
@@ -132,14 +133,10 @@ impl<S: Semiring> PreparedSpmm<S> {
         let k = x.k();
         let eb = S::elem_bytes() as u64;
         let tasklets = sys.config().tasklets_per_dpu;
-        let mut acc = sys.accumulator();
+        let acc = sys.accumulator();
         let mut y = MultiVector::filled(self.n as usize, k, S::zero());
-        let mut load = vec![0u64; self.grid.tiles.len()];
-        let mut retrieve = vec![0u64; self.grid.tiles.len()];
-        let mut ops = 0u64;
         let evals = par_map_indexed(&self.grid.tiles, |_, t| {
-            let rows = (t.row_range.end - t.row_range.start) as usize;
-            let mut local = MultiVector::filled(rows, k, S::zero());
+            let mut local = MultiVector::filled(t.row_range.len(), k, S::zero());
             let job = SpmmTileJob::<S> {
                 m: &t.matrix,
                 x,
@@ -150,52 +147,37 @@ impl<S: Semiring> PreparedSpmm<S> {
             };
             (acc.evaluate_job(t.part, job), local)
         });
-        // Tiles in one grid row overlap in `y`: reduce in tile order so the
-        // result matches a sequential run exactly.
-        let mut guard = crate::kernel::integrity::IntegrityGuard::new(sys);
-        for (t, (eval, mut local)) in self.grid.tiles.iter().zip(evals) {
-            let lost = eval.is_lost();
-            let active = eval.is_active();
-            acc.merge(eval);
-            if lost {
-                // Unsurvivable DPU loss: the tile's results are dropped and
-                // the report completes degraded.
-                continue;
-            }
-            if active {
-                // Row-major flat view: element `i·k + j` carries the key
-                // of output cell `(row_range.start + i, j)`.
-                let base = t.row_range.start.wrapping_mul(k as u32);
-                guard.admit_band::<S>(t.part, base, local.data_mut());
-            }
-            ops += 2 * t.matrix.nnz() as u64 * k as u64;
-            let rows = (t.row_range.end - t.row_range.start) as usize;
-            let cols = (t.col_range.end - t.col_range.start) as usize;
-            for i in 0..rows {
-                let g = t.row_range.start as usize + i;
-                for j in 0..k {
-                    y.set(g, j, S::add(y.get(g, j), local.get(i, j)));
-                }
-            }
-            load[t.part as usize] = cols as u64 * k as u64 * eb;
-            retrieve[t.part as usize] = rows as u64 * k as u64 * eb;
-        }
-        let mut kernel = acc.finish();
-        let mut host = CounterSet::new();
-        let mut phases = PhaseBreakdown {
-            load: sys.scatter_time_counted(&load, &mut host),
-            kernel: kernel.seconds + KERNEL_LAUNCH_S,
-            retrieve: sys.gather_time_counted(&retrieve, &mut host),
-            merge: sys.merge_time_counted(
-                self.n as u64 * k as u64,
-                self.grid.merge_fan_in(),
-                eb as u32,
-                &mut host,
-            ),
+        let merge = MergeModel::Grid {
+            elements: self.n as u64 * k as u64,
+            fan_in: self.grid.merge_fan_in(),
+            bytes: eb as u32,
         };
-        kernel.breakdown.counters.merge(&host);
-        guard.finalize(sys, &mut kernel, &mut phases);
-        Ok(SpmmOutcome { y, phases, kernel, useful_ops: ops })
+        // Tiles in one grid row overlap in `y`; the launch lands them in
+        // tile order, so the result matches a sequential run exactly.
+        let (kernel, phases, useful_ops) =
+            launch(sys, acc, evals, LoadModel::Scatter, merge, |part, mut local, guard| {
+                let t = &self.grid.tiles[part];
+                if let Some(guard) = guard {
+                    // Row-major flat view: element `i·k + j` carries the key
+                    // of output cell `(row_range.start + i, j)`.
+                    let base = t.row_range.start.wrapping_mul(k as u32);
+                    guard.admit_band::<S>(t.part, base, local.data_mut());
+                }
+                let (rows, cols) = (t.row_range.len(), t.col_range.len());
+                for i in 0..rows {
+                    let g = t.row_range.start as usize + i;
+                    for j in 0..k {
+                        y.set(g, j, S::add(y.get(g, j), local.get(i, j)));
+                    }
+                }
+                Landed {
+                    ops: 2 * t.matrix.nnz() as u64 * k as u64,
+                    load: cols as u64 * k as u64 * eb,
+                    retrieve: rows as u64 * k as u64 * eb,
+                    merged: 0,
+                }
+            });
+        Ok(SpmmOutcome { y, phases, kernel, useful_ops })
     }
 }
 

@@ -16,25 +16,26 @@
 //! variants additionally merge partial results on the host.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::par::{par_map_indexed, par_map_indexed_with};
-use alpha_pim_sim::report::{DpuEval, DpuJob, PhaseBreakdown};
+use alpha_pim_sim::report::{DpuEval, DpuJob};
 use alpha_pim_sim::trace::Record;
-use alpha_pim_sim::{CounterSet, KernelAccumulator, PimSystem};
+use alpha_pim_sim::{KernelAccumulator, PimSystem};
 use alpha_pim_sparse::partition::{
     near_square_grid, partition_cols, partition_grid, partition_rows, Balance,
 };
-use alpha_pim_sparse::{Coo, Csc, Csr, DenseVector, SparseVector};
+use alpha_pim_sparse::{Coo, Csc, Csr, SparseVector};
 
 use crate::error::AlphaPimError;
-use crate::kernel::exec::IterationOutcome;
-use crate::kernel::integrity::IntegrityGuard;
+use crate::kernel::exec::{launch, IterationOutcome, Landed, LoadModel, MergeModel};
 use crate::kernel::layout::{
     coo_entry_bytes, edge_base_cost, search_probes, tasklet_prologue,
-    tasklet_ranges, vec_entry_bytes, BlockedOutput, CHUNK_BYTES, CHUNK_OVERHEAD, KERNEL_LAUNCH_S,
+    tasklet_ranges, vec_entry_bytes, BlockedOutput, CHUNK_BYTES, CHUNK_OVERHEAD,
     SEARCH_CACHE_ENTRIES,
 };
+use crate::kernel::spmv::CsrBand;
 use crate::kernel::SpmspvVariant;
 use crate::semiring::Semiring;
 
@@ -44,13 +45,6 @@ pub struct PreparedSpmspv<S: Semiring> {
     variant: SpmspvVariant,
     n: u32,
     data: SpmspvData<S::Elem>,
-}
-
-/// A row band in CSR form.
-#[derive(Debug)]
-struct CsrBand<V> {
-    rows: std::ops::Range<u32>,
-    matrix: Csr<V>,
 }
 
 /// A row band in CSC form (local rows × all columns).
@@ -81,7 +75,7 @@ enum SpmspvData<V> {
     Csr(Vec<CsrBand<V>>),
     CscR(Vec<CscRowBand<V>>),
     CscC(Vec<CscColBand<V>>),
-    Csc2d { grid_cols: u32, tiles: Vec<CscTile<V>> },
+    Csc2d(Vec<CscTile<V>>),
 }
 
 impl<S: Semiring> PreparedSpmspv<S> {
@@ -171,7 +165,7 @@ impl<S: Semiring> PreparedSpmspv<S> {
                     let bytes = (cols + 1) * 4 + t.matrix.nnz() as u64 * ventry + rows * eb;
                     sys.check_mram(bytes).map_err(AlphaPimError::Capacity)?;
                 }
-                SpmspvData::Csc2d { grid_cols: gc, tiles }
+                SpmspvData::Csc2d(tiles)
             }
         };
         Ok(PreparedSpmspv { variant, n, data })
@@ -205,345 +199,172 @@ impl<S: Semiring> PreparedSpmspv<S> {
         if x.len() != self.n as usize {
             return Err(AlphaPimError::Dimension { expected: self.n as usize, actual: x.len() });
         }
-        match &self.data {
-            SpmspvData::Coo(parts) => self.run_matched(x, sys, MatchedKind::Coo(parts)),
-            SpmspvData::Csr(bands) => self.run_matched(x, sys, MatchedKind::Csr(bands)),
-            SpmspvData::CscR(bands) => self.run_csc_r(x, sys, bands),
-            SpmspvData::CscC(bands) => self.run_csc_c(x, sys, bands),
-            SpmspvData::Csc2d { grid_cols, tiles } => {
-                self.run_csc_2d(x, sys, *grid_cols, tiles)
-            }
-        }
-    }
-
-    /// COO and CSR: stream the whole matrix, match entries against `x`.
-    fn run_matched(
-        &self,
-        x: &SparseVector<S::Elem>,
-        sys: &PimSystem,
-        kind: MatchedKind<'_, S::Elem>,
-    ) -> Result<IterationOutcome<S>, AlphaPimError> {
         let eb = S::elem_bytes();
         let ventry = vec_entry_bytes(eb) as u64;
         let tasklets = sys.config().tasklets_per_dpu;
-        let mut acc = sys.accumulator();
+        let acc = sys.accumulator();
         let mut y = vec![S::zero(); self.n as usize];
-        let mut ops = 0u64;
-        let num_parts = kind.len();
-        let mut retrieve = vec![0u64; num_parts];
-        let part_ids: Vec<u32> = (0..num_parts as u32).collect();
-        let evals = par_map_indexed(&part_ids, |_, &part| {
-            let (rows_range, _) = kind.band(part as usize);
-            let band = (rows_range.end - rows_range.start) as usize;
-            let mut local = vec![S::zero(); band];
-            let mut part_ops = 0u64;
-            let eval = match &kind {
-                MatchedKind::Coo(parts) => acc.evaluate_job(
-                    part,
-                    CooMatchedJob::<S> {
-                        m: &parts[part as usize].matrix,
+        // Zero-length bands (`parts > n`) hold no rows: the row-band
+        // variants broadcast the compressed vector only to the DPUs that
+        // compute.
+        let x_bytes = x.compressed_bytes(eb as usize) as u64;
+        let broadcast = |live: usize| LoadModel::Broadcast { bytes: x_bytes, live: live as u32 };
+        // CSC-C and CSC-2D scatter input segments and merge their outputs'
+        // entries on the host.
+        let merge_entries = MergeModel::Entries { bytes: ventry as u32 };
+        // COO and CSR stream their whole band and land it densely; the
+        // band is compressed on the DPU before retrieval.
+        let mut land_matched = |rows: &Range<u32>, local: &[S::Elem], ops: u64, nnz: usize| {
+            let nnz_out = local.iter().filter(|v| !S::is_zero(v)).count() as u64;
+            y[rows.start as usize..rows.end as usize].copy_from_slice(local);
+            let band_bytes = local.len() as u64 * eb as u64;
+            let retrieve = (nnz_out * ventry).min(band_bytes).max(u64::from(nnz > 0) * ventry);
+            Landed { ops, retrieve, ..Landed::default() }
+        };
+        let launched = match &self.data {
+            SpmspvData::Coo(parts) => {
+                let evals = par_map_indexed(parts, |_, p| {
+                    let (mut local, mut ops) = (vec![S::zero(); p.row_range.len()], 0);
+                    let job = CooMatchedJob::<S> {
+                        m: &p.matrix,
                         x,
                         local_y: &mut local,
                         tasklets,
-                        ops: &mut part_ops,
-                    },
-                ),
-                MatchedKind::Csr(bands) => acc.evaluate_job(
-                    part,
-                    CsrMatchedJob::<S> {
-                        m: &bands[part as usize].matrix,
+                        ops: &mut ops,
+                    };
+                    (acc.evaluate_job(p.part, job), (local, ops))
+                });
+                let load = broadcast(parts.iter().filter(|p| !p.row_range.is_empty()).count());
+                launch(sys, acc, evals, load, MergeModel::None, |part, (mut local, ops), guard| {
+                    let p = &parts[part];
+                    if let Some(guard) = guard {
+                        guard.admit_band::<S>(p.part, p.row_range.start, &mut local);
+                    }
+                    land_matched(&p.row_range, &local, ops, p.matrix.nnz())
+                })
+            }
+            SpmspvData::Csr(bands) => {
+                let evals = par_map_indexed(bands, |part, b| {
+                    let (mut local, mut ops) = (vec![S::zero(); b.rows.len()], 0);
+                    let job = CsrMatchedJob::<S> {
+                        m: &b.matrix,
                         x,
                         local_y: &mut local,
                         tasklets,
-                        ops: &mut part_ops,
-                    },
-                ),
-            };
-            (eval, local, part_ops)
-        });
-        let mut guard = IntegrityGuard::new(sys);
-        for (part, (eval, mut local, part_ops)) in evals.into_iter().enumerate() {
-            let lost = eval.is_lost();
-            let active = eval.is_active();
-            acc.merge(eval);
-            if lost {
-                // Unsurvivable DPU loss: drop the partition's results; the
-                // report completes degraded.
-                continue;
+                        ops: &mut ops,
+                    };
+                    (acc.evaluate_job(part as u32, job), (local, ops))
+                });
+                let load = broadcast(bands.iter().filter(|b| !b.rows.is_empty()).count());
+                launch(sys, acc, evals, load, MergeModel::None, |part, (mut local, ops), guard| {
+                    let b = &bands[part];
+                    if let Some(guard) = guard {
+                        guard.admit_band::<S>(part as u32, b.rows.start, &mut local);
+                    }
+                    land_matched(&b.rows, &local, ops, b.matrix.nnz())
+                })
             }
-            ops += part_ops;
-            let (rows_range, nnz) = kind.band(part);
-            if active {
-                guard.admit_band::<S>(part as u32, rows_range.start, &mut local);
+            // CSC-R: row bands, full compressed vector broadcast,
+            // active-column traversal, shared-WRAM output under mutexes.
+            SpmspvData::CscR(bands) => {
+                let entries: Vec<(u32, S::Elem)> = x.iter().collect();
+                let init = BandScratch::<S>::default;
+                let evals = par_map_indexed_with(bands, init, |scratch, part, b| {
+                    scratch.run(&acc, part as u32, &b.matrix, b.rows.len(), &entries, sys)
+                });
+                let load = broadcast(bands.iter().filter(|b| !b.rows.is_empty()).count());
+                launch(sys, acc, evals, load, MergeModel::None, |part, (mut pairs, ops), guard| {
+                    let b = &bands[part];
+                    let band = b.rows.len();
+                    if let Some(guard) = guard {
+                        guard.admit_pairs::<S>(part as u32, b.rows.start, band, &mut pairs);
+                    }
+                    let retrieve = (pairs.len() as u64 * ventry).min(band as u64 * eb as u64);
+                    // Row bands are disjoint: every pair lands on a `y`
+                    // slot no other band writes.
+                    for (r, v) in pairs {
+                        y[(b.rows.start + r) as usize] = v;
+                    }
+                    Landed { ops, retrieve, ..Landed::default() }
+                })
             }
-            let band = local.len() as u64;
-            let mut nnz_out = 0u64;
-            for (i, v) in local.into_iter().enumerate() {
-                if !S::is_zero(&v) {
-                    nnz_out += 1;
-                }
-                y[rows_range.start as usize + i] = v;
+            // CSC-C: column bands, segmented vector scatter, full-length
+            // partial outputs compressed on the DPU and merged on the host.
+            SpmspvData::CscC(bands) => {
+                let wram_bytes = sys.config().wram_bytes;
+                let evals = par_map_indexed(bands, |part, b| {
+                    let seg = x.slice_range(b.cols.start, b.cols.end);
+                    let entries: Vec<(u32, S::Elem)> = seg.iter().collect();
+                    let mut partial: HashMap<u32, S::Elem> = HashMap::new();
+                    let mut ops = 0u64;
+                    let job = CscActiveJob::<S> {
+                        m: &b.matrix,
+                        x_entries: &entries,
+                        // Output band is the whole vector: never fits WRAM.
+                        band_bytes: u64::MAX,
+                        wram_bytes,
+                        tasklets,
+                        apply: &mut |r, contrib| {
+                            let slot = partial.entry(r).or_insert_with(S::zero);
+                            *slot = S::add(*slot, contrib);
+                        },
+                        ops: &mut ops,
+                    };
+                    let eval = acc.evaluate_job(part as u32, job);
+                    (eval, (partial, seg.compressed_bytes(eb as usize) as u64, ops))
+                });
+                launch(sys, acc, evals, LoadModel::Scatter, merge_entries, |part, out, guard| {
+                    let (mut partial, seg_bytes, ops) = out;
+                    if let Some(guard) = guard {
+                        guard.admit_map::<S>(part as u32, &mut partial);
+                    }
+                    let merged = partial.len() as u64;
+                    let retrieve = (merged * ventry).min(self.n as u64 * eb as u64);
+                    // Distinct keys touch distinct `y` slots, so the map's
+                    // iteration order cannot affect the result.
+                    for (r, v) in partial {
+                        y[r as usize] = S::add(y[r as usize], v);
+                    }
+                    Landed { ops, load: seg_bytes, retrieve, merged }
+                })
             }
-            retrieve[part] = (nnz_out * ventry).min(band * eb as u64).max(u64::from(nnz > 0) * ventry);
-        }
-        let mut kernel = acc.finish();
-        let mut host = CounterSet::new();
-        // Zero-length bands (`parts > n`) hold no rows: the compressed
-        // vector is only broadcast to the DPUs that compute.
-        let live = (0..num_parts).filter(|&p| !kind.band(p).0.is_empty()).count() as u32;
-        let mut phases = PhaseBreakdown {
-            load: sys.broadcast_time_counted(
-                x.compressed_bytes(eb as usize) as u64,
-                live,
-                &mut host,
-            ),
-            kernel: kernel.seconds + KERNEL_LAUNCH_S,
-            retrieve: sys.gather_time_counted(&retrieve, &mut host),
-            merge: 0.0,
+            // CSC-2D: tiles with segmented inputs and banded outputs — the
+            // best overall SpMSpV (§6.1).
+            SpmspvData::Csc2d(tiles) => {
+                let (x_idx, x_vals) = (x.indices(), x.values());
+                let init = || (BandScratch::<S>::default(), Vec::new());
+                let evals = par_map_indexed_with(tiles, init, |(scratch, segment), part, t| {
+                    // The tile's input segment, re-based to its first column.
+                    let lo = x_idx.partition_point(|&i| i < t.cols.start);
+                    let hi = lo + x_idx[lo..].partition_point(|&i| i < t.cols.end);
+                    let seg = x_idx[lo..hi].iter().zip(&x_vals[lo..hi]);
+                    segment.clear();
+                    segment.extend(seg.map(|(&i, &v)| (i - t.cols.start, v)));
+                    let (eval, (pairs, ops)) =
+                        scratch.run(&acc, part as u32, &t.matrix, t.rows.len(), segment, sys);
+                    (eval, (pairs, segment.len() as u64 * ventry, ops))
+                });
+                // Tiles sharing a grid row overlap in `y`; the launch lands
+                // them in tile order, keeping the cross-tile reduction
+                // identical to a sequential run.
+                launch(sys, acc, evals, LoadModel::Scatter, merge_entries, |part, out, guard| {
+                    let (mut pairs, seg_bytes, ops) = out;
+                    let t = &tiles[part];
+                    if let Some(guard) = guard {
+                        guard.admit_pairs::<S>(part as u32, t.rows.start, t.rows.len(), &mut pairs);
+                    }
+                    let merged = pairs.len() as u64;
+                    let retrieve = (merged * ventry).min(t.rows.len() as u64 * eb as u64);
+                    for (r, v) in pairs {
+                        let g = (t.rows.start + r) as usize;
+                        y[g] = S::add(y[g], v);
+                    }
+                    Landed { ops, load: seg_bytes, retrieve, merged }
+                })
+            }
         };
-        kernel.breakdown.counters.merge(&host);
-        guard.finalize(sys, &mut kernel, &mut phases);
-        finish::<S>(y, kernel, phases, ops)
+        Ok(IterationOutcome::new(y, launched))
     }
-
-    /// CSC-R: row bands, full compressed vector broadcast, active-column
-    /// traversal, shared-WRAM output under mutexes.
-    fn run_csc_r(
-        &self,
-        x: &SparseVector<S::Elem>,
-        sys: &PimSystem,
-        bands: &[CscRowBand<S::Elem>],
-    ) -> Result<IterationOutcome<S>, AlphaPimError> {
-        let eb = S::elem_bytes();
-        let ventry = vec_entry_bytes(eb) as u64;
-        let mut acc = sys.accumulator();
-        let mut y = vec![S::zero(); self.n as usize];
-        let mut ops = 0u64;
-        let mut retrieve = vec![0u64; bands.len()];
-        let entries: Vec<(u32, S::Elem)> = x.iter().collect();
-        let evals = par_map_indexed_with(bands, BandScratch::<S>::default, |scratch, part, b| {
-            scratch.run(&acc, part as u32, &b.matrix, b.rows.len(), &entries, sys)
-        });
-        let mut guard = IntegrityGuard::new(sys);
-        for (part, (b, (eval, mut pairs, part_ops))) in bands.iter().zip(evals).enumerate() {
-            let lost = eval.is_lost();
-            let active = eval.is_active();
-            acc.merge(eval);
-            if lost {
-                continue;
-            }
-            let band = b.rows.len();
-            if active {
-                guard.admit_pairs::<S>(part as u32, b.rows.start, band, &mut pairs);
-            }
-            ops += part_ops;
-            // Row bands are disjoint: every pair lands on a `y` slot no
-            // other band writes.
-            let nnz_out = pairs.len() as u64;
-            for (r, v) in pairs {
-                y[(b.rows.start + r) as usize] = v;
-            }
-            retrieve[part] = (nnz_out * ventry).min(band as u64 * eb as u64);
-        }
-        let mut kernel = acc.finish();
-        let mut host = CounterSet::new();
-        let live = bands.iter().filter(|b| !b.rows.is_empty()).count() as u32;
-        let mut phases = PhaseBreakdown {
-            load: sys.broadcast_time_counted(
-                x.compressed_bytes(eb as usize) as u64,
-                live,
-                &mut host,
-            ),
-            kernel: kernel.seconds + KERNEL_LAUNCH_S,
-            retrieve: sys.gather_time_counted(&retrieve, &mut host),
-            merge: 0.0,
-        };
-        kernel.breakdown.counters.merge(&host);
-        guard.finalize(sys, &mut kernel, &mut phases);
-        finish::<S>(y, kernel, phases, ops)
-    }
-
-    /// CSC-C: column bands, segmented vector scatter, full-length partial
-    /// outputs compressed on the DPU and merged on the host.
-    fn run_csc_c(
-        &self,
-        x: &SparseVector<S::Elem>,
-        sys: &PimSystem,
-        bands: &[CscColBand<S::Elem>],
-    ) -> Result<IterationOutcome<S>, AlphaPimError> {
-        let eb = S::elem_bytes();
-        let ventry = vec_entry_bytes(eb) as u64;
-        let tasklets = sys.config().tasklets_per_dpu;
-        let wram_bytes = sys.config().wram_bytes;
-        let mut acc = sys.accumulator();
-        let mut y = vec![S::zero(); self.n as usize];
-        let mut ops = 0u64;
-        let mut load = vec![0u64; bands.len()];
-        let mut retrieve = vec![0u64; bands.len()];
-        let mut merged_elems = 0u64;
-        let evals = par_map_indexed(bands, |part, b| {
-            let seg = x.slice_range(b.cols.start, b.cols.end);
-            let entries: Vec<(u32, S::Elem)> = seg.iter().collect();
-            let seg_bytes = seg.compressed_bytes(eb as usize) as u64;
-            let mut partial: HashMap<u32, S::Elem> = HashMap::new();
-            let mut part_ops = 0u64;
-            let job = CscActiveJob::<S> {
-                m: &b.matrix,
-                x_entries: &entries,
-                // Output band is the whole vector: never fits WRAM.
-                band_bytes: u64::MAX,
-                wram_bytes,
-                tasklets,
-                apply: &mut |r, contrib| {
-                    let slot = partial.entry(r).or_insert_with(S::zero);
-                    *slot = S::add(*slot, contrib);
-                },
-                ops: &mut part_ops,
-            };
-            let eval = acc.evaluate_job(part as u32, job);
-            (eval, partial, seg_bytes, part_ops)
-        });
-        let mut guard = IntegrityGuard::new(sys);
-        for (part, (eval, mut partial, seg_bytes, part_ops)) in evals.into_iter().enumerate() {
-            let lost = eval.is_lost();
-            let active = eval.is_active();
-            acc.merge(eval);
-            if lost {
-                continue;
-            }
-            if active {
-                guard.admit_map::<S>(part as u32, &mut partial);
-            }
-            ops += part_ops;
-            load[part] = seg_bytes;
-            retrieve[part] = (partial.len() as u64 * ventry).min(self.n as u64 * eb as u64);
-            merged_elems += partial.len() as u64;
-            // Distinct keys touch distinct `y` slots, so the map's
-            // iteration order cannot affect the result.
-            for (r, v) in partial {
-                y[r as usize] = S::add(y[r as usize], v);
-            }
-        }
-        let mut kernel = acc.finish();
-        let mut host = CounterSet::new();
-        let mut phases = PhaseBreakdown {
-            load: sys.scatter_time_counted(&load, &mut host),
-            kernel: kernel.seconds + KERNEL_LAUNCH_S,
-            retrieve: sys.gather_time_counted(&retrieve, &mut host),
-            merge: sys.merge_time_counted(merged_elems.max(1), 1, ventry as u32, &mut host),
-        };
-        kernel.breakdown.counters.merge(&host);
-        guard.finalize(sys, &mut kernel, &mut phases);
-        finish::<S>(y, kernel, phases, ops)
-    }
-
-    /// CSC-2D: tiles with segmented inputs and banded outputs — the best
-    /// overall SpMSpV (§6.1).
-    fn run_csc_2d(
-        &self,
-        x: &SparseVector<S::Elem>,
-        sys: &PimSystem,
-        _grid_cols: u32,
-        tiles: &[CscTile<S::Elem>],
-    ) -> Result<IterationOutcome<S>, AlphaPimError> {
-        let eb = S::elem_bytes();
-        let ventry = vec_entry_bytes(eb) as u64;
-        let mut acc = sys.accumulator();
-        let mut y = vec![S::zero(); self.n as usize];
-        let mut ops = 0u64;
-        let mut load = vec![0u64; tiles.len()];
-        let mut retrieve = vec![0u64; tiles.len()];
-        let mut merged_elems = 0u64;
-        let (x_idx, x_vals) = (x.indices(), x.values());
-        let init = || (BandScratch::<S>::default(), Vec::new());
-        let evals = par_map_indexed_with(tiles, init, |(scratch, segment), part, t| {
-            // The tile's input segment, re-based to its first column.
-            let lo = x_idx.partition_point(|&i| i < t.cols.start);
-            let hi = lo + x_idx[lo..].partition_point(|&i| i < t.cols.end);
-            segment.clear();
-            segment.extend(
-                x_idx[lo..hi].iter().zip(&x_vals[lo..hi]).map(|(&i, &v)| (i - t.cols.start, v)),
-            );
-            let (eval, pairs, part_ops) =
-                scratch.run(&acc, part as u32, &t.matrix, t.rows.len(), segment, sys);
-            let seg_bytes = segment.len() as u64 * ventry;
-            (eval, pairs, seg_bytes, part_ops)
-        });
-        // Tiles sharing a grid row overlap in `y`; merge in tile order to
-        // keep the cross-tile reduction identical to a sequential run.
-        let mut guard = IntegrityGuard::new(sys);
-        for (part, (t, (eval, mut pairs, seg_bytes, part_ops))) in
-            tiles.iter().zip(evals).enumerate()
-        {
-            let lost = eval.is_lost();
-            let active = eval.is_active();
-            acc.merge(eval);
-            if lost {
-                continue;
-            }
-            let band = t.rows.len();
-            if active {
-                guard.admit_pairs::<S>(part as u32, t.rows.start, band, &mut pairs);
-            }
-            ops += part_ops;
-            load[part] = seg_bytes;
-            let nnz_out = pairs.len() as u64;
-            for (r, v) in pairs {
-                let g = (t.rows.start + r) as usize;
-                y[g] = S::add(y[g], v);
-            }
-            retrieve[part] = (nnz_out * ventry).min(band as u64 * eb as u64);
-            merged_elems += nnz_out;
-        }
-        let mut kernel = acc.finish();
-        let mut host = CounterSet::new();
-        let mut phases = PhaseBreakdown {
-            load: sys.scatter_time_counted(&load, &mut host),
-            kernel: kernel.seconds + KERNEL_LAUNCH_S,
-            retrieve: sys.gather_time_counted(&retrieve, &mut host),
-            merge: sys.merge_time_counted(merged_elems.max(1), 1, ventry as u32, &mut host),
-        };
-        kernel.breakdown.counters.merge(&host);
-        guard.finalize(sys, &mut kernel, &mut phases);
-        finish::<S>(y, kernel, phases, ops)
-    }
-}
-
-enum MatchedKind<'a, V> {
-    Coo(&'a [alpha_pim_sparse::RowPartition<V>]),
-    Csr(&'a [CsrBand<V>]),
-}
-
-impl<V: Copy> MatchedKind<'_, V> {
-    fn len(&self) -> usize {
-        match self {
-            MatchedKind::Coo(p) => p.len(),
-            MatchedKind::Csr(b) => b.len(),
-        }
-    }
-
-    fn band(&self, i: usize) -> (std::ops::Range<u32>, usize) {
-        match self {
-            MatchedKind::Coo(p) => (p[i].row_range.clone(), p[i].matrix.nnz()),
-            MatchedKind::Csr(b) => (b[i].rows.clone(), b[i].matrix.nnz()),
-        }
-    }
-}
-
-fn finish<S: Semiring>(
-    y: Vec<S::Elem>,
-    kernel: alpha_pim_sim::report::KernelReport,
-    phases: PhaseBreakdown,
-    ops: u64,
-) -> Result<IterationOutcome<S>, AlphaPimError> {
-    let output_nnz = y.iter().filter(|v| !S::is_zero(v)).count();
-    Ok(IterationOutcome {
-        y: DenseVector::from_values(y),
-        phases,
-        kernel,
-        useful_ops: ops,
-        output_nnz,
-    })
 }
 
 /// Binary-search cost of matching one matrix entry against the compressed
@@ -688,8 +509,8 @@ impl<S: Semiring> Default for BandScratch<S> {
 
 impl<S: Semiring> BandScratch<S> {
     /// Runs DPU `dpu`'s partition of `band` output rows against its input
-    /// `entries`. Returns the partition's evaluation, its output pairs, and
-    /// its useful operations.
+    /// `entries`. Returns the partition's evaluation with its output pairs
+    /// and its useful operations.
     fn run(
         &mut self,
         acc: &KernelAccumulator,
@@ -698,7 +519,7 @@ impl<S: Semiring> BandScratch<S> {
         band: usize,
         entries: &[(u32, S::Elem)],
         sys: &PimSystem,
-    ) -> (DpuEval, RowPairs<S::Elem>, u64) {
+    ) -> (DpuEval, (RowPairs<S::Elem>, u64)) {
         let words = band.div_ceil(64);
         if self.acc.len() < band {
             self.acc.resize(band, S::zero());
@@ -744,7 +565,7 @@ impl<S: Semiring> BandScratch<S> {
                 }
             }
         }
-        (eval, pairs, ops)
+        (eval, (pairs, ops))
     }
 }
 

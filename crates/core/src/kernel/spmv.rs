@@ -17,20 +17,21 @@
 
 use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::par::par_map_indexed;
-use alpha_pim_sim::report::{DpuJob, PhaseBreakdown};
+use std::ops::Range;
+
+use alpha_pim_sim::report::DpuJob;
 use alpha_pim_sim::trace::Record;
-use alpha_pim_sim::{CounterSet, PimSystem};
+use alpha_pim_sim::PimSystem;
 use alpha_pim_sparse::partition::{
     near_square_grid, partition_grid, partition_rows, Balance, GridPartition, RowPartition,
 };
 use alpha_pim_sparse::{Coo, DenseVector};
 
 use crate::error::AlphaPimError;
-use crate::kernel::exec::IterationOutcome;
-use crate::kernel::integrity::IntegrityGuard;
+use crate::kernel::exec::{launch, IterationOutcome, Landed, LoadModel, MergeModel};
 use crate::kernel::layout::{
     coo_entry_bytes, edge_base_cost, tasklet_prologue, tasklet_ranges, BlockedOutput,
-    CHUNK_BYTES, CHUNK_OVERHEAD, KERNEL_LAUNCH_S,
+    CHUNK_BYTES, CHUNK_OVERHEAD,
 };
 use crate::kernel::SpmvVariant;
 use crate::semiring::Semiring;
@@ -55,11 +56,11 @@ pub struct PreparedSpmv<S: Semiring> {
     data: SpmvData<S::Elem>,
 }
 
-/// A row band in CSR form for the 1D CSR variants.
+/// A row band in CSR form (the 1D CSR SpMV variants and CSR SpMSpV).
 #[derive(Debug)]
-struct CsrBand<V> {
-    rows: std::ops::Range<u32>,
-    matrix: alpha_pim_sparse::Csr<V>,
+pub(crate) struct CsrBand<V> {
+    pub(crate) rows: Range<u32>,
+    pub(crate) matrix: alpha_pim_sparse::Csr<V>,
 }
 
 #[derive(Debug)]
@@ -180,19 +181,24 @@ impl<S: Semiring> PreparedSpmv<S> {
         let eb = S::elem_bytes() as u64;
         let tasklets = sys.config().tasklets_per_dpu;
         let wram_bytes = sys.config().wram_bytes;
-        let mut acc = sys.accumulator();
+        let acc = sys.accumulator();
         let mut y = vec![S::zero(); self.n as usize];
-        let mut ops: u64 = 0;
-
-        match &self.data {
+        // Zero-length bands (`parts > n`) hold no rows, so the 1D variants
+        // broadcast the vector only to the DPUs that compute.
+        let broadcast =
+            |live: usize| LoadModel::Broadcast { bytes: self.n as u64 * eb, live: live as u32 };
+        // Row bands are disjoint: each lands on a `y` slice no other band
+        // writes.
+        let mut land_band = |rows: &Range<u32>, local: &[S::Elem], nnz: usize| {
+            y[rows.start as usize..rows.end as usize].copy_from_slice(local);
+            Landed { ops: 2 * nnz as u64, retrieve: local.len() as u64 * eb, ..Landed::default() }
+        };
+        let launched = match &self.data {
             SpmvData::Coo1d(parts) => {
-                let mut retrieve = vec![0u64; parts.len()];
-                // Partitions are independent: evaluate them on the pool
-                // (each with its own output band), then merge in partition
-                // order so the report and `y` match a sequential run.
+                // Partitions are independent: evaluate them on the pool,
+                // each with its own output band.
                 let evals = par_map_indexed(parts, |_, p| {
-                    let band = (p.row_range.end - p.row_range.start) as usize;
-                    let mut local = vec![S::zero(); band];
+                    let mut local = vec![S::zero(); p.row_range.len()];
                     let job = CooBandJob::<S> {
                         m: &p.matrix,
                         xs: x.values(),
@@ -203,46 +209,18 @@ impl<S: Semiring> PreparedSpmv<S> {
                     };
                     (acc.evaluate_job(p.part, job), local)
                 });
-                let mut guard = IntegrityGuard::new(sys);
-                for (p, (eval, mut local)) in parts.iter().zip(evals) {
-                    let lost = eval.is_lost();
-                    let active = eval.is_active();
-                    acc.merge(eval);
-                    if lost {
-                        // Unsurvivable DPU loss: drop the partition's
-                        // results; the report completes degraded.
-                        continue;
-                    }
-                    if active {
+                let load = broadcast(parts.iter().filter(|p| !p.row_range.is_empty()).count());
+                launch(sys, acc, evals, load, MergeModel::None, |part, mut local, guard| {
+                    let p = &parts[part];
+                    if let Some(guard) = guard {
                         guard.admit_band::<S>(p.part, p.row_range.start, &mut local);
                     }
-                    ops += 2 * p.matrix.nnz() as u64;
-                    let band = local.len() as u64;
-                    for (i, v) in local.into_iter().enumerate() {
-                        y[p.row_range.start as usize + i] = v;
-                    }
-                    retrieve[p.part as usize] = band * eb;
-                }
-                let mut kernel = acc.finish();
-                let mut host = CounterSet::new();
-                // Zero-length bands (`parts > n`) hold no rows, so the
-                // vector is only broadcast to the DPUs that compute.
-                let live = parts.iter().filter(|p| !p.row_range.is_empty()).count() as u32;
-                let mut phases = PhaseBreakdown {
-                    load: sys.broadcast_time_counted(self.n as u64 * eb, live, &mut host),
-                    kernel: kernel.seconds + KERNEL_LAUNCH_S,
-                    retrieve: sys.gather_time_counted(&retrieve, &mut host),
-                    merge: 0.0,
-                };
-                kernel.breakdown.counters.merge(&host);
-                guard.finalize(sys, &mut kernel, &mut phases);
-                finish_outcome::<S>(y, kernel, phases, ops)
+                    land_band(&p.row_range, &local, p.matrix.nnz())
+                })
             }
             SpmvData::Csr1d(bands) => {
-                let mut retrieve = vec![0u64; bands.len()];
                 let evals = par_map_indexed(bands, |part, b| {
-                    let band = (b.rows.end - b.rows.start) as usize;
-                    let mut local = vec![S::zero(); band];
+                    let mut local = vec![S::zero(); b.rows.len()];
                     let job = CsrBandJob::<S> {
                         m: &b.matrix,
                         xs: x.values(),
@@ -252,39 +230,16 @@ impl<S: Semiring> PreparedSpmv<S> {
                     };
                     (acc.evaluate_job(part as u32, job), local)
                 });
-                let mut guard = IntegrityGuard::new(sys);
-                for (part, (b, (eval, mut local))) in bands.iter().zip(evals).enumerate() {
-                    let lost = eval.is_lost();
-                    let active = eval.is_active();
-                    acc.merge(eval);
-                    if lost {
-                        continue;
-                    }
-                    if active {
+                let load = broadcast(bands.iter().filter(|b| !b.rows.is_empty()).count());
+                launch(sys, acc, evals, load, MergeModel::None, |part, mut local, guard| {
+                    let b = &bands[part];
+                    if let Some(guard) = guard {
                         guard.admit_band::<S>(part as u32, b.rows.start, &mut local);
                     }
-                    ops += 2 * b.matrix.nnz() as u64;
-                    retrieve[part] = local.len() as u64 * eb;
-                    for (i, v) in local.into_iter().enumerate() {
-                        y[b.rows.start as usize + i] = v;
-                    }
-                }
-                let mut kernel = acc.finish();
-                let mut host = CounterSet::new();
-                let live = bands.iter().filter(|b| !b.rows.is_empty()).count() as u32;
-                let mut phases = PhaseBreakdown {
-                    load: sys.broadcast_time_counted(self.n as u64 * eb, live, &mut host),
-                    kernel: kernel.seconds + KERNEL_LAUNCH_S,
-                    retrieve: sys.gather_time_counted(&retrieve, &mut host),
-                    merge: 0.0,
-                };
-                kernel.breakdown.counters.merge(&host);
-                guard.finalize(sys, &mut kernel, &mut phases);
-                finish_outcome::<S>(y, kernel, phases, ops)
+                    land_band(&b.rows, &local, b.matrix.nnz())
+                })
             }
             SpmvData::Dcoo2d(grid) => {
-                let mut load = vec![0u64; grid.tiles.len()];
-                let mut retrieve = vec![0u64; grid.tiles.len()];
                 // A segment cached in WRAM must leave room for the tasklet
                 // streaming buffers and the shared output accumulator, so
                 // only segments up to a quarter of WRAM qualify; larger
@@ -293,13 +248,13 @@ impl<S: Semiring> PreparedSpmv<S> {
                 // stalls to (§6.4.1).
                 let cache_budget = (sys.config().wram_bytes / 4) as u64;
                 let evals = par_map_indexed(&grid.tiles, |_, t| {
-                    let rows = (t.row_range.end - t.row_range.start) as usize;
+                    let rows = t.row_range.len();
                     let seg = &x.values()[t.col_range.start as usize..t.col_range.end as usize];
                     if rows == 0 || seg.is_empty() {
                         // Degenerate tile (more grid rows/cols than
                         // indices): no input segment is scattered to it
                         // and no kernel is launched on it.
-                        return (acc.evaluate(t.part, &[]), Vec::new(), 0u64);
+                        return (acc.evaluate(t.part, &[]), (Vec::new(), 0u64));
                     }
                     let seg_bytes = seg.len() as u64 * eb;
                     let access = if seg_bytes <= cache_budget {
@@ -316,65 +271,34 @@ impl<S: Semiring> PreparedSpmv<S> {
                         access,
                         wram_bytes,
                     };
-                    (acc.evaluate_job(t.part, job), local, seg_bytes)
+                    (acc.evaluate_job(t.part, job), (local, seg_bytes))
                 });
-                // Tiles in the same grid row overlap in `y`, so the
-                // cross-tile reduction must stay in tile order (semiring
-                // `add` is not assumed commutative-exact over f32).
-                let mut guard = IntegrityGuard::new(sys);
-                for (t, (eval, mut local, seg_bytes)) in grid.tiles.iter().zip(evals) {
-                    let lost = eval.is_lost();
-                    let active = eval.is_active();
-                    acc.merge(eval);
-                    if lost {
-                        continue;
-                    }
-                    if active {
+                let merge = MergeModel::Grid {
+                    elements: self.n as u64,
+                    fan_in: grid.merge_fan_in(),
+                    bytes: eb as u32,
+                };
+                // Tiles in the same grid row overlap in `y`; the launch
+                // lands them in tile order, so the cross-tile reduction
+                // matches a sequential run (semiring `add` is not assumed
+                // commutative-exact over f32).
+                let load = LoadModel::Scatter;
+                launch(sys, acc, evals, load, merge, |part, (mut local, seg_bytes), guard| {
+                    let t = &grid.tiles[part];
+                    if let Some(guard) = guard {
                         guard.admit_band::<S>(t.part, t.row_range.start, &mut local);
                     }
-                    ops += 2 * t.matrix.nnz() as u64;
-                    retrieve[t.part as usize] = local.len() as u64 * eb;
+                    let retrieve = local.len() as u64 * eb;
                     for (i, v) in local.into_iter().enumerate() {
                         let g = t.row_range.start as usize + i;
                         y[g] = S::add(y[g], v);
                     }
-                    load[t.part as usize] = seg_bytes;
-                }
-                let mut kernel = acc.finish();
-                let mut host = CounterSet::new();
-                let mut phases = PhaseBreakdown {
-                    load: sys.scatter_time_counted(&load, &mut host),
-                    kernel: kernel.seconds + KERNEL_LAUNCH_S,
-                    retrieve: sys.gather_time_counted(&retrieve, &mut host),
-                    merge: sys.merge_time_counted(
-                        self.n as u64,
-                        grid.merge_fan_in(),
-                        eb as u32,
-                        &mut host,
-                    ),
-                };
-                kernel.breakdown.counters.merge(&host);
-                guard.finalize(sys, &mut kernel, &mut phases);
-                finish_outcome::<S>(y, kernel, phases, ops)
+                    Landed { ops: 2 * t.matrix.nnz() as u64, load: seg_bytes, retrieve, merged: 0 }
+                })
             }
-        }
+        };
+        Ok(IterationOutcome::new(y, launched))
     }
-}
-
-fn finish_outcome<S: Semiring>(
-    y: Vec<S::Elem>,
-    kernel: alpha_pim_sim::report::KernelReport,
-    phases: PhaseBreakdown,
-    ops: u64,
-) -> Result<IterationOutcome<S>, AlphaPimError> {
-    let output_nnz = y.iter().filter(|v| !S::is_zero(v)).count();
-    Ok(IterationOutcome {
-        y: DenseVector::from_values(y),
-        phases,
-        kernel,
-        useful_ops: ops,
-        output_nnz,
-    })
 }
 
 /// Functional + trace execution of one DPU's COO band with a dense input

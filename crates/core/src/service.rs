@@ -37,7 +37,7 @@ use alpha_pim_sim::{CounterId, CounterSet, HostCrashPlan, OpenLoopArrivals};
 use alpha_pim_sparse::gen::rng::SplitMix64;
 use alpha_pim_sparse::{Graph, MutationBatch};
 
-use crate::delta::DynamicGraph;
+use crate::delta::{land_epoch, DynamicGraph};
 use crate::error::AlphaPimError;
 use crate::framework::AlphaPim;
 use crate::recover::{BatchCheckpoint, CheckpointStore};
@@ -686,7 +686,8 @@ impl<'a> ServiceEngine<'a> {
             // resume).
             while mnext < mutations.len() && mutations[mnext].at_cycle <= clock {
                 if let Some(d) = dynamics.as_mut() {
-                    apply_mutation(&mut self.serve, d, &mutations[mnext], &mut counters)?;
+                    let m = &mutations[mnext];
+                    land_epoch(&mut self.serve, &mut d[m.graph as usize], &m.batch, &mut counters)?;
                 }
                 mnext += 1;
             }
@@ -810,7 +811,8 @@ impl<'a> ServiceEngine<'a> {
         // end at their final version and the ledgers stay complete.
         while mnext < mutations.len() {
             if let Some(d) = dynamics.as_mut() {
-                apply_mutation(&mut self.serve, d, &mutations[mnext], &mut counters)?;
+                let m = &mutations[mnext];
+                land_epoch(&mut self.serve, &mut d[m.graph as usize], &m.batch, &mut counters)?;
             }
             mnext += 1;
         }
@@ -852,34 +854,6 @@ impl<'a> ServiceEngine<'a> {
             cycle_seconds: self.cycle_seconds,
         }))
     }
-}
-
-/// Applies one admitted mutation event: advances its graph's epoch, evicts
-/// the stale epoch's prepared kernels from the partition cache exactly
-/// once, and records the epoch in the `delta.*` ledgers.
-fn apply_mutation(
-    serve: &mut ServeEngine<'_>,
-    dynamics: &mut [DynamicGraph],
-    m: &MutationEvent,
-    counters: &mut CounterSet,
-) -> Result<(), AlphaPimError> {
-    let d = &mut dynamics[m.graph as usize];
-    let report = d.apply(&m.batch)?;
-    if report.fingerprint != report.previous_fingerprint {
-        let (entries, bytes) = serve.invalidate_graph(report.previous_fingerprint);
-        counters.add(CounterId::ServeCacheEvictions, entries);
-        counters.add(CounterId::ServeEvictedBytes, bytes);
-    }
-    counters.add(CounterId::DeltaEpochs, 1);
-    counters.add(CounterId::DeltaEdgesRequested, report.stats.requested);
-    counters.add(CounterId::DeltaEdgesApplied, report.stats.applied());
-    counters.add(CounterId::DeltaEdgesInserted, report.stats.inserted);
-    counters.add(CounterId::DeltaEdgesDeleted, report.stats.deleted);
-    counters.add(CounterId::DeltaEdgesRedundant, report.stats.redundant);
-    counters.add(CounterId::DeltaPartitionsTotal, d.plan().parts() as u64);
-    counters.add(CounterId::DeltaPartitionsDirty, report.dirty_partitions);
-    counters.add(CounterId::DeltaPartitionsClean, report.clean_partitions);
-    Ok(())
 }
 
 /// Admits `p` into the bounded queue, rejecting the lowest-priority,

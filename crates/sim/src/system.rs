@@ -3,7 +3,6 @@
 
 use crate::config::PimConfig;
 use crate::counters::{CounterId, CounterSet};
-use crate::energy::EnergyModel;
 use crate::faults::FaultEngine;
 use crate::report::KernelAccumulator;
 use crate::{host, resilience, transfer};
@@ -45,7 +44,6 @@ const XFER_BYTES: [CounterId; 3] =
 #[derive(Debug, Clone)]
 pub struct PimSystem {
     cfg: PimConfig,
-    energy: EnergyModel,
     /// Seeded fault oracle, present only when the config carries a
     /// non-inert [`crate::config::FaultPlan`]. Built from the same pure
     /// derivation as [`KernelAccumulator`]'s engine, so system-level
@@ -63,22 +61,12 @@ impl PimSystem {
     pub fn new(cfg: PimConfig) -> Result<Self, String> {
         cfg.validate()?;
         let faults = FaultEngine::from_config(&cfg);
-        Ok(PimSystem { cfg, energy: EnergyModel::default(), faults })
+        Ok(PimSystem { cfg, faults })
     }
 
     /// The system configuration.
     pub fn config(&self) -> &PimConfig {
         &self.cfg
-    }
-
-    /// The energy model used for Table 4-style comparisons.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
-
-    /// Replaces the energy model.
-    pub fn set_energy_model(&mut self, model: EnergyModel) {
-        self.energy = model;
     }
 
     /// Number of DPUs available to kernels.
@@ -135,41 +123,23 @@ impl PimSystem {
         )
     }
 
-    /// Seconds to scatter distinct payloads to the DPUs (CPU→DPU).
-    pub fn scatter_time(&self, per_dpu_bytes: &[u64]) -> f64 {
-        transfer::scatter(&self.cfg.transfer, per_dpu_bytes)
-    }
-
-    /// Seconds to broadcast the same payload to `num_dpus` DPUs.
-    pub fn broadcast_time(&self, bytes: u64, num_dpus: u32) -> f64 {
-        transfer::broadcast(&self.cfg.transfer, bytes, num_dpus)
-    }
-
-    /// Seconds to gather distinct payloads from the DPUs (DPU→CPU).
-    pub fn gather_time(&self, per_dpu_bytes: &[u64]) -> f64 {
-        transfer::gather(&self.cfg.transfer, per_dpu_bytes)
-    }
-
-    /// Seconds for the host to merge partial outputs.
-    pub fn merge_time(&self, elements: u64, fan_in: u32, bytes_per_element: u32) -> f64 {
-        host::merge_time(&self.cfg.host, elements, fan_in, bytes_per_element)
-    }
-
     /// Seconds for the host to scan a vector once (convergence check).
     pub fn scan_time(&self, elements: u64, bytes_per_element: u32) -> f64 {
         host::scan_time(&self.cfg.host, elements, bytes_per_element)
     }
 
-    /// [`Self::scatter_time`] that records bus traffic into `counters`,
-    /// including timeout retransmissions under an active fault plan.
+    /// Seconds to scatter distinct payloads to the DPUs (CPU→DPU),
+    /// recording bus traffic into `counters`, including timeout
+    /// retransmissions under an active fault plan.
     pub fn scatter_time_counted(&self, per_dpu_bytes: &[u64], counters: &mut CounterSet) -> f64 {
         let (seq, bytes) = (counters.get(CounterId::XferBatches), counters.sum(&XFER_BYTES));
         let base = transfer::scatter_counted(&self.cfg.transfer, per_dpu_bytes, counters);
         self.with_timeouts(seq, bytes, base, counters)
     }
 
-    /// [`Self::broadcast_time`] that records bus traffic into `counters`,
-    /// including timeout retransmissions under an active fault plan.
+    /// Seconds to broadcast the same payload to `num_dpus` DPUs, recording
+    /// bus traffic into `counters`, including timeout retransmissions under
+    /// an active fault plan.
     pub fn broadcast_time_counted(
         &self,
         bytes: u64,
@@ -181,15 +151,17 @@ impl PimSystem {
         self.with_timeouts(seq, before, base, counters)
     }
 
-    /// [`Self::gather_time`] that records bus traffic into `counters`,
-    /// including timeout retransmissions under an active fault plan.
+    /// Seconds to gather distinct payloads from the DPUs (DPU→CPU),
+    /// recording bus traffic into `counters`, including timeout
+    /// retransmissions under an active fault plan.
     pub fn gather_time_counted(&self, per_dpu_bytes: &[u64], counters: &mut CounterSet) -> f64 {
         let (seq, bytes) = (counters.get(CounterId::XferBatches), counters.sum(&XFER_BYTES));
         let base = transfer::gather_counted(&self.cfg.transfer, per_dpu_bytes, counters);
         self.with_timeouts(seq, bytes, base, counters)
     }
 
-    /// [`Self::merge_time`] that records host-side work into `counters`.
+    /// Seconds for the host to merge partial outputs, recording host-side
+    /// work into `counters`.
     pub fn merge_time_counted(
         &self,
         elements: u64,
@@ -282,10 +254,11 @@ mod tests {
     #[test]
     fn transfer_and_host_helpers_delegate() {
         let sys = PimSystem::new(PimConfig::with_dpus(64)).unwrap();
-        assert!(sys.broadcast_time(1 << 20, 64) > 0.0);
-        assert!(sys.scatter_time(&vec![1024; 64]) > 0.0);
-        assert!(sys.gather_time(&vec![1024; 64]) > 0.0);
-        assert!(sys.merge_time(1 << 20, 4, 4) > 0.0);
+        let mut k = CounterSet::new();
+        assert!(sys.broadcast_time_counted(1 << 20, 64, &mut k) > 0.0);
+        assert!(sys.scatter_time_counted(&vec![1024; 64], &mut k) > 0.0);
+        assert!(sys.gather_time_counted(&vec![1024; 64], &mut k) > 0.0);
+        assert!(sys.merge_time_counted(1 << 20, 4, 4, &mut k) > 0.0);
         assert!(sys.scan_time(1 << 20, 4) > 0.0);
     }
 
@@ -293,20 +266,24 @@ mod tests {
     fn counted_helpers_agree_with_uncounted_ones() {
         use crate::counters::CounterId;
         let sys = PimSystem::new(PimConfig::with_dpus(64)).unwrap();
+        let (xfer, hcfg) = (&sys.config().transfer, &sys.config().host);
         let mut k = CounterSet::new();
         assert_eq!(
             sys.broadcast_time_counted(1 << 20, 64, &mut k),
-            sys.broadcast_time(1 << 20, 64)
+            transfer::broadcast(xfer, 1 << 20, 64)
         );
         assert_eq!(
             sys.scatter_time_counted(&vec![1024; 64], &mut k),
-            sys.scatter_time(&vec![1024; 64])
+            transfer::scatter(xfer, &vec![1024; 64])
         );
         assert_eq!(
             sys.gather_time_counted(&vec![1024; 64], &mut k),
-            sys.gather_time(&vec![1024; 64])
+            transfer::gather(xfer, &vec![1024; 64])
         );
-        assert_eq!(sys.merge_time_counted(1 << 20, 4, 4, &mut k), sys.merge_time(1 << 20, 4, 4));
+        assert_eq!(
+            sys.merge_time_counted(1 << 20, 4, 4, &mut k),
+            host::merge_time(hcfg, 1 << 20, 4, 4)
+        );
         assert_eq!(sys.scan_time_counted(1 << 20, 4, &mut k), sys.scan_time(1 << 20, 4));
         assert_eq!(k.get(CounterId::XferBatches), 3);
         assert_eq!(k.get(CounterId::HostReductions), 2);

@@ -8,6 +8,7 @@
 use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::par::set_sim_threads;
 use alpha_pim_sim::trace::TaskletTrace;
+use alpha_pim_sim::transfer;
 use alpha_pim_sim::{
     CounterId, CounterSet, FaultPlan, KernelReport, ObservabilityLevel, PimConfig, PimSystem,
     SimFidelity,
@@ -208,7 +209,7 @@ fn transfer_timeouts_retry_with_backoff_and_balance_the_ledger() {
     let mut counters = CounterSet::new();
     let mut slower = 0u32;
     for i in 0..32u64 {
-        let clean = clean_sys.scatter_time(&payloads);
+        let clean = transfer::scatter(&clean_sys.config().transfer, &payloads);
         let t = sys.scatter_time_counted(&payloads, &mut counters);
         assert!(t >= clean, "iteration {i}: a timeout can only slow a batch down");
         if t > clean {

@@ -33,6 +33,10 @@ for f in "${files[@]}"; do
                 "sdc \(.injected) injected / \(.escaped) escaped verified (\(.escaped_unverified) unverified) over \(.cases | length) cases"
             elif .saved_fraction != null then
                 "frontier saved \((.saved_fraction * 10000 | round) / 100)%, \(.epochs) epochs x \(.ops_per_epoch) ops on \(.graph)"
+            elif .launches != null then
+                "on \(.threads_par // "?") threads (\(.cores // "?") cores)" as $on
+                | [.launches[] | "\(.name) " + (if .speedup != null then "\(.speedup)x" else "not measured" end)]
+                | join(", ") + " " + $on
             elif .speedup != null and .broadcast_bytes_saved != null then
                 "\(.speedup)x batched, \(.broadcast_bytes_saved) bytes saved"
             elif .speedup != null then
