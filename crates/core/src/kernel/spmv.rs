@@ -15,10 +15,10 @@
 //! entry regardless of how sparse the vector's *content* is — which is why
 //! its per-iteration time stays flat across BFS/SSSP iterations (Fig 4).
 
-use alpha_pim_sim::instr::InstrClass;
-use alpha_pim_sim::par::par_map_indexed;
 use std::ops::Range;
 
+use alpha_pim_sim::instr::InstrClass;
+use alpha_pim_sim::par::par_map_indexed;
 use alpha_pim_sim::report::DpuJob;
 use alpha_pim_sim::trace::Record;
 use alpha_pim_sim::PimSystem;
