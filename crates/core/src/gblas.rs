@@ -35,7 +35,7 @@ use alpha_pim_sim::report::PhaseBreakdown;
 use alpha_pim_sim::PimSystem;
 use alpha_pim_sparse::{Coo, SparseVector};
 
-use crate::apps::{AppOptions, KernelPolicy, MvEngine};
+use crate::apps::{AppOptions, MvEngine};
 use crate::error::AlphaPimError;
 use crate::semiring::Semiring;
 
@@ -225,9 +225,8 @@ impl Mask {
 }
 
 /// A matrix prepared for masked vector×matrix products with adaptive
-/// kernel selection: the applications' engine under
-/// [`KernelPolicy::FixedThreshold`], over the default DCOO-2D and CSC-2D
-/// variants.
+/// kernel selection: the applications' engine running the default
+/// DCOO-2D and CSC-2D variants with the given switch threshold.
 #[derive(Debug)]
 pub struct GbMatrix<S: Semiring> {
     engine: MvEngine<S>,
@@ -246,9 +245,7 @@ impl<S: Semiring> GbMatrix<S> {
         threshold: f64,
         sys: &PimSystem,
     ) -> Result<Self, AlphaPimError> {
-        let options =
-            AppOptions { policy: KernelPolicy::FixedThreshold(threshold), ..AppOptions::default() };
-        Ok(GbMatrix { engine: MvEngine::new(matrix, &options, threshold, sys)? })
+        Ok(GbMatrix { engine: MvEngine::new(matrix, &AppOptions::default(), threshold, sys)? })
     }
 
     /// The matrix dimension.
