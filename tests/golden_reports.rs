@@ -10,7 +10,10 @@
 //! dense frontier, fault-free and faulty, plus BFS, SSSP and PPR runs.
 //! The launch-path digests freeze, on the same machine, what every kernel
 //! variant does after its partitions evaluate, under five fault plans,
-//! and one digest freezes triangle counting's fault-free launch.
+//! and one digest freezes triangle counting's fault-free launch. The
+//! `Analytic` goldens freeze the closed-form prediction on the same
+//! 64-DPU machine: every kernel variant under two semirings, BFS, SSSP and
+//! PPR runs, and every per-DPU and per-tasklet record of two launches.
 //!
 //! Last regeneration: the counter registry grew the six `sdc.*`
 //! silent-corruption ledgers and the six `quarantine.*` scoreboard
@@ -20,7 +23,7 @@
 //! `sdc.*=0` / `quarantine.*=0` lines with nothing else moving.
 
 use alpha_pim::apps::{AppOptions, AppReport, PprOptions};
-use alpha_pim::semiring::BoolOrAnd;
+use alpha_pim::semiring::{BoolOrAnd, PlusTimes, Semiring};
 use alpha_pim::serve::{BatchOutcome, Query, ServeConfig, ServeEngine};
 use alpha_pim::{
     AlphaPim, CheckpointPolicy, MultiVector, PreparedSpmm, PreparedSpmspv, PreparedSpmv,
@@ -33,7 +36,7 @@ use alpha_pim_sim::{
     CounterId, FaultPlan, HostCrashPlan, ObservabilityLevel, PimConfig, PimSystem,
     ResiliencePolicy, SimFidelity,
 };
-use alpha_pim_sparse::{gen, Coo, Graph};
+use alpha_pim_sparse::{gen, Coo, Graph, SparseVector};
 
 fn system() -> PimSystem {
     PimSystem::new(PimConfig {
@@ -370,14 +373,15 @@ fn report_digest(h: &mut Fnv, r: &KernelReport) {
     }
 }
 
-/// Runs `launch` on the fault-free and the faulty sampled system at both
-/// frontiers, labelling each digest `clean/one`, `faulty/dense`, ….
-fn sampled_digests(
+/// Runs `launch` on the fault-free and the faulty system `config` builds
+/// at both frontiers, labelling each digest `clean/one`, `faulty/dense`, ….
+fn frontier_digests(
+    config: fn(Option<FaultPlan>) -> PimConfig,
     launch: impl Fn(&PimSystem, &str) -> (KernelReport, Vec<u64>),
 ) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (mode, faults) in [("clean", None), ("faulty", Some(fault_plan()))] {
-        let sys = PimSystem::new(sampled_config(faults)).expect("valid config");
+        let sys = PimSystem::new(config(faults)).expect("valid config");
         for which in FRONTIERS {
             let (report, y) = launch(&sys, which);
             let mut h = Fnv::new();
@@ -406,7 +410,7 @@ fn sampled_spmv_reports_match_golden_digests() {
     let m = matrix();
     let mut actual = Vec::new();
     for variant in SpmvVariant::ALL {
-        for (label, d) in sampled_digests(|sys, which| {
+        for (label, d) in frontier_digests(sampled_config, |sys, which| {
             let x = frontier(which).to_dense(0u32);
             let out = PreparedSpmv::<BoolOrAnd>::prepare(&m, variant, sys)
                 .expect("fits")
@@ -425,7 +429,7 @@ fn sampled_spmspv_reports_match_golden_digests() {
     let m = matrix();
     let mut actual = Vec::new();
     for variant in SpmspvVariant::ALL {
-        for (label, d) in sampled_digests(|sys, which| {
+        for (label, d) in frontier_digests(sampled_config, |sys, which| {
             let out = PreparedSpmspv::<BoolOrAnd>::prepare(&m, variant, sys)
                 .expect("fits")
                 .run(&frontier(which), sys)
@@ -441,7 +445,7 @@ fn sampled_spmspv_reports_match_golden_digests() {
 #[test]
 fn sampled_spmm_reports_match_golden_digests() {
     let m = matrix();
-    let actual = sampled_digests(|sys, which| {
+    let actual = frontier_digests(sampled_config, |sys, which| {
         let mut x = MultiVector::filled(3_000, 4, 0u32);
         for (i, &v) in frontier(which).to_dense(0u32).values().iter().enumerate() {
             for j in 0..4 {
@@ -463,14 +467,13 @@ fn sampled_engine() -> AlphaPim {
     AlphaPim::new(sampled_config(None)).expect("valid config")
 }
 
-#[test]
-fn sampled_app_runs_match_golden_digests() {
-    let engine = sampled_engine();
+/// BFS, SSSP and PPR digests of `engine`'s runs from vertex 0.
+fn app_run_digests(engine: &AlphaPim) -> Vec<(String, u64)> {
     let opts = AppOptions::default();
     let bfs = engine.bfs(&app_graph(), 0, &opts).expect("runs");
     let sssp = engine.sssp(&weighted_app_graph(), 0, &opts).expect("runs");
     let ppr = engine.ppr(&app_graph(), 0, &PprOptions::default()).expect("runs");
-    let actual = vec![
+    vec![
         ("bfs".to_string(), app_digest(bfs.levels.iter().map(|&l| u64::from(l)), &bfs.report)),
         (
             "sssp".to_string(),
@@ -480,7 +483,12 @@ fn sampled_app_runs_match_golden_digests() {
             "ppr".to_string(),
             app_digest(ppr.scores.iter().map(|s| u64::from(s.to_bits())), &ppr.report),
         ),
-    ];
+    ]
+}
+
+#[test]
+fn sampled_app_runs_match_golden_digests() {
+    let actual = app_run_digests(&sampled_engine());
     assert_digests(&actual, SAMPLED_APP_GOLDEN, "sampled app run");
 }
 
@@ -663,6 +671,141 @@ fn triangle_count_matches_golden_digest() {
     assert_app_golden(h.0, TRIANGLE_GOLDEN, "triangle count");
 }
 
+/// The `Analytic` goldens: the same 64-DPU machine with no replay, every
+/// DPU predicted in closed form from its recorded `TaskletStats`. The
+/// sampled goldens read those statistics only through three totals, so
+/// these freeze the per-segment ones the prediction reads too: pre-DMA and
+/// last-DMA positions, mutex-held instructions and register reads. Every
+/// kernel runs under `BoolOrAnd`, whose op costs are single-class, and
+/// under `PlusTimes`, whose costs fill all three compute classes.
+fn analytic_config(faults: Option<FaultPlan>) -> PimConfig {
+    PimConfig { num_dpus: 64, fidelity: SimFidelity::Analytic, faults, ..Default::default() }
+}
+
+/// `v` lifted into semiring `S`.
+fn lift<S: Semiring>(v: &SparseVector<u32>) -> SparseVector<S::Elem> {
+    let vals = v.values().iter().map(|&w| S::from_weight(w)).collect();
+    SparseVector::from_pairs(v.len(), v.indices().to_vec(), vals).expect("same indices")
+}
+
+/// The exact bit patterns of `values`.
+fn elem_words<S: Semiring>(values: &[S::Elem]) -> Vec<u64> {
+    values.iter().map(|&v| S::elem_bits(v)).collect()
+}
+
+/// Every SpMV and SpMSpV variant and SpMM under `S` on the analytic
+/// machine, labelled `{semiring}/{kernel}/{mode}/{frontier}`.
+fn analytic_kernel_digests<S: Semiring>(semiring: &str) -> Vec<(String, u64)> {
+    let m = matrix().map(S::from_weight);
+    let mut out = Vec::new();
+    let mut push = |kernel: &str, digests: Vec<(String, u64)>| {
+        out.extend(digests.into_iter().map(|(l, d)| (format!("{semiring}/{kernel}/{l}"), d)));
+    };
+    for variant in SpmvVariant::ALL {
+        push(
+            &variant.to_string(),
+            frontier_digests(analytic_config, |sys, which| {
+                let x = lift::<S>(&frontier(which)).to_dense(S::zero());
+                let out = PreparedSpmv::<S>::prepare(&m, variant, sys)
+                    .expect("fits")
+                    .run(&x, sys)
+                    .expect("dims");
+                (out.kernel, elem_words::<S>(out.y.values()))
+            }),
+        );
+    }
+    for variant in SpmspvVariant::ALL {
+        push(
+            &variant.to_string(),
+            frontier_digests(analytic_config, |sys, which| {
+                let out = PreparedSpmspv::<S>::prepare(&m, variant, sys)
+                    .expect("fits")
+                    .run(&lift::<S>(&frontier(which)), sys)
+                    .expect("dims");
+                (out.kernel, elem_words::<S>(out.y.values()))
+            }),
+        );
+    }
+    push(
+        "SpMM",
+        frontier_digests(analytic_config, |sys, which| {
+            let dense = lift::<S>(&frontier(which)).to_dense(S::zero());
+            let mut x = MultiVector::filled(3_000, 4, S::zero());
+            for (i, &v) in dense.values().iter().enumerate() {
+                for j in 0..4 {
+                    x.set(i, j, v);
+                }
+            }
+            let out = PreparedSpmm::<S>::prepare(&m, 4, sys)
+                .expect("fits")
+                .run(&x, sys)
+                .expect("dims");
+            let cells = (0..3_000).flat_map(|i| (0..4).map(move |j| (i, j)));
+            (out.kernel, cells.map(|(i, j)| S::elem_bits(out.y.get(i, j))).collect())
+        }),
+    );
+    out
+}
+
+#[test]
+fn analytic_bool_kernels_match_golden_digests() {
+    let actual = analytic_kernel_digests::<BoolOrAnd>("bool");
+    assert_digests(&actual, ANALYTIC_BOOL_GOLDEN, "analytic BoolOrAnd kernel");
+}
+
+#[test]
+fn analytic_plus_times_kernels_match_golden_digests() {
+    let actual = analytic_kernel_digests::<PlusTimes>("plus-times");
+    assert_digests(&actual, ANALYTIC_PLUS_TIMES_GOLDEN, "analytic PlusTimes kernel");
+}
+
+#[test]
+fn analytic_app_runs_match_golden_digests() {
+    let engine = AlphaPim::new(analytic_config(None)).expect("valid config");
+    assert_digests(&app_run_digests(&engine), ANALYTIC_APP_GOLDEN, "analytic app run");
+}
+
+/// Every `DpuDetail` of one DCOO-2D SpMV (dense frontier) and one CSC-2D
+/// SpMSpV (10 % frontier) launch under `PlusTimes` on the analytic machine
+/// at `PerTasklet` observability: each DPU's id, makespan, instructions,
+/// counter rollup and every tasklet's cycle attribution.
+#[test]
+fn analytic_per_tasklet_details_match_golden_digest() {
+    let config =
+        PimConfig { observability: ObservabilityLevel::PerTasklet, ..analytic_config(None) };
+    let sys = PimSystem::new(config).expect("valid config");
+    let m = matrix().map(PlusTimes::from_weight);
+    let x = lift::<PlusTimes>(&frontier("dense")).to_dense(0.0);
+    let spmv = PreparedSpmv::<PlusTimes>::prepare(&m, SpmvVariant::Dcoo2d, &sys)
+        .expect("fits")
+        .run(&x, &sys)
+        .expect("dims");
+    let spmspv = PreparedSpmspv::<PlusTimes>::prepare(&m, SpmspvVariant::Csc2d, &sys)
+        .expect("fits")
+        .run(&lift::<PlusTimes>(&striped_vector(3_000, 0.1)), &sys)
+        .expect("dims");
+    let mut h = Fnv::new();
+    for report in [&spmv.kernel, &spmspv.kernel] {
+        assert_eq!(report.dpu_details.len(), 64, "every DPU keeps its record");
+        for d in &report.dpu_details {
+            assert!(!d.tasklets.is_empty(), "DPU {} keeps its tasklets", d.dpu_id);
+            h.word(u64::from(d.dpu_id));
+            h.word(d.total_cycles);
+            h.word(d.issued_instructions);
+            for (_, v) in d.counters.iter() {
+                h.word(v);
+            }
+            h.word(d.tasklets.len() as u64);
+            for t in &d.tasklets {
+                for (_, v) in t.iter() {
+                    h.word(v);
+                }
+            }
+        }
+    }
+    assert_app_golden(h.0, ANALYTIC_PER_TASKLET_GOLDEN, "analytic per-tasklet details");
+}
+
 const SAMPLED_SPMV_GOLDEN: &[(&str, u64)] = &[
     ("COO.nnz-1D/clean/one", 0x3c70_d668_5e43_8fea),
     ("COO.nnz-1D/clean/dense", 0x1886_5cc0_26f1_91ab),
@@ -772,6 +915,96 @@ const SPMM_LAUNCH_GOLDEN: &[(&str, u64)] = &[
     ("SpMM/loss", 0x9c4d_08f5_42d6_faed),
 ];
 const TRIANGLE_GOLDEN: u64 = 0x4a4a_0ab0_94ba_0f26;
+const ANALYTIC_BOOL_GOLDEN: &[(&str, u64)] = &[
+    ("bool/COO.nnz-1D/clean/one", 0xf897_c49d_7d88_fe93),
+    ("bool/COO.nnz-1D/clean/dense", 0x8bdb_4570_6ceb_0853),
+    ("bool/COO.nnz-1D/faulty/one", 0x1578_8167_d9bc_1e22),
+    ("bool/COO.nnz-1D/faulty/dense", 0x8235_0094_ea5a_1462),
+    ("bool/CSR.row-1D/clean/one", 0x9f1c_ad0a_f3d3_79d4),
+    ("bool/CSR.row-1D/clean/dense", 0x0bd9_2c38_0471_7014),
+    ("bool/CSR.row-1D/faulty/one", 0xccb1_0270_61bd_561b),
+    ("bool/CSR.row-1D/faulty/dense", 0x5ff4_8343_511f_5fdb),
+    ("bool/CSR.nnz-1D/clean/one", 0xe714_715b_4425_1671),
+    ("bool/CSR.nnz-1D/clean/dense", 0x7a57_f22e_3387_2031),
+    ("bool/CSR.nnz-1D/faulty/one", 0x3d44_5249_e0f0_7644),
+    ("bool/CSR.nnz-1D/faulty/dense", 0xaa00_d176_f18e_6c84),
+    ("bool/DCOO-2D/clean/one", 0x5a49_a470_f4a4_a41b),
+    ("bool/DCOO-2D/clean/dense", 0xed8d_2543_e406_addb),
+    ("bool/DCOO-2D/faulty/one", 0xd4d8_dc6a_d277_2f4a),
+    ("bool/DCOO-2D/faulty/dense", 0x4195_5b97_e315_258a),
+    ("bool/COO/clean/one", 0xd84f_9e17_51c9_5bde),
+    ("bool/COO/clean/dense", 0x00ae_7948_6d62_b6d1),
+    ("bool/COO/faulty/one", 0x1991_dd74_0fb8_2d64),
+    ("bool/COO/faulty/dense", 0x312f_e7bb_adf7_b046),
+    ("bool/CSR/clean/one", 0x1ac5_5dba_30fc_ef92),
+    ("bool/CSR/clean/dense", 0xa998_17b2_2d83_5d47),
+    ("bool/CSR/faulty/one", 0x76c6_60f7_392a_bac5),
+    ("bool/CSR/faulty/dense", 0xe40f_ed86_8818_4946),
+    ("bool/CSC-R/clean/one", 0x0923_6baf_27a2_8423),
+    ("bool/CSC-R/clean/dense", 0xa91c_22b6_72d6_5b29),
+    ("bool/CSC-R/faulty/one", 0xc9c1_72dc_c2a3_4d8c),
+    ("bool/CSC-R/faulty/dense", 0xbb79_160d_b98f_8823),
+    ("bool/CSC-C/clean/one", 0xb2bb_944f_deca_42ff),
+    ("bool/CSC-C/clean/dense", 0x6a5c_c3e8_de73_a1e1),
+    ("bool/CSC-C/faulty/one", 0x9775_e80d_35c7_8c46),
+    ("bool/CSC-C/faulty/dense", 0x1c20_a70b_43e9_ee3f),
+    ("bool/CSC-2D/clean/one", 0xfb64_d286_b3a0_43c7),
+    ("bool/CSC-2D/clean/dense", 0x9e75_d1c2_2eb5_9c6c),
+    ("bool/CSC-2D/faulty/one", 0x0533_d048_28c9_75b4),
+    ("bool/CSC-2D/faulty/dense", 0x837c_b79d_16aa_ffd5),
+    ("bool/SpMM/clean/one", 0xc4b6_96d6_7e56_7cd5),
+    ("bool/SpMM/clean/dense", 0x4549_79b8_0271_68d5),
+    ("bool/SpMM/faulty/one", 0x7cce_b191_b589_f0be),
+    ("bool/SpMM/faulty/dense", 0xfc3b_ceb0_316f_04be),
+];
+const ANALYTIC_PLUS_TIMES_GOLDEN: &[(&str, u64)] = &[
+    ("plus-times/COO.nnz-1D/clean/one", 0x2645_8e41_0d84_379a),
+    ("plus-times/COO.nnz-1D/clean/dense", 0x24d9_6ea3_b43f_b54f),
+    ("plus-times/COO.nnz-1D/faulty/one", 0xa8cf_46c8_4db2_f7ff),
+    ("plus-times/COO.nnz-1D/faulty/dense", 0x36f3_5cc6_7afa_6002),
+    ("plus-times/CSR.row-1D/clean/one", 0x628a_279f_375e_6d3b),
+    ("plus-times/CSR.row-1D/clean/dense", 0xec1b_8219_716e_bb7e),
+    ("plus-times/CSR.row-1D/faulty/one", 0x96f6_0fab_3900_16b6),
+    ("plus-times/CSR.row-1D/faulty/dense", 0xb201_8324_1b5b_4aeb),
+    ("plus-times/CSR.nnz-1D/clean/one", 0x0ec0_19ca_8228_a43a),
+    ("plus-times/CSR.nnz-1D/clean/dense", 0xb1a3_c434_4d7b_de2f),
+    ("plus-times/CSR.nnz-1D/faulty/one", 0x25b5_013a_d729_eb7b),
+    ("plus-times/CSR.nnz-1D/faulty/dense", 0x2af8_3201_e54a_f23e),
+    ("plus-times/DCOO-2D/clean/one", 0x4633_7c00_7312_f4d8),
+    ("plus-times/DCOO-2D/clean/dense", 0x7159_8714_6b81_818d),
+    ("plus-times/DCOO-2D/faulty/one", 0xbf04_4ce4_f165_1f31),
+    ("plus-times/DCOO-2D/faulty/dense", 0xc36d_3c09_4fa2_1a9c),
+    ("plus-times/COO/clean/one", 0xb2b2_d2c1_00de_4fe7),
+    ("plus-times/COO/clean/dense", 0x74ef_64c2_8443_c311),
+    ("plus-times/COO/faulty/one", 0x89c3_cb5c_2ba0_95b6),
+    ("plus-times/COO/faulty/dense", 0xffef_0c2e_98e8_4a51),
+    ("plus-times/CSR/clean/one", 0x0eef_8a74_4607_7c50),
+    ("plus-times/CSR/clean/dense", 0x79d0_055d_dfbe_93de),
+    ("plus-times/CSR/faulty/one", 0x82b4_2b11_dab8_c36b),
+    ("plus-times/CSR/faulty/dense", 0x8b67_9698_eee7_c90d),
+    ("plus-times/CSC-R/clean/one", 0x3a52_9174_01e5_9294),
+    ("plus-times/CSC-R/clean/dense", 0x90e9_a380_369c_f2c7),
+    ("plus-times/CSC-R/faulty/one", 0xbeea_acd7_2ea3_909e),
+    ("plus-times/CSC-R/faulty/dense", 0xb2a7_175d_5ecb_0f75),
+    ("plus-times/CSC-C/clean/one", 0xd440_9e52_32a5_92a9),
+    ("plus-times/CSC-C/clean/dense", 0x6886_bd63_cdfd_da71),
+    ("plus-times/CSC-C/faulty/one", 0x1124_cf05_4b0b_eb8b),
+    ("plus-times/CSC-C/faulty/dense", 0x7177_0de8_022a_1a86),
+    ("plus-times/CSC-2D/clean/one", 0xd848_582c_5ebf_151c),
+    ("plus-times/CSC-2D/clean/dense", 0xff1f_77a0_bac8_e1ed),
+    ("plus-times/CSC-2D/faulty/one", 0xf643_862f_cb10_7d41),
+    ("plus-times/CSC-2D/faulty/dense", 0x8711_89f7_0ae2_19b7),
+    ("plus-times/SpMM/clean/one", 0xa3f7_5d61_205a_c66e),
+    ("plus-times/SpMM/clean/dense", 0xcc1e_72fa_c8f0_84ae),
+    ("plus-times/SpMM/faulty/one", 0x8919_4543_1022_ab46),
+    ("plus-times/SpMM/faulty/dense", 0xa497_120b_8a75_3f06),
+];
+const ANALYTIC_APP_GOLDEN: &[(&str, u64)] = &[
+    ("bfs", 0x4a5d_a3c3_f401_9f28),
+    ("sssp", 0x1460_c642_f575_1b0a),
+    ("ppr", 0x700c_ba4a_ba35_50aa),
+];
+const ANALYTIC_PER_TASKLET_GOLDEN: u64 = 0xb374_1bc1_5752_8fbf;
 
 const BFS_RUN_GOLDEN: u64 = 0x486f_b910_d469_3e87;
 const SSSP_RUN_GOLDEN: u64 = 0x8076_8d4b_c416_f42c;
