@@ -12,8 +12,9 @@
 //! variant does after its partitions evaluate, under five fault plans,
 //! and one digest freezes triangle counting's fault-free launch. The
 //! `Analytic` goldens freeze the closed-form prediction on the same
-//! 64-DPU machine: every kernel variant under two semirings, BFS, SSSP and
-//! PPR runs, and every per-DPU and per-tasklet record of two launches.
+//! 64-DPU machine: every kernel variant under two semirings, also on a
+//! hub-row variant of the graph, BFS, SSSP and PPR runs, and every per-DPU
+//! and per-tasklet record of two launches.
 //!
 //! Last regeneration: the counter registry grew the six `sdc.*`
 //! silent-corruption ledgers and the six `quarantine.*` scoreboard
@@ -693,10 +694,10 @@ fn elem_words<S: Semiring>(values: &[S::Elem]) -> Vec<u64> {
     values.iter().map(|&v| S::elem_bits(v)).collect()
 }
 
-/// Every SpMV and SpMSpV variant and SpMM under `S` on the analytic
-/// machine, labelled `{semiring}/{kernel}/{mode}/{frontier}`.
-fn analytic_kernel_digests<S: Semiring>(semiring: &str) -> Vec<(String, u64)> {
-    let m = matrix().map(S::from_weight);
+/// Every SpMV and SpMSpV variant and SpMM on `m` lifted into `S` on the
+/// analytic machine, labelled `{semiring}/{kernel}/{mode}/{frontier}`.
+fn analytic_kernel_digests<S: Semiring>(semiring: &str, m: &Coo<u32>) -> Vec<(String, u64)> {
+    let m = m.map(S::from_weight);
     let mut out = Vec::new();
     let mut push = |kernel: &str, digests: Vec<(String, u64)>| {
         out.extend(digests.into_iter().map(|(l, d)| (format!("{semiring}/{kernel}/{l}"), d)));
@@ -749,14 +750,34 @@ fn analytic_kernel_digests<S: Semiring>(semiring: &str) -> Vec<(String, u64)> {
 
 #[test]
 fn analytic_bool_kernels_match_golden_digests() {
-    let actual = analytic_kernel_digests::<BoolOrAnd>("bool");
+    let actual = analytic_kernel_digests::<BoolOrAnd>("bool", &matrix());
     assert_digests(&actual, ANALYTIC_BOOL_GOLDEN, "analytic BoolOrAnd kernel");
 }
 
 #[test]
 fn analytic_plus_times_kernels_match_golden_digests() {
-    let actual = analytic_kernel_digests::<PlusTimes>("plus-times");
+    let actual = analytic_kernel_digests::<PlusTimes>("plus-times", &matrix());
     assert_digests(&actual, ANALYTIC_PLUS_TIMES_GOLDEN, "analytic PlusTimes kernel");
+}
+
+/// [`matrix`] with row 0 replaced by a hub row: an entry in every column.
+/// The CSC kernels buffer a chunk's updates per stripe mutex and merge
+/// each stripe under its lock, so the hub funnels most of a tile's merge
+/// work through one mutex and the mutex-chain bound, which reads the
+/// instructions issued under each lock, sets those DPUs' makespans. On
+/// [`matrix`] alone that bound never dominates.
+fn hub_matrix() -> Coo<u32> {
+    let rest = matrix().iter().filter(|&(r, _, _)| r != 0).collect::<Vec<_>>();
+    let hub = (0..3_000).map(|c| (0, c, 1u32));
+    Coo::from_entries(3_000, 3_000, rest.into_iter().chain(hub)).expect("in range")
+}
+
+#[test]
+fn analytic_hub_row_kernels_match_golden_digests() {
+    let hub = hub_matrix();
+    let mut actual = analytic_kernel_digests::<BoolOrAnd>("bool", &hub);
+    actual.extend(analytic_kernel_digests::<PlusTimes>("plus-times", &hub));
+    assert_digests(&actual, ANALYTIC_HUB_GOLDEN, "analytic hub-row kernel");
 }
 
 #[test]
@@ -998,6 +1019,88 @@ const ANALYTIC_PLUS_TIMES_GOLDEN: &[(&str, u64)] = &[
     ("plus-times/SpMM/clean/dense", 0xcc1e_72fa_c8f0_84ae),
     ("plus-times/SpMM/faulty/one", 0x8919_4543_1022_ab46),
     ("plus-times/SpMM/faulty/dense", 0xa497_120b_8a75_3f06),
+];
+const ANALYTIC_HUB_GOLDEN: &[(&str, u64)] = &[
+    ("bool/COO.nnz-1D/clean/one", 0x2659_c3fc_3183_757d),
+    ("bool/COO.nnz-1D/clean/dense", 0x9604_de60_d472_077c),
+    ("bool/COO.nnz-1D/faulty/one", 0xb058_462c_96f2_93bb),
+    ("bool/COO.nnz-1D/faulty/dense", 0x2003_6091_39e1_25ba),
+    ("bool/CSR.row-1D/clean/one", 0xe8e5_ef4e_42e2_2238),
+    ("bool/CSR.row-1D/clean/dense", 0x793a_d4e9_9ff3_9039),
+    ("bool/CSR.row-1D/faulty/one", 0xe676_be5f_78ae_5afb),
+    ("bool/CSR.row-1D/faulty/dense", 0x5621_d8c4_1b9c_ecfa),
+    ("bool/CSR.nnz-1D/clean/one", 0x523e_97e1_d202_612d),
+    ("bool/CSR.nnz-1D/clean/dense", 0xc1e9_b246_74f0_f32c),
+    ("bool/CSR.nnz-1D/faulty/one", 0x43ab_5cf0_3c14_a7dc),
+    ("bool/CSR.nnz-1D/faulty/dense", 0xd400_428b_9926_15dd),
+    ("bool/DCOO-2D/clean/one", 0xb295_1db1_f059_d3ef),
+    ("bool/DCOO-2D/clean/dense", 0x2240_3816_9348_65ee),
+    ("bool/DCOO-2D/faulty/one", 0xe8e5_43b6_6efe_ee52),
+    ("bool/DCOO-2D/faulty/dense", 0x793a_2951_cc10_5c53),
+    ("bool/COO/clean/one", 0xc551_7e40_8b74_a845),
+    ("bool/COO/clean/dense", 0x9700_fe82_6dfd_2b79),
+    ("bool/COO/faulty/one", 0x1efd_966f_4bc2_58a7),
+    ("bool/COO/faulty/dense", 0x9f6d_e7ec_aee7_70a9),
+    ("bool/CSR/clean/one", 0x060c_0eac_1892_5db2),
+    ("bool/CSR/clean/dense", 0xa572_1896_7530_749d),
+    ("bool/CSR/faulty/one", 0x587f_f686_3495_872e),
+    ("bool/CSR/faulty/dense", 0x0298_e466_874a_5f6a),
+    ("bool/CSC-R/clean/one", 0x8913_11fb_6b0b_458f),
+    ("bool/CSC-R/clean/dense", 0x60b9_0fbf_e8c3_5d95),
+    ("bool/CSC-R/faulty/one", 0xacc9_19f7_f21a_0048),
+    ("bool/CSC-R/faulty/dense", 0xfd40_776a_0c12_cb62),
+    ("bool/CSC-C/clean/one", 0x65e9_0bfa_894a_6ff1),
+    ("bool/CSC-C/clean/dense", 0xc38b_293a_4abb_cb64),
+    ("bool/CSC-C/faulty/one", 0xbb69_dbd9_cf8b_385e),
+    ("bool/CSC-C/faulty/dense", 0x7e32_e4b3_f161_2923),
+    ("bool/CSC-2D/clean/one", 0x8d37_8ea3_04d8_c307),
+    ("bool/CSC-2D/clean/dense", 0xcfdb_ba7f_f4a6_d070),
+    ("bool/CSC-2D/faulty/one", 0xdffe_a251_657b_71e6),
+    ("bool/CSC-2D/faulty/dense", 0xe6a3_7972_0f2b_451b),
+    ("bool/SpMM/clean/one", 0xd6ee_4ed5_d43c_7b3d),
+    ("bool/SpMM/clean/dense", 0x9217_4f84_281e_6b7d),
+    ("bool/SpMM/faulty/one", 0x0d16_ea2a_a47c_6e62),
+    ("bool/SpMM/faulty/dense", 0x51ed_e97c_509a_7e22),
+    ("plus-times/COO.nnz-1D/clean/one", 0x3b78_a0f7_8924_454b),
+    ("plus-times/COO.nnz-1D/clean/dense", 0x48aa_5085_d6f7_b3d2),
+    ("plus-times/COO.nnz-1D/faulty/one", 0xafbe_17dd_3a78_f62f),
+    ("plus-times/COO.nnz-1D/faulty/dense", 0x907d_c765_106f_31d6),
+    ("plus-times/CSR.row-1D/clean/one", 0xaecb_375d_7a8b_0fc7),
+    ("plus-times/CSR.row-1D/clean/dense", 0xe58b_404a_d443_2a1e),
+    ("plus-times/CSR.row-1D/faulty/one", 0x05a4_0dc9_c81b_12a6),
+    ("plus-times/CSR.row-1D/faulty/dense", 0x4298_9ff3_992d_0fcb),
+    ("plus-times/CSR.nnz-1D/clean/one", 0x5bbe_59db_5d3f_98ce),
+    ("plus-times/CSR.nnz-1D/clean/dense", 0x8c35_24b0_279f_6fa3),
+    ("plus-times/CSR.nnz-1D/faulty/one", 0x33c7_6c5f_dbaf_b2b2),
+    ("plus-times/CSR.nnz-1D/faulty/dense", 0x663c_84a7_a049_2577),
+    ("plus-times/DCOO-2D/clean/one", 0x2b6c_6f7b_8758_e22c),
+    ("plus-times/DCOO-2D/clean/dense", 0xbd03_03d6_fd05_759d),
+    ("plus-times/DCOO-2D/faulty/one", 0x24c5_ce87_b99a_189e),
+    ("plus-times/DCOO-2D/faulty/dense", 0xcda8_1ddc_a554_5b93),
+    ("plus-times/COO/clean/one", 0x39e3_a8fd_ff4d_cbbf),
+    ("plus-times/COO/clean/dense", 0xb44d_9217_1971_15ae),
+    ("plus-times/COO/faulty/one", 0x7eb5_ede4_669d_2a96),
+    ("plus-times/COO/faulty/dense", 0x3c5f_c78d_c5db_e9ba),
+    ("plus-times/CSR/clean/one", 0xb0be_7e7b_a134_f573),
+    ("plus-times/CSR/clean/dense", 0x3d76_b616_0387_0e6c),
+    ("plus-times/CSR/faulty/one", 0x9aff_9836_bbdb_8ec7),
+    ("plus-times/CSR/faulty/dense", 0x27ea_be1a_63c8_bb30),
+    ("plus-times/CSC-R/clean/one", 0xabce_6942_4278_ab86),
+    ("plus-times/CSC-R/clean/dense", 0x30bc_f047_8145_9d93),
+    ("plus-times/CSC-R/faulty/one", 0x97ee_8104_ad87_c0b9),
+    ("plus-times/CSC-R/faulty/dense", 0xd4bc_9f1c_fdeb_e6d2),
+    ("plus-times/CSC-C/clean/one", 0x3087_3fb6_0cb4_33db),
+    ("plus-times/CSC-C/clean/dense", 0x7529_12a2_407c_d038),
+    ("plus-times/CSC-C/faulty/one", 0xc481_b83b_a941_10cc),
+    ("plus-times/CSC-C/faulty/dense", 0x2e37_e339_7cbb_ddf4),
+    ("plus-times/CSC-2D/clean/one", 0x02c0_ae5e_cea5_10c0),
+    ("plus-times/CSC-2D/clean/dense", 0x2eed_fbb5_edd5_cb6a),
+    ("plus-times/CSC-2D/faulty/one", 0x3f84_8f77_a899_e892),
+    ("plus-times/CSC-2D/faulty/dense", 0xdcc4_91bb_f37d_049a),
+    ("plus-times/SpMM/clean/one", 0x8473_0787_b2e8_50be),
+    ("plus-times/SpMM/clean/dense", 0xb8a9_9ce6_6144_397e),
+    ("plus-times/SpMM/faulty/one", 0xf83b_ed16_d11a_ccdf),
+    ("plus-times/SpMM/faulty/dense", 0xe074_c078_6015_772f),
 ];
 const ANALYTIC_APP_GOLDEN: &[(&str, u64)] = &[
     ("bfs", 0x4a5d_a3c3_f401_9f28),
