@@ -57,11 +57,18 @@ pub(crate) fn tasklet_prologue<R: Record>(trace: &mut R) {
     trace.compute(InstrClass::Control, SETUP_CONTROL);
 }
 
+/// The base per-entry decode/loop cost, as compute blocks.
+pub(crate) const EDGE_BASE: [(InstrClass, u32); 3] = [
+    (InstrClass::Arith, EDGE_ARITH),
+    (InstrClass::LoadStore, EDGE_LOADSTORE),
+    (InstrClass::Control, EDGE_CONTROL),
+];
+
 /// Records the base per-entry decode/loop cost.
 pub(crate) fn edge_base_cost<R: Record>(trace: &mut R) {
-    trace.compute(InstrClass::Arith, EDGE_ARITH);
-    trace.compute(InstrClass::LoadStore, EDGE_LOADSTORE);
-    trace.compute(InstrClass::Control, EDGE_CONTROL);
+    for (class, count) in EDGE_BASE {
+        trace.compute(class, count);
+    }
 }
 
 /// The mutex protecting output element `r` (hashed striping over the

@@ -19,7 +19,7 @@ use crate::error::AlphaPimError;
 use crate::kernel::exec::{launch, Landed, LoadModel, MergeModel};
 use crate::kernel::layout::{
     coo_entry_bytes, edge_base_cost, tasklet_prologue, tasklet_ranges, CHUNK_BYTES,
-    CHUNK_OVERHEAD,
+    CHUNK_OVERHEAD, EDGE_BASE,
 };
 use crate::semiring::Semiring;
 
@@ -216,6 +216,19 @@ impl<S: Semiring> DpuJob for SpmmTileJob<'_, S> {
         let slab_cached = (local_y.n() as u64 * k as u64 * eb as u64) < (wram_bytes as u64) / 2;
         let ranges = tasklet_ranges(m.nnz(), tasklets);
         let (rows, cols, vals) = (m.rows(), m.cols(), m.vals());
+        // With the slab cached every entry costs the same DMA-free
+        // instructions, so each streamed chunk's entries are recorded as
+        // one run.
+        let entry_cost = slab_cached.then(|| {
+            let mut cost = EDGE_BASE.to_vec();
+            cost.push((InstrClass::LoadStore, 1));
+            for _ in 0..k {
+                cost.extend(S::mul_cost().blocks());
+                cost.extend(S::add_cost().blocks());
+            }
+            cost.push((InstrClass::LoadStore, 2 * k));
+            cost
+        });
         let mut traces = Vec::with_capacity(tasklets as usize);
         for range in ranges {
             let mut t = proto.clone();
@@ -225,19 +238,20 @@ impl<S: Semiring> DpuJob for SpmmTileJob<'_, S> {
                 let chunk_end = (idx + per_chunk).min(range.end);
                 t.dma((chunk_end - idx) as u32 * entry_bytes);
                 t.compute(InstrClass::Control, CHUNK_OVERHEAD);
+                if let Some(cost) = &entry_cost {
+                    t.compute_repeated(cost, (chunk_end - idx) as u64);
+                }
                 for e in idx..chunk_end {
-                    edge_base_cost(&mut t);
-                    if slab_cached {
-                        t.compute(InstrClass::LoadStore, 1);
-                    } else {
+                    if entry_cost.is_none() {
+                        edge_base_cost(&mut t);
                         // One row-slab fetch serves all k columns.
                         t.dma((k * eb).max(8));
+                        for _ in 0..k {
+                            S::mul_cost().record(&mut t);
+                            S::add_cost().record(&mut t);
+                        }
+                        t.compute(InstrClass::LoadStore, 2 * k);
                     }
-                    for _ in 0..k {
-                        S::mul_cost().record(&mut t);
-                        S::add_cost().record(&mut t);
-                    }
-                    t.compute(InstrClass::LoadStore, 2 * k);
                     let global_col = (col_offset + cols[e]) as usize;
                     for j in 0..k as usize {
                         let contrib = S::mul(vals[e], x.get(global_col, j));

@@ -31,8 +31,8 @@ use alpha_pim_sparse::{Coo, Csc, Csr, SparseVector};
 use crate::error::AlphaPimError;
 use crate::kernel::exec::{launch, IterationOutcome, Landed, LoadModel, MergeModel};
 use crate::kernel::layout::{
-    coo_entry_bytes, edge_base_cost, search_probes, tasklet_prologue,
-    tasklet_ranges, vec_entry_bytes, BlockedOutput, CHUNK_BYTES, CHUNK_OVERHEAD,
+    coo_entry_bytes, edge_base_cost, mutex_for, search_probes, tasklet_prologue,
+    tasklet_ranges, vec_entry_bytes, BlockedOutput, CHUNK_BYTES, CHUNK_OVERHEAD, EDGE_BASE,
     SEARCH_CACHE_ENTRIES,
 };
 use crate::kernel::spmv::CsrBand;
@@ -610,6 +610,13 @@ impl<S: Semiring> DpuJob for CscActiveJob<'_, S> {
         // amortize queue synchronization when the frontier is dense.
         let chunk_cols = (x_entries.len() / (tasklets as usize * 2)).max(1);
         let chunks: Vec<&[(u32, S::Elem)]> = x_entries.chunks(chunk_cols).collect();
+        // A buffered shared-WRAM update costs the same DMA-free
+        // instructions for every entry, so each active column's entries
+        // are recorded as one run.
+        let entry_cost = {
+            let staging = [(InstrClass::LoadStore, 2)];
+            [&EDGE_BASE[..], &S::mul_cost().blocks(), &staging].concat()
+        };
         let mut traces: Vec<R> = (0..tasklets as usize)
             .map(|_| {
                 let mut t = proto.clone();
@@ -667,19 +674,21 @@ impl<S: Semiring> DpuJob for CscActiveJob<'_, S> {
                     let bytes = col_rows.len() as u64 * ventry as u64;
                     t.dma_stream(bytes, CHUNK_BYTES, CHUNK_OVERHEAD);
                 }
+                if shared_wram {
+                    // Buffer into the tasklet-private WRAM staging area.
+                    t.compute_repeated(&entry_cost, col_rows.len() as u64);
+                }
                 for (&r, &v) in col_rows.iter().zip(col_vals) {
-                    edge_base_cost(t);
-                    S::mul_cost().record(t);
                     if shared_wram {
-                        // Buffer into the tasklet-private WRAM staging area.
-                        t.compute(InstrClass::LoadStore, 2);
-                        stripe_updates[crate::kernel::layout::mutex_for(r) as usize] += 1;
+                        stripe_updates[mutex_for(r) as usize] += 1;
                     } else {
+                        edge_base_cost(t);
+                        S::mul_cost().record(t);
                         blocked[tid].touch::<S, R>(r, t);
                     }
                     apply(r, S::mul(v, xv));
-                    *ops += 2;
                 }
+                *ops += 2 * col_rows.len() as u64;
             }
             if shared_wram {
                 // Merge the chunk's buffered contributions into the shared
@@ -690,9 +699,7 @@ impl<S: Semiring> DpuJob for CscActiveJob<'_, S> {
                     }
                     t.mutex_lock(stripe as u16);
                     t.compute(InstrClass::LoadStore, 2 * count);
-                    for _ in 0..count {
-                        S::add_cost().record(t);
-                    }
+                    t.compute_repeated(&S::add_cost().blocks(), count as u64);
                     t.mutex_unlock(stripe as u16);
                 }
             }

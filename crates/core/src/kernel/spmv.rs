@@ -31,7 +31,7 @@ use crate::error::AlphaPimError;
 use crate::kernel::exec::{launch, IterationOutcome, Landed, LoadModel, MergeModel};
 use crate::kernel::layout::{
     coo_entry_bytes, edge_base_cost, tasklet_prologue, tasklet_ranges, BlockedOutput,
-    CHUNK_BYTES, CHUNK_OVERHEAD,
+    CHUNK_BYTES, CHUNK_OVERHEAD, EDGE_BASE,
 };
 use crate::kernel::SpmvVariant;
 use crate::semiring::Semiring;
@@ -333,6 +333,16 @@ impl<S: Semiring> DpuJob for CooBandJob<'_, S> {
         let vals = m.vals();
         let band_bytes = local_y.len() as u64 * eb as u64;
         let shared_wram = band_bytes <= (wram_bytes as u64 * 3) / 4;
+        // With the segment cached and the band in shared WRAM, every entry
+        // costs the same DMA-free instructions, so each streamed chunk's
+        // entries are recorded as one run.
+        let cached = matches!(access, XAccess::WramCached { .. });
+        let entry_cost = (cached && shared_wram).then(|| {
+            let (mul, add) = (S::mul_cost().blocks(), S::add_cost().blocks());
+            let access = [(InstrClass::LoadStore, 1)];
+            let update = [(InstrClass::LoadStore, 2)];
+            [&EDGE_BASE[..], &access, &mul, &update, &add].concat()
+        });
         let mut traces = Vec::with_capacity(tasklets as usize);
         for (tid, range) in ranges.iter().enumerate() {
             let mut t = proto.clone();
@@ -355,20 +365,28 @@ impl<S: Semiring> DpuJob for CooBandJob<'_, S> {
                 let chunk_end = (idx + entries_per_chunk).min(range.end);
                 t.dma((chunk_end - idx) as u32 * entry_bytes);
                 t.compute(InstrClass::Control, CHUNK_OVERHEAD);
-                for e in idx..chunk_end {
-                    edge_base_cost(&mut t);
-                    match access {
-                        XAccess::MramRandom => t.dma(8),
-                        XAccess::WramCached { .. } => t.compute(InstrClass::LoadStore, 1),
+                if let Some(cost) = &entry_cost {
+                    t.compute_repeated(cost, (chunk_end - idx) as u64);
+                    for e in idx..chunk_end {
+                        let r = rows[e] as usize;
+                        local_y[r] = S::add(local_y[r], S::mul(vals[e], xs[cols[e] as usize]));
                     }
-                    S::mul_cost().record(&mut t);
-                    let contrib = S::mul(vals[e], xs[cols[e] as usize]);
-                    if shared_wram {
-                        t.compute(InstrClass::LoadStore, 2);
-                        S::add_cost().record(&mut t);
-                        local_y[rows[e] as usize] = S::add(local_y[rows[e] as usize], contrib);
-                    } else {
-                        out.update::<S, R>(local_y, rows[e], contrib, &mut t);
+                } else {
+                    for e in idx..chunk_end {
+                        edge_base_cost(&mut t);
+                        match access {
+                            XAccess::MramRandom => t.dma(8),
+                            XAccess::WramCached { .. } => t.compute(InstrClass::LoadStore, 1),
+                        }
+                        S::mul_cost().record(&mut t);
+                        let contrib = S::mul(vals[e], xs[cols[e] as usize]);
+                        if shared_wram {
+                            t.compute(InstrClass::LoadStore, 2);
+                            S::add_cost().record(&mut t);
+                            local_y[rows[e] as usize] = S::add(local_y[rows[e] as usize], contrib);
+                        } else {
+                            out.update::<S, R>(local_y, rows[e], contrib, &mut t);
+                        }
                     }
                 }
                 idx = chunk_end;

@@ -30,11 +30,21 @@ pub struct OpCost {
 }
 
 impl OpCost {
+    /// This cost as compute blocks, in the order [`OpCost::record`]
+    /// records them.
+    pub fn blocks(&self) -> [(InstrClass, u32); 3] {
+        [
+            (InstrClass::Arith, self.arith),
+            (InstrClass::LoadStore, self.loadstore),
+            (InstrClass::Control, self.control),
+        ]
+    }
+
     /// Records this cost into a tasklet recorder.
     pub fn record<R: Record>(&self, trace: &mut R) {
-        trace.compute(InstrClass::Arith, self.arith);
-        trace.compute(InstrClass::LoadStore, self.loadstore);
-        trace.compute(InstrClass::Control, self.control);
+        for (class, count) in self.blocks() {
+            trace.compute(class, count);
+        }
     }
 
     /// Total instructions.

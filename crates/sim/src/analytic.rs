@@ -154,12 +154,8 @@ impl TaskletStats {
 
     /// The segments recorded so far: every barrier-closed segment plus the
     /// trailing open one if it holds any instructions.
-    pub fn segments(&self) -> Vec<SegmentStats> {
-        let mut out = self.closed.clone();
-        if !self.current.is_empty() {
-            out.push(self.current);
-        }
-        out
+    pub fn segments(&self) -> impl Iterator<Item = &SegmentStats> + '_ {
+        self.closed.iter().chain((!self.current.is_empty()).then_some(&self.current))
     }
 }
 
@@ -173,6 +169,22 @@ impl Record for TaskletStats {
             self.current.reg_read_instrs += count as u64;
         }
         self.issue(count as u64);
+    }
+
+    fn compute_repeated(&mut self, blocks: &[(InstrClass, u32)], times: u64) {
+        // Closed form of the call loop: a DMA-free run moves neither the
+        // pre-DMA nor the last-DMA position and holds the same mutexes
+        // throughout, so every per-instruction quantity scales by `times`.
+        let mut issued = 0;
+        for &(class, count) in blocks {
+            let n = count as u64 * times;
+            self.mix.add(class, n);
+            if class.reads_registers() {
+                self.current.reg_read_instrs += n;
+            }
+            issued += n;
+        }
+        self.issue(issued);
     }
 
     fn dma(&mut self, bytes: u32) {
@@ -246,14 +258,15 @@ struct FluidThread {
 /// every running thread issues at most one instruction per revolver period
 /// `p`, the slot at most one per cycle (shared equally beyond `p` runnable
 /// threads), and a thread's `post` work only starts once its `pre` work is
-/// done *and* its gate time has passed. Returns the drain completion time.
-fn fluid_drain(mut threads: Vec<FluidThread>, p: f64) -> f64 {
+/// done *and* its gate time has passed. Returns the drain completion time
+/// and leaves every thread drained.
+fn fluid_drain(threads: &mut [FluidThread], p: f64) -> f64 {
     const EPS: f64 = 1e-9;
     let mut t = 0.0f64;
     loop {
         let mut active = 0usize;
         let mut next_gate = f64::INFINITY;
-        for th in &threads {
+        for th in threads.iter() {
             if th.pre > EPS {
                 active += 1;
             } else if th.post > EPS {
@@ -273,7 +286,7 @@ fn fluid_drain(mut threads: Vec<FluidThread>, p: f64) -> f64 {
         }
         let rate = 1.0 / p.max(active as f64);
         let mut min_work = f64::INFINITY;
-        for th in &threads {
+        for th in threads.iter() {
             if th.pre > EPS {
                 min_work = min_work.min(th.pre);
             } else if th.post > EPS && th.gate <= t + EPS {
@@ -281,7 +294,7 @@ fn fluid_drain(mut threads: Vec<FluidThread>, p: f64) -> f64 {
             }
         }
         let dt = (min_work / rate).min(next_gate - t).max(EPS);
-        for th in &mut threads {
+        for th in threads.iter_mut() {
             if th.pre > EPS {
                 th.pre = (th.pre - rate * dt).max(0.0);
             } else if th.post > EPS && th.gate <= t + EPS {
@@ -310,16 +323,29 @@ struct TaskletTotals {
 /// [`crate::pipeline::simulate_dpu_profiled`].
 pub fn predict_dpu(stats: &[TaskletStats], cfg: &PipelineConfig) -> DpuProfile {
     let n_tasklets = stats.len();
-    let per_tasklet: Vec<Vec<SegmentStats>> = stats.iter().map(|s| s.segments()).collect();
-    let levels = per_tasklet.iter().map(|s| s.len()).max().unwrap_or(0);
     let p = cfg.revolver_period.max(1) as u64;
     let penalty = cfg.rf_hazard_penalty as u64;
     let mut totals = vec![TaskletTotals::default(); n_tasklets];
     let mut body_cycles = 0u64;
     let empty = SegmentStats::default();
-    for level in 0..levels {
-        let segs: Vec<&SegmentStats> =
-            per_tasklet.iter().map(|s| s.get(level).unwrap_or(&empty)).collect();
+    // Every tasklet's segments are read in place, one barrier level at a
+    // time, into per-level buffers reused across levels.
+    let mut cursors: Vec<_> = stats.iter().map(TaskletStats::segments).collect();
+    let mut segs: Vec<&SegmentStats> = Vec::with_capacity(n_tasklets);
+    let mut ns: Vec<u64> = Vec::with_capacity(n_tasklets);
+    let mut order: Vec<usize> = Vec::with_capacity(n_tasklets);
+    let mut threads: Vec<FluidThread> = Vec::with_capacity(n_tasklets);
+    loop {
+        segs.clear();
+        let mut more = false;
+        for cursor in &mut cursors {
+            let seg = cursor.next();
+            more |= seg.is_some();
+            segs.push(seg.unwrap_or(&empty));
+        }
+        if !more {
+            break;
+        }
         let live = segs.iter().filter(|s| !s.is_empty()).count() as u64;
         if live == 0 {
             continue;
@@ -327,7 +353,8 @@ pub fn predict_dpu(stats: &[TaskletStats], cfg: &PipelineConfig) -> DpuProfile {
         let spacing = p.max(live);
 
         // Bound 1: water-fill over the issue slot.
-        let mut ns: Vec<u64> = segs.iter().map(|s| s.instructions).collect();
+        ns.clear();
+        ns.extend(segs.iter().map(|s| s.instructions));
         ns.sort_unstable();
         let total_instrs: u64 = ns.iter().sum();
         let mut water_fill = 0u64;
@@ -389,10 +416,10 @@ pub fn predict_dpu(stats: &[TaskletStats], cfg: &PipelineConfig) -> DpuProfile {
         // engine-then-compute regime the pure bounds miss.
         let release_bound = if level_dma_cycles > 0 {
             let base_ramp = if ramp == u64::MAX { 0 } else { ramp };
-            let mut order: Vec<usize> =
-                (0..segs.len()).filter(|&i| segs[i].dma_transfers > 0).collect();
+            order.clear();
+            order.extend((0..segs.len()).filter(|&i| segs[i].dma_transfers > 0));
             order.sort_by_key(|&i| (segs[i].pre_dma_instrs, i));
-            let mut threads = Vec::with_capacity(segs.len());
+            threads.clear();
             let mut prefix = base_ramp;
             for &i in &order {
                 prefix += segs[i].dma_cycles;
@@ -405,7 +432,7 @@ pub fn predict_dpu(stats: &[TaskletStats], cfg: &PipelineConfig) -> DpuProfile {
             for s in segs.iter().filter(|s| s.dma_transfers == 0 && !s.is_empty()) {
                 threads.push(FluidThread { pre: s.instructions as f64, post: 0.0, gate: 0.0 });
             }
-            fluid_drain(threads, p as f64) as u64
+            fluid_drain(&mut threads, p as f64) as u64
         } else {
             0
         };
@@ -455,14 +482,6 @@ pub fn predict_dpu(stats: &[TaskletStats], cfg: &PipelineConfig) -> DpuProfile {
                 }
             }
         };
-        if std::env::var_os("ALPHA_PIM_ANALYTIC_DEBUG").is_some() {
-            eprintln!(
-                "analytic-debug level={level} live={live} instrs={total_instrs} \
-                 dma={level_dma_cycles} issue={issue_bound} serial={serial_bound} \
-                 engine={engine_bound} mutex={mutex_bound} release={release_bound} \
-                 interference={interference}"
-            );
-        }
         body_cycles += compute_side.max(memory_side) + interference;
     }
 
@@ -638,7 +657,7 @@ mod tests {
                 }
             })
             .sum();
-        let stats_cycles: u64 = stats.segments().iter().map(|s| s.dma_cycles).sum();
+        let stats_cycles: u64 = stats.segments().map(|s| s.dma_cycles).sum();
         assert_eq!(stats_cycles, trace_cycles);
     }
 

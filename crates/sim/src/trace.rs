@@ -23,6 +23,18 @@ pub trait Record {
     /// Records `count` instructions of `class`. Zero counts are ignored.
     fn compute(&mut self, class: InstrClass, count: u32);
 
+    /// Records `times` back-to-back copies of `blocks`, a fixed list of
+    /// `(class, count)` compute blocks such as one matrix entry's cost.
+    /// Implementations may replace the default call loop with a closed
+    /// form as long as everything recorded is identical.
+    fn compute_repeated(&mut self, blocks: &[(InstrClass, u32)], times: u64) {
+        for _ in 0..times {
+            for &(class, count) in blocks {
+                self.compute(class, count);
+            }
+        }
+    }
+
     /// Records a blocking DMA transfer. Zero-byte transfers are ignored.
     fn dma(&mut self, bytes: u32);
 

@@ -227,6 +227,140 @@ fn stats_estimate_equals_the_trace_estimate() {
     }
 }
 
+/// One step of a random recording: a run of `times` copies of a body of
+/// compute blocks, or a DMA, mutex or barrier call.
+enum Step {
+    Run(Vec<(InstrClass, u32)>, u64),
+    Dma(u32),
+    Lock(u16),
+    Unlock(u16),
+    Barrier,
+}
+
+/// Where the runs of a random recording landed, so the closed-form
+/// property can check it exercised every position.
+#[derive(Default)]
+struct RunCoverage {
+    /// Runs of at least two copies before / after their segment's first DMA.
+    before_dma: bool,
+    after_dma: bool,
+    /// Runs of at least two copies holding zero, one and two mutexes.
+    held: [bool; 3],
+    /// Runs of at least two copies after a barrier.
+    after_barrier: bool,
+    /// Runs of zero copies, and bodies with a zero-count block.
+    zero_times: bool,
+    zero_count: bool,
+}
+
+/// A random recording of runs interleaved with DMAs, barriers and 0–2 held
+/// mutexes (ids past the 16 the analytic recorder tracks included). Each
+/// body holds 0–4 blocks over every class, zero counts included, repeated
+/// 0, 1 or up to 10⁴ times.
+fn random_runs(rng: &mut SplitMix64, seen: &mut RunCoverage) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let mut held: Vec<u16> = Vec::new();
+    let mut dma_in_segment = false;
+    let mut barriers = 0;
+    for _ in 0..rng.usize_below(16) {
+        match rng.u32_below(8) {
+            0 => {
+                steps.push(Step::Dma(1 + rng.u32_below(4096)));
+                dma_in_segment = true;
+            }
+            1 if held.len() < 2 => {
+                let id = rng.u32_below(20) as u16;
+                if !held.contains(&id) {
+                    held.push(id);
+                    steps.push(Step::Lock(id));
+                }
+            }
+            2 if !held.is_empty() => {
+                steps.push(Step::Unlock(held.swap_remove(rng.usize_below(held.len()))));
+            }
+            3 => {
+                steps.push(Step::Barrier);
+                dma_in_segment = false;
+                barriers += 1;
+            }
+            _ => {
+                let body: Vec<(InstrClass, u32)> = (0..rng.usize_below(5))
+                    .map(|_| {
+                        let class = InstrClass::ALL[rng.usize_below(InstrClass::ALL.len())];
+                        let count = if rng.u32_below(4) == 0 { 0 } else { rng.u32_below(64) };
+                        (class, count)
+                    })
+                    .collect();
+                let times = match rng.u32_below(3) {
+                    0 => 0,
+                    1 => 1,
+                    _ => 2 + rng.u64_below(9_999),
+                };
+                if times >= 2 {
+                    seen.before_dma |= !dma_in_segment;
+                    seen.after_dma |= dma_in_segment;
+                    seen.held[held.len()] = true;
+                    seen.after_barrier |= barriers > 0;
+                }
+                seen.zero_times |= times == 0;
+                seen.zero_count |= body.iter().any(|&(_, n)| n == 0);
+                steps.push(Step::Run(body, times));
+            }
+        }
+    }
+    steps
+}
+
+/// Replays `steps` into `r`, recording each run with one
+/// [`Record::compute_repeated`] call or, with `per_call`, as the loop of
+/// single-block calls it stands for.
+fn replay_runs(steps: &[Step], r: &mut dyn Record, per_call: bool) {
+    for step in steps {
+        match step {
+            Step::Run(body, times) if per_call => {
+                for _ in 0..*times {
+                    for &(class, count) in body {
+                        r.compute(class, count);
+                    }
+                }
+            }
+            Step::Run(body, times) => r.compute_repeated(body, *times),
+            Step::Dma(bytes) => r.dma(*bytes),
+            Step::Lock(id) => r.mutex_lock(*id),
+            Step::Unlock(id) => r.mutex_unlock(*id),
+            Step::Barrier => r.barrier(),
+        }
+    }
+}
+
+#[test]
+fn repeated_compute_equals_the_per_call_loop() {
+    let mut rng = SplitMix64::new(0xD80A);
+    let mut seen = RunCoverage::default();
+    for _ in 0..CASES {
+        let steps = random_runs(&mut rng, &mut seen);
+        let record = |per_call| {
+            let (mut stats, mut trace) = (TaskletStats::new(&cfg()), TaskletTrace::new());
+            replay_runs(&steps, &mut stats, per_call);
+            replay_runs(&steps, &mut trace, per_call);
+            (stats, trace)
+        };
+        let ((closed, trace), (looped, looped_trace)) = (record(false), record(true));
+        assert_eq!(
+            closed.segments().collect::<Vec<_>>(),
+            looped.segments().collect::<Vec<_>>()
+        );
+        assert_eq!(closed.instr_mix(), looped.instr_mix());
+        assert_eq!(closed.instructions(), looped.instructions());
+        assert_eq!(closed.dma_cycles(), looped.dma_cycles());
+        assert_eq!(trace.events(), looped_trace.events());
+    }
+    assert!(seen.before_dma && seen.after_dma, "runs before and after a first DMA");
+    assert!(seen.held.iter().all(|&h| h), "runs holding 0, 1 and 2 mutexes");
+    assert!(seen.after_barrier, "runs after a barrier");
+    assert!(seen.zero_times && seen.zero_count, "zero repeats and zero-count blocks");
+}
+
 #[test]
 fn adding_a_tasklet_never_reduces_total_work_time_below_serial() {
     let mut rng = SplitMix64::new(0xD806);

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Print a one-line-per-artifact trajectory table from every BENCH_*.json in
 # the repo root: which commit produced it, which tier wrote it, and the
-# artifact's headline metric. All BENCH files share the schema emitted by
-# `alpha_pim_bench::report::bench_schema_fields` (schema_version, commit,
+# artifact's headline metric. Artifacts that record both a host wall time
+# and the model time it simulated also show their ratio ("host/model", in
+# host seconds per model second). All BENCH files share the schema emitted
+# by `alpha_pim_bench::report::bench_schema_fields` (schema_version, commit,
 # tier); files predating the schema show "-" in those columns.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,11 +24,19 @@ fi
 printf '%-28s %-6s %-14s %-15s %s\n' "artifact" "schema" "commit" "tier" "headline"
 for f in "${files[@]}"; do
     jq -r --arg f "$f" '
+        def host_per_model(host; model):
+            if host != null and (model // 0) > 0 then
+                ", host/model \((host / model * 100 | round) / 100) s/s"
+            else
+                ""
+            end;
         def pick:
             if .p99_latency_ms != null then
                 "p50 \((.p50_latency_ms * 1000 | round) / 1000) ms / p99 \((.p99_latency_ms * 1000 | round) / 1000) ms, shed \((.shed_rate * 10000 | round) / 100)% of \(.queries) queries"
+                + host_per_model(.wall_seconds; .makespan_seconds)
             elif .throughput_multiplier != null then
                 "\(.throughput_multiplier)x analytic vs replay, \(.queries) queries"
+                + host_per_model(.secs_fast; .sim_seconds)
             elif .max_rel_error != null then
                 "max rel err \((.max_rel_error * 10000 | round) / 100)% over \(.cases | length) pairs"
             elif .escaped_unverified != null then
