@@ -52,7 +52,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use alpha_pim::apps::{AppOptions, AppReport, KernelPolicy, PprOptions};
+use alpha_pim::apps::{AppOptions, KernelPolicy, PprOptions};
 use alpha_pim::semiring::{BoolOrAnd, Semiring};
 use alpha_pim::calibrate::{self, CalApp};
 use alpha_pim::serve::{
@@ -63,15 +63,13 @@ use alpha_pim::service::{
     seeded_workload, Priority, ServiceConfig, ServiceEngine, TenantSpec,
 };
 use alpha_pim::{
-    AlphaPim, CheckpointPolicy, CheckpointStore, DeltaEngine, PreparedSpmspv, PreparedSpmv,
+    AlphaPim, CheckpointPolicy, CheckpointStore, PreparedSpmspv, PreparedSpmv,
     SpmspvVariant, SpmvVariant,
 };
+use alpha_pim_bench::audit;
 use alpha_pim_bench::harness::striped_vector;
-use alpha_pim_sim::host::detect_faults;
-use alpha_pim_sim::par::SimThreads;
-use alpha_pim_sim::pipeline::mix64;
 use alpha_pim_sim::{
-    CounterId, CounterSet, FaultPlan, HostCrashPlan, ObservabilityLevel, PimConfig,
+    CounterId, CounterSet, FaultPlan, FaultSummary, HostCrashPlan, ObservabilityLevel, PimConfig,
     RecoverySummary, ResiliencePolicy, SimFidelity,
 };
 use alpha_pim_sparse::{datasets, mtx, Graph};
@@ -699,11 +697,10 @@ fn run_serve_load(args: &Args) -> Result<(), String> {
 
     // The balance the service promises by construction; a breach here is a
     // scheduler bug and must fail the smoke stage.
-    if report.arrivals() != report.admitted() + report.rejected()
-        || report.admitted() != report.served() + report.shed_wait() + report.shed_deadline()
-    {
-        return Err("service ledgers failed to balance".into());
-    }
+    report
+        .counters
+        .check_ledgers()
+        .map_err(|b| format!("service ledgers failed to balance: {b}"))?;
 
     if let Some(path) = &args.json {
         let mut tenants_json = String::new();
@@ -770,15 +767,12 @@ fn run_serve_load(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `mutate`: the dynamic-graph differential gate. Applies `--epochs` seeded
-/// insert/delete batches to the graph and serves the same seeded query
-/// trace after every epoch twice — once through the incremental
-/// [`DeltaEngine`] (seeded frontier repair + epoch-invalidated partition
-/// cache) and once from scratch on the mutated graph — asserting the value
-/// fingerprints are bit-identical and the `delta.*` ledgers balance. Exits
-/// non-zero on any divergence, so CI gates on this command directly.
+/// `mutate`: the dynamic-graph differential gate ([`audit::mutate`]).
+/// Applies `--epochs` seeded insert/delete batches and, at every epoch,
+/// checks the incremental answers against a from-scratch referee and the
+/// counter ledgers. Exits non-zero on any divergence, so CI gates on this
+/// command directly.
 fn run_mutate(args: &Args, graph: &Graph) -> Result<(), String> {
-    let weighted = graph.with_random_weights(args.max_weight);
     let engine = AlphaPim::new(PimConfig {
         num_dpus: args.dpus,
         fidelity: SimFidelity::Sampled(64),
@@ -790,20 +784,25 @@ fn run_mutate(args: &Args, graph: &Graph) -> Result<(), String> {
         options: AppOptions { policy: args.policy, ..Default::default() },
         ..Default::default()
     };
-    let mut delta = DeltaEngine::new(&engine, config, &weighted, args.dpus)
-        .map_err(|e| e.to_string())?;
     // The same trace replays at every epoch, so epoch e+1 finds epoch e's
     // converged answers armed as repair seeds — the incremental path runs.
-    let trace =
-        seeded_trace_weighted(weighted.nodes(), args.queries, args.trace_seed, args.mix);
+    let trace = seeded_trace_weighted(graph.nodes(), args.queries, args.trace_seed, args.mix);
+    let epochs = audit::Epochs {
+        count: args.epochs,
+        ops: args.ops,
+        seed: args.trace_seed,
+        max_weight: args.max_weight,
+    };
+    let report =
+        audit::mutate(&engine, config, graph, &trace, epochs).map_err(|e| e.to_string())?;
     println!(
         "mutate — {} epochs x {} ops on {} ({} nodes, {} edges canonical, {} DPUs, \
          {} queries/epoch, trace seed {:#x})",
         args.epochs,
         args.ops,
         args.graph,
-        delta.graph().nodes(),
-        delta.graph().edges(),
+        report.nodes,
+        report.edges,
         args.dpus,
         trace.len(),
         args.trace_seed,
@@ -812,40 +811,8 @@ fn run_mutate(args: &Args, graph: &Graph) -> Result<(), String> {
         "\n{:>5} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>11} {:>7} {:>18}",
         "epoch", "ins", "del", "redun", "dirty", "clean", "incr", "seeded", "saved%", "fingerprint"
     );
-
-    let mut all_match = true;
-    let mut incremental_queries = 0u64;
-    let mut full_queries = 0u64;
-    for epoch in 0..=args.epochs {
-        let report = if epoch == 0 {
-            None
-        } else {
-            let batch = alpha_pim_sparse::delta::seeded_batch(
-                delta.graph().adjacency(),
-                args.trace_seed.wrapping_add(epoch),
-                args.ops,
-                args.max_weight,
-            );
-            Some(delta.mutate(&batch).map_err(|e| e.to_string())?)
-        };
-        let (results, stats) = delta.serve(&trace).map_err(|e| e.to_string())?;
-
-        // Referee: a fresh engine serving the same queries from scratch on
-        // the same epoch's graph. Answers must be bit-identical.
-        let mut scratch = ServeEngine::new(&engine, config);
-        let (expected, _) = scratch.serve(delta.graph(), &trace).map_err(|e| e.to_string())?;
-        let fp = fingerprint_results(&results);
-        let fp_expected = fingerprint_results(&expected);
-        let ok = fp == fp_expected;
-        all_match &= ok;
-
-        let incr = stats.iter().filter(|s| s.incremental).count() as u64;
-        incremental_queries += incr;
-        full_queries += stats.len() as u64 - incr;
-        let seeded: u64 = stats.iter().map(|s| s.frontier_seeded).sum();
-        let full: u64 = stats.iter().map(|s| s.frontier_full).sum();
-        let saved_pct = 100.0 * (full - seeded) as f64 / (full as f64).max(1.0);
-        let (ins, del, red, dirty, clean) = report.as_ref().map_or((0, 0, 0, 0, 0), |r| {
+    for (epoch, e) in report.epochs.iter().enumerate() {
+        let (ins, del, red, dirty, clean) = e.landed.as_ref().map_or((0, 0, 0, 0, 0), |r| {
             (
                 r.stats.inserted,
                 r.stats.deleted,
@@ -862,32 +829,23 @@ fn run_mutate(args: &Args, graph: &Graph) -> Result<(), String> {
             red,
             dirty,
             clean,
-            incr,
-            seeded,
-            saved_pct,
-            fp,
-            if ok { "" } else { "  MISMATCH" },
+            e.incremental(),
+            e.frontier_seeded(),
+            e.saved_pct(),
+            e.fingerprint,
+            if e.matches() { "" } else { "  MISMATCH" },
         );
-        if !ok {
+        if !e.matches() {
             eprintln!(
-                "epoch {epoch}: incremental fingerprint {fp:#018x} != from-scratch \
-                 {fp_expected:#018x}"
+                "epoch {epoch}: incremental fingerprint {:#018x} != from-scratch {:#018x} \
+                 (queries {:?} differ)",
+                e.fingerprint, e.referee, e.mismatched
             );
         }
     }
 
-    // The ledgers the delta layer promises by construction.
-    let c = delta.counters();
-    let ledgers_ok = c.get(CounterId::DeltaEdgesInserted) + c.get(CounterId::DeltaEdgesDeleted)
-        == c.get(CounterId::DeltaEdgesApplied)
-        && c.get(CounterId::DeltaEdgesApplied) + c.get(CounterId::DeltaEdgesRedundant)
-            == c.get(CounterId::DeltaEdgesRequested)
-        && c.get(CounterId::DeltaPartitionsDirty) + c.get(CounterId::DeltaPartitionsClean)
-            == c.get(CounterId::DeltaPartitionsTotal)
-        && c.get(CounterId::DeltaFrontierSeeded) + c.get(CounterId::DeltaFrontierSaved)
-            == c.get(CounterId::DeltaFrontierFull);
-    let saved_fraction = c.get(CounterId::DeltaFrontierSaved) as f64
-        / (c.get(CounterId::DeltaFrontierFull) as f64).max(1.0);
+    let c = &report.counters;
+    let saved_fraction = report.saved_fraction();
     println!(
         "\nledger: {} requested = {} applied ({} ins + {} del) + {} redundant; \
          partitions {} dirty + {} clean = {}; frontier saved {:.1}%",
@@ -902,13 +860,15 @@ fn run_mutate(args: &Args, graph: &Graph) -> Result<(), String> {
         saved_fraction * 100.0,
     );
     println!(
-        "queries: {incremental_queries} incremental + {full_queries} full; cache {} hits / {} \
-         misses / {} evictions; final epoch {} fingerprint {:#018x}",
-        delta.serve_engine().cache_hits(),
-        delta.serve_engine().cache_misses(),
-        delta.serve_engine().cache_evictions(),
-        delta.dynamic().epoch(),
-        delta.dynamic().fingerprint(),
+        "queries: {} incremental + {} full; cache {} hits / {} misses / {} evictions; \
+         final epoch {} fingerprint {:#018x}",
+        report.incremental_queries(),
+        report.full_queries(),
+        report.cache_hits,
+        report.cache_misses,
+        report.cache_evictions,
+        report.final_epoch,
+        report.graph_fingerprint,
     );
 
     if let Some(path) = &args.json {
@@ -920,8 +880,8 @@ fn run_mutate(args: &Args, graph: &Graph) -> Result<(), String> {
              \"partitions_total\": {}, \"partitions_dirty\": {}, \"partitions_clean\": {}, \
              \"frontier_full\": {}, \"frontier_seeded\": {}, \"frontier_saved\": {}, \
              \"saved_fraction\": {saved_fraction:.6}, \
-             \"incremental_queries\": {incremental_queries}, \"full_queries\": {full_queries}, \
-             \"differential_match\": {all_match}, \"ledgers_balanced\": {ledgers_ok}, \
+             \"incremental_queries\": {}, \"full_queries\": {}, \
+             \"differential_match\": {}, \"ledgers_balanced\": {}, \
              \"fingerprint\": \"{:#018x}\"}}\n",
             alpha_pim_bench::report::bench_schema_fields("dynamic-serve"),
             args.graph,
@@ -944,18 +904,17 @@ fn run_mutate(args: &Args, graph: &Graph) -> Result<(), String> {
             c.get(CounterId::DeltaFrontierFull),
             c.get(CounterId::DeltaFrontierSeeded),
             c.get(CounterId::DeltaFrontierSaved),
-            delta.dynamic().fingerprint(),
+            report.incremental_queries(),
+            report.full_queries(),
+            report.all_match(),
+            c.check_ledgers().is_ok(),
+            report.graph_fingerprint,
         );
         std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote {path}");
     }
 
-    if !all_match {
-        return Err("incremental answers diverged from from-scratch reruns".into());
-    }
-    if !ledgers_ok {
-        return Err("delta ledgers failed to balance".into());
-    }
+    report.verdict()?;
     println!("differential gate passed (incremental == from-scratch at every epoch)");
     Ok(())
 }
@@ -1392,7 +1351,7 @@ fn run_chaos(args: &Args, graph: &Graph) -> Result<(), String> {
         for s in &faulty.report.iterations {
             total.merge(&s.kernel_report.breakdown.counters);
         }
-        let summary = detect_faults(&total);
+        let summary = FaultSummary::from_counters(&total);
         println!(
             "{:>8} {:>8} {:>9} {:>5} {:>7} {:>7} {:>8} {:>9} {:>6} {:>8.2}x",
             label,
@@ -1410,113 +1369,35 @@ fn run_chaos(args: &Args, graph: &Graph) -> Result<(), String> {
     Ok(())
 }
 
-/// One (graph, app, config) cell of the `sdc` audit sweep.
-struct SdcCase {
-    graph: String,
-    app: &'static str,
-    threads: u32,
-    injected: u64,
-    detected: u64,
-    corrected: u64,
-    escaped: u64,
-    recompute_cycles: u64,
-    corrupted_dpus: usize,
-    values_match: bool,
-    ledger_ok: bool,
-}
-
-impl SdcCase {
-    fn passes(&self) -> bool {
-        self.values_match && self.ledger_ok && self.escaped == 0
-    }
-}
-
-/// Order-independent fingerprint of an answer vector's exact bit patterns.
-fn sdc_fingerprint(bits: impl Iterator<Item = u64>) -> u64 {
-    let mut fold = 0u64;
-    for (i, b) in bits.enumerate() {
-        fold ^= mix64(mix64(i as u64 + 1) ^ b);
-    }
-    fold
-}
-
-/// Runs one application with `engine` and returns the answer fingerprint
-/// plus the aggregated counters and distinct corrupted physical DPUs of
-/// the run.
-fn run_sdc_app(
-    engine: &AlphaPim,
-    app: &'static str,
-    graph: &Graph,
-    weighted: &Graph,
-    source: u32,
-    options: &AppOptions,
-) -> Result<(u64, CounterSet, Vec<u32>), String> {
-    let (fp, report): (u64, AppReport) = match app {
-        "bfs" => {
-            let r = engine.bfs(graph, source, options).map_err(|e| e.to_string())?;
-            (sdc_fingerprint(r.levels.iter().map(|&l| u64::from(l))), r.report)
-        }
-        "sssp" => {
-            let r = engine.sssp(weighted, source, options).map_err(|e| e.to_string())?;
-            (sdc_fingerprint(r.distances.iter().map(|&d| u64::from(d))), r.report)
-        }
-        "ppr" => {
-            let ppr_options = PprOptions { app: *options, ..Default::default() };
-            let r = engine.ppr(graph, source, &ppr_options).map_err(|e| e.to_string())?;
-            (sdc_fingerprint(r.scores.iter().map(|v| u64::from(v.to_bits()))), r.report)
-        }
-        other => return Err(format!("unknown sdc app {other}")),
-    };
-    let mut counters = CounterSet::new();
-    let mut corrupted: Vec<u32> = Vec::new();
-    for s in &report.iterations {
-        counters.merge(&s.kernel_report.breakdown.counters);
-        corrupted.extend_from_slice(&s.kernel_report.corrupted_dpus);
-    }
-    corrupted.sort_unstable();
-    corrupted.dedup();
-    Ok((fp, counters, corrupted))
-}
-
-/// `sdc`: the end-to-end silent-corruption audit. For every requested
-/// graph × {bfs, sssp, ppr} pair it runs a fault-free baseline, then the
-/// same run under a silent-only fault plan ([`FaultPlan::silent`]) with
-/// ABFT merge verification on — at 1 and 4 host merge threads — and
-/// asserts (a) answers are bit-identical to the fault-free run, (b) the
-/// `sdc.*` ledgers balance with zero remainder (`injected = detected +
-/// escaped`, `detected = corrected`), and (c) nothing escaped. A final
-/// verify-off run per pair documents that the same draws *do* escape
-/// without the guard. Exits non-zero on any escaped corruption or ledger
-/// remainder, so `scripts/ci.sh` gates on this command directly.
+/// `sdc`: the end-to-end silent-corruption audit ([`audit::sdc`]) over
+/// every requested graph × {bfs, sssp, ppr}: verified runs under a
+/// silent-only fault plan ([`FaultPlan::silent`]) at 1 and 4 host
+/// threads must match the fault-free answers bit for bit with balanced
+/// ledgers and nothing escaped, and a verify-off control arm must let the
+/// same draws escape. Exits non-zero when the audit's verdict fails, so
+/// `scripts/ci.sh` gates on this command directly.
 fn run_sdc(args: &Args) -> Result<(), String> {
-    let suite: Vec<(String, Graph)> = if args.graph == "all" {
+    let suite: Vec<(&str, Graph)> = if args.graph == "all" {
         datasets::table2()
             .iter()
             .map(|s| {
                 s.generate_scaled(args.scale, args.seed)
-                    .map(|g| (s.abbrev.to_string(), g))
+                    .map(|g| (s.abbrev, g))
                     .map_err(|e| e.to_string())
             })
             .collect::<Result<_, _>>()?
     } else {
-        vec![(args.graph.clone(), load_graph(args)?)]
+        vec![(args.graph.as_str(), load_graph(args)?)]
     };
-    let options = AppOptions { policy: args.policy, ..Default::default() };
-    let make_engine = |faults: Option<FaultPlan>| {
-        AlphaPim::new(PimConfig {
-            num_dpus: args.dpus,
-            fidelity: SimFidelity::Sampled(64),
-            faults,
-            ..Default::default()
-        })
-        .map_err(|e| e.to_string())
+    let config = PimConfig {
+        num_dpus: args.dpus,
+        fidelity: SimFidelity::Sampled(64),
+        ..Default::default()
     };
-    let clean = make_engine(None)?;
     let plan = FaultPlan::silent(args.fault_seed, args.flip_rate);
-    let verified = make_engine(Some(plan.clone()))?;
-    let mut unverified_plan = plan.clone();
-    unverified_plan.policy.verify_merges = false;
-    let unverified = make_engine(Some(unverified_plan))?;
+    let options = AppOptions { policy: args.policy, ..Default::default() };
+    let report = audit::sdc(&config, &plan, &suite, args.source, args.max_weight, &options)
+        .map_err(|e| e.to_string())?;
 
     println!(
         "sdc — {} graphs x bfs/sssp/ppr, {} DPUs, flip rate {}, fault seed {:#x}, \
@@ -1532,75 +1413,35 @@ fn run_sdc(args: &Args) -> Result<(), String> {
         "graph", "app", "thr", "injected", "detected", "corrected", "escaped", "recompute",
         "dpus", "values", "ledger"
     );
-
-    let mut cases: Vec<SdcCase> = Vec::new();
-    let mut escaped_unverified = 0u64;
-    let mut injected_unverified = 0u64;
-    for (name, graph) in &suite {
-        let weighted = graph.with_random_weights(args.max_weight);
-        for app in ["bfs", "sssp", "ppr"] {
-            let (fp_clean, _, _) =
-                run_sdc_app(&clean, app, graph, &weighted, args.source, &options)?;
-            for threads in [1u32, 4] {
-                SimThreads::set(threads as usize);
-                let (fp, c, corrupted) =
-                    run_sdc_app(&verified, app, graph, &weighted, args.source, &options)?;
-                SimThreads::set(1);
-                let case = SdcCase {
-                    graph: name.clone(),
-                    app,
-                    threads,
-                    injected: c.get(CounterId::SdcInjected),
-                    detected: c.get(CounterId::SdcDetected),
-                    corrected: c.get(CounterId::SdcCorrected),
-                    escaped: c.get(CounterId::SdcEscaped),
-                    recompute_cycles: c.get(CounterId::SdcRecomputeCycles),
-                    corrupted_dpus: corrupted.len(),
-                    values_match: fp == fp_clean,
-                    ledger_ok: c.get(CounterId::SdcInjected)
-                        == c.get(CounterId::SdcDetected) + c.get(CounterId::SdcEscaped)
-                        && c.get(CounterId::SdcDetected) == c.get(CounterId::SdcCorrected),
-                };
-                println!(
-                    "{:>6} {:>5} {:>4} {:>9} {:>9} {:>10} {:>8} {:>11} {:>5} {:>7} {:>7}",
-                    case.graph,
-                    case.app,
-                    case.threads,
-                    case.injected,
-                    case.detected,
-                    case.corrected,
-                    case.escaped,
-                    case.recompute_cycles,
-                    case.corrupted_dpus,
-                    if case.values_match { "ok" } else { "DIFF" },
-                    if case.ledger_ok { "ok" } else { "BREACH" },
-                );
-                cases.push(case);
-            }
-            // The control arm: with verification off, every injected flip
-            // must flow through as escaped — the detector, not the fault
-            // model, is what the verify-on rows are exercising.
-            let (_, c, _) =
-                run_sdc_app(&unverified, app, graph, &weighted, args.source, &options)?;
-            injected_unverified += c.get(CounterId::SdcInjected);
-            escaped_unverified += c.get(CounterId::SdcEscaped);
-        }
+    for case in &report.cases {
+        println!(
+            "{:>6} {:>5} {:>4} {:>9} {:>9} {:>10} {:>8} {:>11} {:>5} {:>7} {:>7}",
+            case.graph,
+            case.app,
+            case.threads,
+            case.injected,
+            case.detected,
+            case.corrected,
+            case.escaped,
+            case.recompute_cycles,
+            case.corrupted_dpus,
+            if case.values_match { "ok" } else { "DIFF" },
+            if case.ledger_ok { "ok" } else { "BREACH" },
+        );
     }
-
-    let injected_total: u64 = cases.iter().map(|c| c.injected).sum();
-    let escaped_total: u64 = cases.iter().map(|c| c.escaped).sum();
-    let failures = cases.iter().filter(|c| !c.passes()).count();
     println!(
         "\ntotals: {} injected, {} escaped under verification across {} cases; \
-         verify-off control arm: {injected_unverified} injected → {escaped_unverified} escaped",
-        injected_total,
-        escaped_total,
-        cases.len(),
+         verify-off control arm: {} injected → {} escaped",
+        report.injected(),
+        report.escaped(),
+        report.cases.len(),
+        report.injected_unverified(),
+        report.escaped_unverified(),
     );
 
     if let Some(path) = &args.json {
         let mut cases_json = String::new();
-        for (i, c) in cases.iter().enumerate() {
+        for (i, c) in report.cases.iter().enumerate() {
             if i > 0 {
                 cases_json.push_str(", ");
             }
@@ -1624,11 +1465,9 @@ fn run_sdc(args: &Args) -> Result<(), String> {
         }
         let json = format!(
             "{{{}, \"graph\": \"{}\", \"scale\": {}, \"dpus\": {}, \"seed\": {}, \
-             \"fault_seed\": {}, \"flip_rate\": {}, \"injected\": {injected_total}, \
-             \"escaped\": {escaped_total}, \
-             \"injected_unverified\": {injected_unverified}, \
-             \"escaped_unverified\": {escaped_unverified}, \
-             \"failures\": {failures}, \"passes\": {}, \"cases\": [{cases_json}]}}\n",
+             \"fault_seed\": {}, \"flip_rate\": {}, \"injected\": {}, \
+             \"escaped\": {}, \"injected_unverified\": {}, \"escaped_unverified\": {}, \
+             \"failures\": {}, \"passes\": {}, \"cases\": [{cases_json}]}}\n",
             alpha_pim_bench::report::bench_schema_fields("sdc-audit"),
             args.graph,
             args.scale,
@@ -1636,37 +1475,18 @@ fn run_sdc(args: &Args) -> Result<(), String> {
             args.seed,
             args.fault_seed,
             args.flip_rate,
-            failures == 0,
+            report.injected(),
+            report.escaped(),
+            report.injected_unverified(),
+            report.escaped_unverified(),
+            report.failures().len(),
+            report.verdict().is_ok(),
         );
         std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote {path}");
     }
 
-    if failures > 0 {
-        let list: Vec<String> = cases
-            .iter()
-            .filter(|c| !c.passes())
-            .map(|c| format!("{}/{}@{}t", c.graph, c.app, c.threads))
-            .collect();
-        return Err(format!(
-            "sdc audit failed for {failures} of {} cases: {}",
-            cases.len(),
-            list.join(", ")
-        ));
-    }
-    if injected_total == 0 {
-        return Err(format!(
-            "sdc sweep drew no silent flips (rate {}, seed {:#x}) — the audit exercised \
-             nothing; raise --flip-rate or change --fault-seed",
-            args.flip_rate, args.fault_seed,
-        ));
-    }
-    if escaped_unverified != injected_unverified {
-        return Err(format!(
-            "verify-off control arm leaked accounting: {injected_unverified} injected but \
-             {escaped_unverified} recorded escaped"
-        ));
-    }
+    report.verdict()?;
     println!("sdc audit passed (all corruption detected, corrected, and ledger-balanced)");
     Ok(())
 }

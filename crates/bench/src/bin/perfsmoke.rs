@@ -19,8 +19,7 @@ use std::time::Instant;
 use alpha_pim::semiring::BoolOrAnd;
 use alpha_pim::{PreparedSpmspv, PreparedSpmv, SpmspvVariant, SpmvVariant};
 use alpha_pim_sim::{
-    set_sim_threads, CounterId, KernelReport, ObservabilityLevel, PimConfig, PimSystem,
-    SimFidelity,
+    set_sim_threads, KernelReport, ObservabilityLevel, PimConfig, PimSystem, SimFidelity,
 };
 use alpha_pim_sparse::{gen, DenseVector, Graph, SparseVector};
 
@@ -98,16 +97,10 @@ fn time_launch(
         par_report.counters_csv(),
         "{name}: counter CSV diverged between 1 and {threads_par} threads"
     );
-    let c = &seq_report.breakdown.counters;
     assert_eq!(
-        c.sum(&CounterId::SLOT_CYCLES),
-        c.get(CounterId::DpuCycles),
-        "{name}: slot attribution must partition the detailed DPU cycles"
-    );
-    assert_eq!(
-        c.sum(&CounterId::TASKLET_CYCLES),
-        c.get(CounterId::TaskletBudget),
-        "{name}: tasklet attribution must partition the tasklet budget"
+        seq_report.breakdown.counters.check_ledgers(),
+        Ok(()),
+        "{name}: cycle attribution must partition the detailed DPU cycles and tasklet budget"
     );
     let max_cycles = seq_report.max_cycles;
     (Timed { name, max_cycles, secs_seq, secs_par }, seq_report)

@@ -58,10 +58,7 @@ impl HarnessConfig {
 
     /// Generates the scaled synthetic stand-in for a catalog dataset.
     pub fn load(&self, spec: &DatasetSpec) -> Graph {
-        // Keep every dataset at a workable minimum size.
-        let min_scale = (2_000.0 / spec.nodes as f64).min(1.0);
-        spec.generate_scaled(self.scale.max(min_scale), self.seed)
-            .expect("catalog recipes are valid")
+        load_scaled(spec, self.scale, self.seed)
     }
 
     /// The representative datasets used for per-dataset columns in the
@@ -83,6 +80,18 @@ impl HarnessConfig {
     pub fn striped_vector(&self, n: usize, density: f64) -> SparseVector<u32> {
         striped_vector(n, density)
     }
+}
+
+/// Generates `spec` at `scale`, but never below 2,000 nodes (or the whole
+/// graph, when it is smaller), so frontiers still span several partitions.
+pub fn load_scaled(spec: &DatasetSpec, scale: f64, seed: u64) -> Graph {
+    let min_scale = (2_000.0 / spec.nodes as f64).min(1.0);
+    spec.generate_scaled(scale.max(min_scale), seed).expect("catalog recipes are valid")
+}
+
+/// Every Table 2 dataset through [`load_scaled`], with its abbreviation.
+pub fn catalog(scale: f64, seed: u64) -> Vec<(&'static str, Graph)> {
+    datasets::table2().iter().map(|spec| (spec.abbrev, load_scaled(spec, scale, seed))).collect()
 }
 
 /// A deterministic sparse vector with ~`density · n` striped non-zeros.

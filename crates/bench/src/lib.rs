@@ -13,6 +13,7 @@
 //! * `ALPHA_PIM_DETAIL` — DPUs receiving full cycle-level simulation per
 //!   kernel launch (default `64`).
 
+pub mod audit;
 pub mod experiments;
 pub mod harness;
 pub mod report;

@@ -3,17 +3,22 @@
 use alpha_pim_sim::report::PhaseBreakdown;
 
 /// Version of the shared `BENCH_*.json` schema: every benchmark artifact
-/// starts with `schema_version`, `commit`, and `tier` so
+/// starts with `schema_version`, `commit`, `tier` and `nproc` so
 /// `scripts/bench_summary.sh` can build a trajectory table across files.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
 /// The shared leading fields of a `BENCH_*.json` object (no surrounding
 /// braces, no trailing comma): `"schema_version": …, "commit": …,
-/// "tier": …`. `tier` names the producing stage (`"perfsmoke"`,
-/// `"serve"`, `"analytic-serve"`, `"calibration"`, …).
+/// "tier": …, "nproc": …`. `tier` names the producing stage
+/// (`"perfsmoke"`, `"serve"`, `"analytic-serve"`, `"calibration"`, …);
+/// `nproc` is the host's available parallelism (`null` if unknown), the
+/// context any host wall time in the artifact was measured in.
 pub fn bench_schema_fields(tier: &str) -> String {
+    let nproc =
+        std::thread::available_parallelism().map_or_else(|_| "null".to_string(), |n| n.to_string());
     format!(
-        "\"schema_version\": {BENCH_SCHEMA_VERSION}, \"commit\": \"{}\", \"tier\": \"{tier}\"",
+        "\"schema_version\": {BENCH_SCHEMA_VERSION}, \"commit\": \"{}\", \"tier\": \"{tier}\", \
+         \"nproc\": {nproc}",
         git_commit()
     )
 }

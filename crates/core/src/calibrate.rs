@@ -184,15 +184,6 @@ fn sources(nodes: u32, count: usize, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-fn values_equal(a: &QueryResult, b: &QueryResult) -> bool {
-    match (a, b) {
-        (QueryResult::Bfs(x), QueryResult::Bfs(y)) => x.levels == y.levels,
-        (QueryResult::Sssp(x), QueryResult::Sssp(y)) => x.distances == y.distances,
-        (QueryResult::Ppr(x), QueryResult::Ppr(y)) => x.scores == y.scores,
-        _ => false,
-    }
-}
-
 /// Sums each [`TRAFFIC_COUNTERS`] entry over every iteration of `report`.
 fn traffic_totals(report: &AppReport) -> [u64; TRAFFIC_COUNTERS.len()] {
     let mut out = [0u64; TRAFFIC_COUNTERS.len()];
@@ -248,7 +239,7 @@ pub fn run_case(
     let mut replay_seconds = 0.0;
     let mut analytic_seconds = 0.0;
     for (r, a) in replay.iter().zip(analytic.iter()) {
-        values_match &= values_equal(r, a);
+        values_match &= r.same_values(a);
         counters_match &= traffic_totals(r.report()) == traffic_totals(a.report());
         replay_seconds += r.report().total_seconds();
         analytic_seconds += a.report().total_seconds();

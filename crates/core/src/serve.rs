@@ -111,6 +111,21 @@ impl QueryResult {
         }
     }
 
+    /// Whether `other` answers the same kind of query with bit-identical
+    /// values. PPR scores compare by bit pattern, so `-0.0` differs from
+    /// `0.0` and a NaN matches itself.
+    pub fn same_values(&self, other: &QueryResult) -> bool {
+        match (self, other) {
+            (QueryResult::Bfs(a), QueryResult::Bfs(b)) => a.levels == b.levels,
+            (QueryResult::Sssp(a), QueryResult::Sssp(b)) => a.distances == b.distances,
+            (QueryResult::Ppr(a), QueryResult::Ppr(b)) => {
+                a.scores.len() == b.scores.len()
+                    && a.scores.iter().zip(&b.scores).all(|(x, y)| x.to_bits() == y.to_bits())
+            }
+            _ => false,
+        }
+    }
+
     fn app_kind(&self) -> AppKind {
         match self {
             QueryResult::Bfs(_) => AppKind::Bfs,
@@ -1495,6 +1510,19 @@ mod tests {
 
     fn graph() -> Graph {
         Graph::from_coo(gen::erdos_renyi(120, 900, 77).unwrap()).with_random_weights(9)
+    }
+
+    #[test]
+    fn same_values_compares_bit_patterns_and_kinds() {
+        let report = AppReport::default;
+        let ppr = |scores: Vec<f32>| QueryResult::Ppr(PprResult { scores, report: report() });
+        let bfs = |levels: Vec<u32>| QueryResult::Bfs(BfsResult { levels, report: report() });
+        assert!(ppr(vec![0.5, f32::NAN]).same_values(&ppr(vec![0.5, f32::NAN])));
+        assert!(!ppr(vec![0.0]).same_values(&ppr(vec![-0.0])));
+        assert!(!ppr(vec![0.5]).same_values(&ppr(vec![0.5, 0.5])));
+        assert!(bfs(vec![0, 1]).same_values(&bfs(vec![0, 1])));
+        assert!(!bfs(vec![0, 1]).same_values(&bfs(vec![0, 2])));
+        assert!(!bfs(vec![]).same_values(&ppr(vec![])));
     }
 
     #[test]

@@ -417,7 +417,8 @@ enum Mode<'m> {
 /// let mut service = ServiceEngine::new(&engine, config);
 /// let report = service.run(&graphs, &workload)?;
 /// assert_eq!(report.arrivals(), 24);
-/// assert_eq!(report.admitted(), report.served() + report.shed_wait() + report.shed_deadline());
+/// // Every counter ledger balances, admission and outcome included.
+/// report.counters.check_ledgers()?;
 /// # Ok(())
 /// # }
 /// ```
@@ -1035,18 +1036,7 @@ mod tests {
         let report = svc().run_dynamic(&graphs, &workload, &mutations).unwrap();
         let c = &report.counters;
         assert_eq!(c.get(CounterId::DeltaEpochs), 2);
-        assert_eq!(
-            c.get(CounterId::DeltaEdgesInserted) + c.get(CounterId::DeltaEdgesDeleted),
-            c.get(CounterId::DeltaEdgesApplied),
-        );
-        assert_eq!(
-            c.get(CounterId::DeltaEdgesApplied) + c.get(CounterId::DeltaEdgesRedundant),
-            c.get(CounterId::DeltaEdgesRequested),
-        );
-        assert_eq!(
-            c.get(CounterId::DeltaPartitionsDirty) + c.get(CounterId::DeltaPartitionsClean),
-            c.get(CounterId::DeltaPartitionsTotal),
-        );
+        assert_eq!(c.check_ledgers(), Ok(()));
         assert!(c.get(CounterId::DeltaEdgesApplied) > 0, "seeded batches must not be all-redundant");
         assert_eq!(report.served(), 24);
 

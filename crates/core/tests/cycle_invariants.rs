@@ -45,16 +45,7 @@ fn assert_partition(r: &KernelReport, kernel: &str, case: u64) {
     let cycles = c.get(CounterId::DpuCycles);
     let budget = c.get(CounterId::TaskletBudget);
     assert!(cycles > 0, "{kernel} case {case}: no cycles simulated");
-    assert_eq!(
-        c.sum(&CounterId::SLOT_CYCLES),
-        cycles,
-        "{kernel} case {case}: slot attribution does not partition the DPU cycles",
-    );
-    assert_eq!(
-        c.sum(&CounterId::TASKLET_CYCLES),
-        budget,
-        "{kernel} case {case}: tasklet attribution does not partition the budget",
-    );
+    assert_eq!(c.check_ledgers(), Ok(()), "{kernel} case {case}");
     for id in CounterId::SLOT_CYCLES {
         assert!(c.get(id) <= cycles, "{kernel} case {case}: {id} exceeds the cycle total");
     }
@@ -66,8 +57,9 @@ fn assert_partition(r: &KernelReport, kernel: &str, case: u64) {
     // the kernel layer and intentionally have no per-DPU breakdown).
     let mut resummed = alpha_pim_sim::CounterSet::new();
     for d in &r.dpu_details {
+        assert_eq!(d.counters.check_ledgers(), Ok(()), "{kernel} case {case}: DPU {}", d.dpu_id);
         assert_eq!(
-            d.counters.sum(&CounterId::SLOT_CYCLES),
+            d.counters.get(CounterId::DpuCycles),
             d.total_cycles,
             "{kernel} case {case}: DPU {} detail is internally inconsistent",
             d.dpu_id,

@@ -2,8 +2,10 @@
 //! attribute a cycle (or an event, or a byte) to, with stable indices and
 //! labels so reports, exporters, and tests all speak the same taxonomy.
 //!
-//! Counters come in four groups (see `DESIGN.md` §9 for the mapping to the
-//! paper's Fig 2/Fig 9 stall categories):
+//! Counters come in the groups below (see `DESIGN.md` §9 for the mapping to
+//! the paper's Fig 2/Fig 9 stall categories). Every zero-remainder identity
+//! they promise is one row of [`LEDGERS`], and
+//! [`CounterSet::check_ledgers`] is the one checker for all of them:
 //!
 //! * **Slot-level** (`slot.*`, `dpu.cycles`) — one entry per issue slot of
 //!   one DPU; `slot.issue + slot.memory + slot.revolver + slot.rf ==
@@ -372,47 +374,6 @@ impl CounterId {
         CounterId::QuarantineDpusQuarantined,
     ];
 
-    /// The corruption-outcome ledger (sums to [`CounterId::SdcInjected`]).
-    pub const SDC_OUTCOMES: [CounterId; 2] =
-        [CounterId::SdcDetected, CounterId::SdcEscaped];
-
-    /// The quarantine machine partition (sums to
-    /// [`CounterId::QuarantineDpusTotal`]).
-    pub const QUARANTINE_DPUS: [CounterId; 2] =
-        [CounterId::QuarantineDpusActive, CounterId::QuarantineDpusQuarantined];
-
-    /// The effective-edge ledger (sums to
-    /// [`CounterId::DeltaEdgesApplied`]).
-    pub const DELTA_EDGES: [CounterId; 2] =
-        [CounterId::DeltaEdgesInserted, CounterId::DeltaEdgesDeleted];
-
-    /// The mutation-outcome ledger (sums to
-    /// [`CounterId::DeltaEdgesRequested`]).
-    pub const DELTA_OUTCOMES: [CounterId; 2] =
-        [CounterId::DeltaEdgesApplied, CounterId::DeltaEdgesRedundant];
-
-    /// The partition-dirtiness ledger (sums to
-    /// [`CounterId::DeltaPartitionsTotal`]).
-    pub const DELTA_PARTITIONS: [CounterId; 2] =
-        [CounterId::DeltaPartitionsDirty, CounterId::DeltaPartitionsClean];
-
-    /// The incremental-recompute frontier ledger (sums to
-    /// [`CounterId::DeltaFrontierFull`]).
-    pub const DELTA_FRONTIER: [CounterId; 2] =
-        [CounterId::DeltaFrontierSeeded, CounterId::DeltaFrontierSaved];
-
-    /// The admission ledger (sums to [`CounterId::QueueArrivals`]).
-    pub const QUEUE_ADMISSION: [CounterId; 2] =
-        [CounterId::QueueAdmitted, CounterId::QueueRejected];
-
-    /// The outcome ledger of admitted queries (sums to
-    /// [`CounterId::QueueAdmitted`]).
-    pub const QUEUE_OUTCOMES: [CounterId; 3] = [
-        CounterId::QueueServed,
-        CounterId::QueueShedWait,
-        CounterId::QueueShedDeadline,
-    ];
-
     /// The slot-level cycle categories (sum to [`CounterId::DpuCycles`]).
     pub const SLOT_CYCLES: [CounterId; 5] = [
         CounterId::SlotIssue,
@@ -541,6 +502,76 @@ impl std::fmt::Display for CounterId {
     }
 }
 
+/// Every zero-remainder identity of the registry, one `(total, parts)` row
+/// each: `total == Σ parts` holds on any counter set the simulator or a
+/// layer above it produces (per iteration, per DPU, or summed over a run).
+pub const LEDGERS: [(CounterId, &[CounterId]); 14] = [
+    (CounterId::DpuCycles, &CounterId::SLOT_CYCLES),
+    (CounterId::TaskletBudget, &CounterId::TASKLET_CYCLES),
+    (CounterId::SlotFault, &CounterId::FAULT_CYCLES),
+    // Fault detection is exact, and every detected fault ends one way.
+    (CounterId::FaultsInjected, &[CounterId::FaultsDetected]),
+    (CounterId::FaultsDetected, &[CounterId::FaultsRecovered, CounterId::FaultsLost]),
+    // Silent corruption: caught or escaped, and every catch is recomputed.
+    (CounterId::SdcInjected, &[CounterId::SdcDetected, CounterId::SdcEscaped]),
+    (CounterId::SdcDetected, &[CounterId::SdcCorrected]),
+    (
+        CounterId::QuarantineDpusTotal,
+        &[CounterId::QuarantineDpusActive, CounterId::QuarantineDpusQuarantined],
+    ),
+    (
+        CounterId::DeltaEdgesApplied,
+        &[CounterId::DeltaEdgesInserted, CounterId::DeltaEdgesDeleted],
+    ),
+    (
+        CounterId::DeltaEdgesRequested,
+        &[CounterId::DeltaEdgesApplied, CounterId::DeltaEdgesRedundant],
+    ),
+    (
+        CounterId::DeltaPartitionsTotal,
+        &[CounterId::DeltaPartitionsDirty, CounterId::DeltaPartitionsClean],
+    ),
+    (
+        CounterId::DeltaFrontierFull,
+        &[CounterId::DeltaFrontierSeeded, CounterId::DeltaFrontierSaved],
+    ),
+    (CounterId::QueueArrivals, &[CounterId::QueueAdmitted, CounterId::QueueRejected]),
+    (
+        CounterId::QueueAdmitted,
+        &[CounterId::QueueServed, CounterId::QueueShedWait, CounterId::QueueShedDeadline],
+    ),
+];
+
+/// The first [`LEDGERS`] row a counter set breaks, with its values.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LedgerBreach {
+    /// The row's total counter.
+    total: CounterId,
+    /// The counters that must sum to it.
+    parts: &'static [CounterId],
+    /// The value of `total`.
+    expected: u64,
+    /// The values of `parts`, in order.
+    values: Vec<u64>,
+}
+
+impl std::fmt::Display for LedgerBreach {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let terms: Vec<String> =
+            self.parts.iter().zip(&self.values).map(|(id, v)| format!("{id} {v}")).collect();
+        write!(
+            f,
+            "ledger breach: {} {} != {} = {}",
+            self.total,
+            self.expected,
+            terms.join(" + "),
+            self.values.iter().sum::<u64>(),
+        )
+    }
+}
+
+impl std::error::Error for LedgerBreach {}
+
 /// A fixed-size bank of all registry counters. Cheap to copy, merge, and
 /// compare; the zero value is the empty set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -599,6 +630,25 @@ impl CounterSet {
     pub fn iter(&self) -> impl Iterator<Item = (CounterId, u64)> + '_ {
         CounterId::ALL.iter().map(move |&id| (id, self.get(id)))
     }
+
+    /// Checks every [`LEDGERS`] row, naming the first one with a remainder.
+    ///
+    /// # Errors
+    ///
+    /// The first row whose parts do not sum to its total.
+    pub fn check_ledgers(&self) -> Result<(), LedgerBreach> {
+        for &(total, parts) in &LEDGERS {
+            if self.sum(parts) != self.get(total) {
+                return Err(LedgerBreach {
+                    total,
+                    parts,
+                    expected: self.get(total),
+                    values: parts.iter().map(|&id| self.get(id)).collect(),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -644,5 +694,40 @@ mod tests {
     fn iter_visits_every_counter_once() {
         let c = CounterSet::new();
         assert_eq!(c.iter().count(), NUM_COUNTERS);
+    }
+
+    #[test]
+    fn check_ledgers_names_each_broken_row() {
+        // Distinct non-zero values everywhere, then each total re-derived
+        // from its parts until the nested rows (a total that is also a
+        // part elsewhere) settle.
+        let mut balanced = CounterSet::new();
+        for id in CounterId::ALL {
+            balanced.set(id, id.index() as u64 + 1);
+        }
+        for _ in 0..LEDGERS.len() {
+            for &(total, parts) in &LEDGERS {
+                balanced.set(total, balanced.sum(parts));
+            }
+        }
+        assert_eq!(balanced.check_ledgers(), Ok(()));
+
+        for &(total, parts) in &LEDGERS {
+            // Bump a counter no other row reads, so only this row breaks.
+            let in_rows =
+                |id: CounterId| LEDGERS.iter().filter(|(t, p)| *t == id || p.contains(&id)).count();
+            let own = std::iter::once(total)
+                .chain(parts.iter().copied())
+                .find(|&id| in_rows(id) == 1)
+                .expect("every row has a counter of its own");
+            let mut broken = balanced;
+            broken.add(own, 1);
+            let breach = broken.check_ledgers().expect_err("a bumped row must breach");
+            assert_eq!(breach.total, total, "bumping {own} named the wrong row");
+            assert_eq!(breach.parts, parts);
+            assert_eq!(breach.expected, broken.get(total));
+            assert_eq!(breach.values, parts.iter().map(|&id| broken.get(id)).collect::<Vec<_>>());
+            assert!(breach.to_string().contains(total.label()), "{breach}");
+        }
     }
 }

@@ -85,13 +85,6 @@ pub fn aggregate_bandwidth(cfg: &HostConfig) -> f64 {
     cfg.merge_bytes_per_s_per_thread * cfg.threads as f64
 }
 
-/// Host-side fault detection: decodes the resilience ledger the runtime
-/// accumulated in `counters`. Every fault the plan injects leaves a counter
-/// trail, so detection is exact (delegates to [`crate::resilience`]).
-pub fn detect_faults(counters: &CounterSet) -> crate::resilience::FaultSummary {
-    crate::resilience::FaultSummary::from_counters(counters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -82,7 +82,7 @@ pub use config::{
     FaultPlan, HostConfig, InterDpuConfig, ObservabilityLevel, PimConfig, PipelineConfig,
     ResiliencePolicy, SimFidelity, TransferConfig,
 };
-pub use counters::{CounterId, CounterSet, NUM_COUNTERS};
+pub use counters::{CounterId, CounterSet, LedgerBreach, LEDGERS, NUM_COUNTERS};
 pub use faults::{FaultEngine, FaultVerdict, HostCrashPlan};
 pub use energy::EnergyModel;
 pub use instr::{InstrClass, InstrMix};

@@ -102,12 +102,6 @@ impl FaultSummary {
     }
 }
 
-/// Sum of the fault-cycle buckets in `c` — must equal `SlotFault` (the
-/// zero-remainder sub-partition the invariant suite checks).
-pub fn fault_cycle_sum(c: &CounterSet) -> u64 {
-    c.sum(&CounterId::FAULT_CYCLES)
-}
-
 /// The crash-recovery ledger of one serving batch, decoded from the
 /// `ckpt.*` / `serve.shed` counters the checkpointing engine maintains.
 ///
@@ -223,6 +217,6 @@ mod tests {
         c.add(CounterId::FaultRetryCycles, 80);
         let s = FaultSummary::from_counters(&c);
         assert_eq!(s.fault_cycles(), 200);
-        assert_eq!(fault_cycle_sum(&c), 200);
+        assert_eq!(c.sum(&CounterId::FAULT_CYCLES), 200);
     }
 }

@@ -3,9 +3,11 @@
 # the repo root: which commit produced it, which tier wrote it, and the
 # artifact's headline metric. Artifacts that record both a host wall time
 # and the model time it simulated also show their ratio ("host/model", in
-# host seconds per model second). All BENCH files share the schema emitted
-# by `alpha_pim_bench::report::bench_schema_fields` (schema_version, commit,
-# tier); files predating the schema show "-" in those columns.
+# host seconds per model second) and the core count it was measured on
+# ("?" for artifacts written before `nproc` was recorded). All BENCH files
+# share the schema emitted by `alpha_pim_bench::report::bench_schema_fields`
+# (schema_version, commit, tier, nproc); files predating the schema show
+# "-" in those columns.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +29,7 @@ for f in "${files[@]}"; do
         def host_per_model(host; model):
             if host != null and (model // 0) > 0 then
                 ", host/model \((host / model * 100 | round) / 100) s/s"
+                + " on \(.nproc // "?") cores"
             else
                 ""
             end;

@@ -9,13 +9,13 @@
 
 use alpha_pim::apps::{AppOptions, PprOptions};
 use alpha_pim::AlphaPim;
-use alpha_pim_sim::host::detect_faults;
+use alpha_pim_bench::harness;
 use alpha_pim_sim::par::set_sim_threads;
 use alpha_pim_sim::report::KernelReport;
 use alpha_pim_sim::{
-    CounterId, CounterSet, FaultPlan, ObservabilityLevel, PimConfig, ResiliencePolicy, SimFidelity,
+    CounterSet, FaultPlan, FaultSummary, ObservabilityLevel, PimConfig, ResiliencePolicy,
+    SimFidelity,
 };
-use alpha_pim_sparse::{datasets, Graph};
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 0xD1FF;
@@ -37,54 +37,16 @@ fn engine(faults: Option<FaultPlan>) -> AlphaPim {
     .expect("valid config")
 }
 
-/// Every catalog graph at the same scaled-down sizes the differential
-/// audit uses.
-fn catalog_graphs() -> Vec<(&'static str, Graph)> {
-    datasets::table2()
-        .iter()
-        .map(|spec| {
-            let min_scale = (2_000.0 / spec.nodes as f64).min(1.0);
-            let g = spec
-                .generate_scaled(SCALE.max(min_scale), SEED)
-                .expect("catalog recipes are valid");
-            (spec.abbrev, g)
-        })
-        .collect()
-}
-
-/// Sums the fault ledger over all iterations of a run and checks it
-/// balances: injected == detected == recovered + lost.
+/// Checks every ledger on each iteration's counters (the slot, fault-cycle
+/// and tasklet partitions among them) and on their sum over the run (where
+/// injected == detected == recovered + lost), returning the sum.
 fn audit_ledger(reports: &[&KernelReport], ctx: &str) -> CounterSet {
     let mut total = CounterSet::new();
     for r in reports {
-        let c = &r.breakdown.counters;
-        total.merge(c);
-        assert_eq!(
-            c.sum(&CounterId::SLOT_CYCLES),
-            c.get(CounterId::DpuCycles),
-            "{ctx}: slot partition has a remainder",
-        );
-        assert_eq!(
-            c.sum(&CounterId::FAULT_CYCLES),
-            c.get(CounterId::SlotFault),
-            "{ctx}: fault buckets must sum to the fault slice",
-        );
-        assert_eq!(
-            c.sum(&CounterId::TASKLET_CYCLES),
-            c.get(CounterId::TaskletBudget),
-            "{ctx}: tasklet partition has a remainder",
-        );
+        assert_eq!(r.breakdown.counters.check_ledgers(), Ok(()), "{ctx}");
+        total.merge(&r.breakdown.counters);
     }
-    assert_eq!(
-        total.get(CounterId::FaultsInjected),
-        total.get(CounterId::FaultsDetected),
-        "{ctx}: detection must be exact",
-    );
-    assert_eq!(
-        total.get(CounterId::FaultsDetected),
-        total.get(CounterId::FaultsRecovered) + total.get(CounterId::FaultsLost),
-        "{ctx}: every detected fault is recovered or lost",
-    );
+    assert_eq!(total.check_ledgers(), Ok(()), "{ctx}");
     total
 }
 
@@ -93,7 +55,7 @@ fn bfs_results_survive_chaos_on_every_catalog_graph() {
     let clean_eng = engine(None);
     let chaos_eng = engine(Some(storm()));
     let mut injected = 0u64;
-    for (abbrev, graph) in catalog_graphs() {
+    for (abbrev, graph) in harness::catalog(SCALE, SEED) {
         let clean = clean_eng.bfs(&graph, 0, &AppOptions::default()).expect("bfs runs");
         let faulty = chaos_eng.bfs(&graph, 0, &AppOptions::default()).expect("faulty bfs runs");
         assert_eq!(faulty.levels, clean.levels, "BFS levels changed under chaos on {abbrev}");
@@ -101,7 +63,7 @@ fn bfs_results_survive_chaos_on_every_catalog_graph() {
         let reports: Vec<&KernelReport> =
             faulty.report.iterations.iter().map(|s| &s.kernel_report).collect();
         let total = audit_ledger(&reports, &format!("BFS {abbrev}"));
-        let summary = detect_faults(&total);
+        let summary = FaultSummary::from_counters(&total);
         assert!(summary.fully_recovered(), "BFS {abbrev}: lost faults on a survivable plan");
         injected += summary.injected;
         assert!(
@@ -116,7 +78,7 @@ fn bfs_results_survive_chaos_on_every_catalog_graph() {
 fn sssp_results_survive_chaos_on_every_catalog_graph() {
     let clean_eng = engine(None);
     let chaos_eng = engine(Some(storm()));
-    for (abbrev, graph) in catalog_graphs() {
+    for (abbrev, graph) in harness::catalog(SCALE, SEED) {
         let weighted = graph.with_random_weights(9);
         let clean = clean_eng.sssp(&weighted, 0, &AppOptions::default()).expect("sssp runs");
         let faulty =
@@ -129,7 +91,8 @@ fn sssp_results_survive_chaos_on_every_catalog_graph() {
         let reports: Vec<&KernelReport> =
             faulty.report.iterations.iter().map(|s| &s.kernel_report).collect();
         let total = audit_ledger(&reports, &format!("SSSP {abbrev}"));
-        assert!(detect_faults(&total).fully_recovered(), "SSSP {abbrev}: lost faults");
+        let summary = FaultSummary::from_counters(&total);
+        assert!(summary.fully_recovered(), "SSSP {abbrev}: lost faults");
     }
 }
 
@@ -137,7 +100,7 @@ fn sssp_results_survive_chaos_on_every_catalog_graph() {
 fn ppr_results_survive_chaos_on_every_catalog_graph() {
     let clean_eng = engine(None);
     let chaos_eng = engine(Some(storm()));
-    for (abbrev, graph) in catalog_graphs() {
+    for (abbrev, graph) in harness::catalog(SCALE, SEED) {
         let clean = clean_eng.ppr(&graph, 0, &PprOptions::default()).expect("ppr runs");
         let faulty = chaos_eng.ppr(&graph, 0, &PprOptions::default()).expect("faulty ppr runs");
         // Recovery re-runs the same partitions, so even floating-point
@@ -147,7 +110,8 @@ fn ppr_results_survive_chaos_on_every_catalog_graph() {
         let reports: Vec<&KernelReport> =
             faulty.report.iterations.iter().map(|s| &s.kernel_report).collect();
         let total = audit_ledger(&reports, &format!("PPR {abbrev}"));
-        assert!(detect_faults(&total).fully_recovered(), "PPR {abbrev}: lost faults");
+        let summary = FaultSummary::from_counters(&total);
+        assert!(summary.fully_recovered(), "PPR {abbrev}: lost faults");
     }
 }
 
@@ -184,7 +148,7 @@ fn fault_plan_matrix_keeps_bfs_exact() {
         ),
         ("everything", storm()),
     ];
-    let (abbrev, graph) = catalog_graphs().swap_remove(2);
+    let (abbrev, graph) = harness::catalog(SCALE, SEED).swap_remove(2);
     let clean = engine(None).bfs(&graph, 0, &AppOptions::default()).expect("bfs runs");
     for (name, plan) in plans {
         let faulty = engine(Some(plan))
@@ -207,14 +171,14 @@ fn fault_plan_matrix_keeps_bfs_exact() {
 #[test]
 fn unsurvivable_plan_reports_degraded() {
     let plan = FaultPlan { dpu_loss_rate: 1.0, ..FaultPlan::uniform(1, 0.0) };
-    let (abbrev, graph) = catalog_graphs().swap_remove(0);
+    let (abbrev, graph) = harness::catalog(SCALE, SEED).swap_remove(0);
     let faulty = engine(Some(plan)).bfs(&graph, 0, &AppOptions::default()).expect("bfs completes");
     assert!(faulty.report.degraded, "total loss must degrade {abbrev}");
     let mut total = CounterSet::new();
     for s in &faulty.report.iterations {
         total.merge(&s.kernel_report.breakdown.counters);
     }
-    let summary = detect_faults(&total);
+    let summary = FaultSummary::from_counters(&total);
     assert!(summary.lost > 0, "losses must be charged");
     assert!(!summary.fully_recovered());
 }
@@ -223,7 +187,7 @@ fn unsurvivable_plan_reports_degraded() {
 /// are pure hashes of (seed, site), never of scheduling.
 #[test]
 fn chaos_runs_are_bit_identical_across_thread_counts() {
-    let (abbrev, graph) = catalog_graphs().swap_remove(4);
+    let (abbrev, graph) = harness::catalog(SCALE, SEED).swap_remove(4);
     set_sim_threads(1);
     let sequential = engine(Some(storm()))
         .bfs(&graph, 0, &AppOptions::default())

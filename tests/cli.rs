@@ -24,18 +24,31 @@ const GRAPH: [&str; 5] = ["A302", "--scale", "0.01", "--dpus", "32"];
 
 #[test]
 fn known_subcommands_succeed() {
-    for algo in ["bfs", "top", "chaos"] {
-        let out = cli(&[&[algo], &GRAPH[..]].concat());
-        assert!(
-            out.status.success(),
-            "{algo} failed:\n{}\n{}",
-            stdout(&out),
-            stderr(&out),
-        );
+    // The audit gates run on inputs small enough for a quick run that
+    // still exercise each gate: `sdc` draws flips at this rate, and
+    // `mutate` lands real epochs.
+    for (algo, flags, expect) in [
+        ("bfs", &[][..], ""),
+        ("top", &[][..], ""),
+        ("chaos", &[][..], ""),
+        ("serve", &["--queries", "4", "--batch", "2"][..], "batched == sequential"),
+        ("sdc", &["--scale", "0.002", "--dpus", "8", "--flip-rate", "0.3"][..], "sdc audit passed"),
+        (
+            "mutate",
+            &["--queries", "4", "--epochs", "2", "--ops", "16"][..],
+            "differential gate passed",
+        ),
+        ("calibrate", &["--queries", "1"][..], "calibration passed"),
+        (
+            "serve-load",
+            &["--queries", "64", "--batch", "8", "--fast-path", "analytic"][..],
+            "ledger: 64 arrivals",
+        ),
+    ] {
+        let out = cli(&[&[algo], &GRAPH[..], flags].concat());
+        assert!(out.status.success(), "{algo} failed:\n{}\n{}", stdout(&out), stderr(&out));
+        assert!(stdout(&out).contains(expect), "{algo} stdout:\n{}", stdout(&out));
     }
-    let out = cli(&[&["serve"], &GRAPH[..], &["--queries", "4", "--batch", "2"]].concat());
-    assert!(out.status.success(), "serve failed:\n{}\n{}", stdout(&out), stderr(&out));
-    assert!(stdout(&out).contains("batched == sequential"));
 }
 
 #[test]

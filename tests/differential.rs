@@ -10,8 +10,9 @@ use alpha_pim::apps::{AppOptions, PprOptions};
 use alpha_pim::serve::{Query, QueryResult, ServeConfig, ServeEngine};
 use alpha_pim::AlphaPim;
 use alpha_pim_baselines::cpu::GridEngine;
+use alpha_pim_bench::harness;
 use alpha_pim_sim::{ObservabilityLevel, PimConfig, SimFidelity};
-use alpha_pim_sparse::{datasets, Graph};
+use alpha_pim_sparse::Graph;
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 0xD1FF;
@@ -26,25 +27,10 @@ fn engine() -> AlphaPim {
     .expect("valid config")
 }
 
-/// Every catalog graph at a workable test size (scaled down, but never
-/// below ~2,000 nodes so frontiers still span several partitions).
-fn catalog_graphs() -> Vec<(&'static str, Graph)> {
-    datasets::table2()
-        .iter()
-        .map(|spec| {
-            let min_scale = (2_000.0 / spec.nodes as f64).min(1.0);
-            let g = spec
-                .generate_scaled(SCALE.max(min_scale), SEED)
-                .expect("catalog recipes are valid");
-            (spec.abbrev, g)
-        })
-        .collect()
-}
-
 #[test]
 fn bfs_matches_cpu_grid_on_every_catalog_graph() {
     let eng = engine();
-    for (abbrev, graph) in catalog_graphs() {
+    for (abbrev, graph) in harness::catalog(SCALE, SEED) {
         let pim = eng.bfs(&graph, 0, &AppOptions::default()).expect("bfs runs");
         let (cpu, _) = GridEngine::new(&graph, 8, 2).bfs(0);
         assert_eq!(pim.levels, cpu, "BFS levels diverged on {abbrev}");
@@ -54,7 +40,7 @@ fn bfs_matches_cpu_grid_on_every_catalog_graph() {
 #[test]
 fn sssp_matches_cpu_grid_on_every_catalog_graph() {
     let eng = engine();
-    for (abbrev, graph) in catalog_graphs() {
+    for (abbrev, graph) in harness::catalog(SCALE, SEED) {
         let weighted = graph.with_random_weights(9);
         let pim = eng.sssp(&weighted, 0, &AppOptions::default()).expect("sssp runs");
         let (cpu, _) = GridEngine::new(&weighted, 8, 2).sssp(0);
@@ -65,7 +51,7 @@ fn sssp_matches_cpu_grid_on_every_catalog_graph() {
 #[test]
 fn ppr_matches_cpu_grid_on_every_catalog_graph() {
     let eng = engine();
-    for (abbrev, graph) in catalog_graphs() {
+    for (abbrev, graph) in harness::catalog(SCALE, SEED) {
         let pim = eng.ppr(&graph, 0, &PprOptions::default()).expect("ppr runs");
         let (cpu, _) = GridEngine::new(&graph, 8, 2).ppr(0, 0.85, 1e-4, 50);
         assert_eq!(pim.scores.len(), cpu.len(), "PPR length diverged on {abbrev}");
@@ -124,7 +110,7 @@ fn single_dpu_engine_matches_cpu_grid() {
         ..Default::default()
     })
     .expect("one DPU is a valid system");
-    let (abbrev, graph) = catalog_graphs().swap_remove(1);
+    let (abbrev, graph) = harness::catalog(SCALE, SEED).swap_remove(1);
     let pim = eng.bfs(&graph, 0, &AppOptions::default()).expect("bfs runs");
     let (cpu, _) = GridEngine::new(&graph, 8, 2).bfs(0);
     assert_eq!(pim.levels, cpu, "single-DPU BFS diverged on {abbrev}");
@@ -152,7 +138,7 @@ fn partition_cache_reuse_is_bit_identical_on_every_catalog_graph() {
         &eng,
         ServeConfig { batch_size: 2, cache_capacity: 2, ..Default::default() },
     );
-    for (abbrev, graph) in catalog_graphs() {
+    for (abbrev, graph) in harness::catalog(SCALE, SEED) {
         let weighted = graph.with_random_weights(9);
         let queries = [Query::Bfs { source: 0 }, Query::Sssp { source: 0 }];
         let (cold, cold_batch) = serve.run_batch(&weighted, &queries).expect("cold batch");
@@ -189,22 +175,14 @@ fn partition_cache_reuse_is_bit_identical_on_every_catalog_graph() {
 /// invariants, and per-DPU details are retained at `PerDpu`.
 #[test]
 fn app_runs_carry_consistent_counter_rollups() {
-    use alpha_pim_sim::CounterId;
     let eng = engine();
-    let (abbrev, graph) = catalog_graphs().swap_remove(2);
+    let (abbrev, graph) = harness::catalog(SCALE, SEED).swap_remove(2);
     let pim = eng.bfs(&graph, 0, &AppOptions::default()).expect("bfs runs");
     for s in &pim.report.iterations {
-        let c = &s.kernel_report.breakdown.counters;
         assert_eq!(
-            c.sum(&CounterId::SLOT_CYCLES),
-            c.get(CounterId::DpuCycles),
-            "slot partition broken on {abbrev} iter {}",
-            s.index,
-        );
-        assert_eq!(
-            c.sum(&CounterId::TASKLET_CYCLES),
-            c.get(CounterId::TaskletBudget),
-            "tasklet partition broken on {abbrev} iter {}",
+            s.kernel_report.breakdown.counters.check_ledgers(),
+            Ok(()),
+            "{abbrev} iter {}",
             s.index,
         );
         assert!(!s.kernel_report.dpu_details.is_empty(), "PerDpu retains details");

@@ -1,15 +1,18 @@
 //! End-to-end integrity audit of the silent-corruption layer: ABFT merge
 //! guards, the `sdc.*` outcome ledgers, and the DPU health quarantine.
 //!
-//! * **Detection & correction** — for every Table 2 catalog graph, BFS
-//!   levels, SSSP distances, and PPR scores computed under a silent-only
-//!   fault plan with merge verification on must be bit-identical to the
-//!   fault-free results, with `sdc.escaped == 0` and the outcome ledger
-//!   balancing to zero remainder (`injected = detected + escaped`,
-//!   `detected = corrected`).
-//! * **Escape without the guard** — the same draws with verification off
-//!   flow through unchecked: every injection is charged to `sdc.escaped`
-//!   and at least one answer in the sweep diverges.
+//! * **Detection & correction** — the `sdc` gate (`audit::sdc`, the
+//!   same sweep `alpha_pim_cli sdc` runs) over every Table 2 catalog
+//!   graph: BFS levels, SSSP distances, and PPR scores computed under a
+//!   silent-only fault plan with merge verification on, at 1 and 4
+//!   simulation threads, must be bit-identical to the fault-free results,
+//!   with `sdc.escaped == 0` and every counter ledger balancing to zero
+//!   remainder (`injected = detected + escaped`, `detected = corrected`
+//!   among them).
+//! * **Escape without the guard** — the gate's control arm: the same
+//!   draws with verification off flow through unchecked, every injection
+//!   is charged to `sdc.escaped`, and at least one BFS answer in the
+//!   sweep diverges.
 //! * **Determinism** — verified silent-corruption runs are bit-identical
 //!   at 1 and 4 simulation threads (fault draws and checksum verdicts are
 //!   pure hashes of seed and site, never of scheduling).
@@ -19,17 +22,19 @@
 //!   DPU degrades gracefully (shed queries, balanced ledgers, no panic);
 //!   and the quarantine set is world-checked on checkpoint resume.
 
-use alpha_pim::apps::{AppOptions, PprOptions};
+use std::sync::OnceLock;
+
+use alpha_pim::apps::AppOptions;
 use alpha_pim::serve::{
     fingerprint_results, seeded_trace_weighted, BatchOutcome, QueryResult, ServeConfig,
     ServeEngine,
 };
 use alpha_pim::service::{seeded_workload, Priority, ServiceConfig, ServiceEngine, TenantSpec};
 use alpha_pim::{AlphaPim, CheckpointPolicy, CheckpointStore};
+use alpha_pim_bench::audit::{self, SdcReport};
+use alpha_pim_bench::harness;
 use alpha_pim_sim::par::set_sim_threads;
-use alpha_pim_sim::report::KernelReport;
-use alpha_pim_sim::{CounterId, CounterSet, FaultPlan, HostCrashPlan, PimConfig, SimFidelity};
-use alpha_pim_sparse::{datasets, Graph};
+use alpha_pim_sim::{CounterId, FaultPlan, HostCrashPlan, PimConfig, SimFidelity};
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 0xD1FF;
@@ -41,145 +46,62 @@ fn flips(rate: f64) -> FaultPlan {
     FaultPlan::silent(FLIP_SEED, rate)
 }
 
+fn config() -> PimConfig {
+    PimConfig { num_dpus: 64, fidelity: SimFidelity::Sampled(8), ..Default::default() }
+}
+
 fn engine(faults: Option<FaultPlan>) -> AlphaPim {
-    AlphaPim::new(PimConfig {
-        num_dpus: 64,
-        fidelity: SimFidelity::Sampled(8),
-        faults,
-        ..Default::default()
+    AlphaPim::new(PimConfig { faults, ..config() }).expect("valid config")
+}
+
+/// The `sdc` gate over the whole catalog at a 15 % flip rate, run once and
+/// shared by the verified and the verify-off tests below.
+fn catalog_sdc() -> &'static SdcReport {
+    static REPORT: OnceLock<SdcReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let graphs = harness::catalog(SCALE, SEED);
+        audit::sdc(&config(), &flips(0.15), &graphs, 0, 9, &AppOptions::default())
+            .expect("the catalog sweep runs")
     })
-    .expect("valid config")
-}
-
-fn catalog_graphs() -> Vec<(&'static str, Graph)> {
-    datasets::table2()
-        .iter()
-        .map(|spec| {
-            let min_scale = (2_000.0 / spec.nodes as f64).min(1.0);
-            let g = spec
-                .generate_scaled(SCALE.max(min_scale), SEED)
-                .expect("catalog recipes are valid");
-            (spec.abbrev, g)
-        })
-        .collect()
-}
-
-/// Sums counters over all iterations and checks the corruption-outcome
-/// ledger balances with zero remainder.
-fn audit_sdc_ledger(reports: &[&KernelReport], ctx: &str) -> CounterSet {
-    let mut total = CounterSet::new();
-    for r in reports {
-        total.merge(&r.breakdown.counters);
-    }
-    assert_eq!(
-        total.get(CounterId::SdcInjected),
-        total.get(CounterId::SdcDetected) + total.get(CounterId::SdcEscaped),
-        "{ctx}: sdc outcome ledger has a remainder",
-    );
-    assert_eq!(
-        total.get(CounterId::SdcDetected),
-        total.get(CounterId::SdcCorrected),
-        "{ctx}: every detected corruption must be corrected",
-    );
-    total
-}
-
-/// Distinct physical DPUs named in the run's corruption records.
-fn corrupted_dpus(reports: &[&KernelReport]) -> Vec<u32> {
-    let mut out: Vec<u32> = reports.iter().flat_map(|r| r.corrupted_dpus.clone()).collect();
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 #[test]
 fn verified_answers_survive_silent_corruption_on_every_catalog_graph() {
-    let clean_eng = engine(None);
-    let flip_eng = engine(Some(flips(0.15)));
-    let mut injected = 0u64;
-    for (abbrev, graph) in catalog_graphs() {
-        let weighted = graph.with_random_weights(9);
-
-        let clean = clean_eng.bfs(&graph, 0, &AppOptions::default()).expect("bfs runs");
-        let faulty = flip_eng.bfs(&graph, 0, &AppOptions::default()).expect("flipped bfs runs");
-        assert_eq!(faulty.levels, clean.levels, "BFS levels corrupted on {abbrev}");
-        assert!(!faulty.report.degraded, "silent flips must never degrade {abbrev}");
-        let reports: Vec<&KernelReport> =
-            faulty.report.iterations.iter().map(|s| &s.kernel_report).collect();
-        let total = audit_sdc_ledger(&reports, &format!("BFS {abbrev}"));
-        assert_eq!(total.get(CounterId::SdcEscaped), 0, "BFS {abbrev}: corruption escaped");
-        if total.get(CounterId::SdcDetected) > 0 {
-            assert!(
-                !corrupted_dpus(&reports).is_empty(),
-                "BFS {abbrev}: detections must name the offending physical DPUs",
-            );
-            assert!(
-                total.get(CounterId::SdcRecomputeCycles) > 0,
-                "BFS {abbrev}: corrections must charge recompute cycles",
-            );
-        }
-        injected += total.get(CounterId::SdcInjected);
-
-        let clean = clean_eng.sssp(&weighted, 0, &AppOptions::default()).expect("sssp runs");
-        let faulty =
-            flip_eng.sssp(&weighted, 0, &AppOptions::default()).expect("flipped sssp runs");
-        assert_eq!(faulty.distances, clean.distances, "SSSP distances corrupted on {abbrev}");
-        let reports: Vec<&KernelReport> =
-            faulty.report.iterations.iter().map(|s| &s.kernel_report).collect();
-        let total = audit_sdc_ledger(&reports, &format!("SSSP {abbrev}"));
-        assert_eq!(total.get(CounterId::SdcEscaped), 0, "SSSP {abbrev}: corruption escaped");
-        injected += total.get(CounterId::SdcInjected);
-
-        let clean = clean_eng.ppr(&graph, 0, &PprOptions::default()).expect("ppr runs");
-        let faulty = flip_eng.ppr(&graph, 0, &PprOptions::default()).expect("flipped ppr runs");
+    let report = catalog_sdc();
+    assert_eq!(report.cases.len(), 13 * 3 * audit::SDC_THREADS.len());
+    for c in &report.cases {
+        let ctx = format!("{} {} at {} threads", c.app, c.graph, c.threads);
         // Correction recomputes the corrupted partition on the same seeded
         // machine, so even floating-point scores are bit-identical.
-        assert_eq!(faulty.scores, clean.scores, "PPR scores corrupted on {abbrev}");
-        let reports: Vec<&KernelReport> =
-            faulty.report.iterations.iter().map(|s| &s.kernel_report).collect();
-        let total = audit_sdc_ledger(&reports, &format!("PPR {abbrev}"));
-        assert_eq!(total.get(CounterId::SdcEscaped), 0, "PPR {abbrev}: corruption escaped");
-        injected += total.get(CounterId::SdcInjected);
+        assert!(c.values_match, "{ctx}: answers corrupted");
+        assert!(!c.degraded, "{ctx}: silent flips must never degrade");
+        assert!(c.ledger_ok, "{ctx}: ledgers have a remainder");
+        assert_eq!(c.escaped, 0, "{ctx}: corruption escaped");
+        if c.detected > 0 {
+            assert!(c.corrupted_dpus > 0, "{ctx}: detections must name the offending DPUs");
+            assert!(c.recompute_cycles > 0, "{ctx}: corrections must charge recompute cycles");
+        }
     }
-    assert!(injected > 0, "the flip plan never fired across the whole catalog");
+    assert!(report.injected() > 0, "the flip plan never fired across the whole catalog");
+    assert_eq!(report.verdict(), Ok(()));
 }
 
 #[test]
 fn unverified_runs_let_every_injection_escape() {
-    let clean_eng = engine(None);
-    let mut plan = flips(0.15);
-    plan.policy.verify_merges = false;
-    let flip_eng = engine(Some(plan));
-    let mut escaped = 0u64;
-    let mut diverged = 0usize;
-    for (abbrev, graph) in catalog_graphs() {
-        let clean = clean_eng.bfs(&graph, 0, &AppOptions::default()).expect("bfs runs");
-        let faulty = flip_eng.bfs(&graph, 0, &AppOptions::default()).expect("flipped bfs runs");
-        let reports: Vec<&KernelReport> =
-            faulty.report.iterations.iter().map(|s| &s.kernel_report).collect();
-        let total = audit_sdc_ledger(&reports, &format!("unverified BFS {abbrev}"));
-        assert_eq!(
-            total.get(CounterId::SdcDetected),
-            0,
-            "unverified BFS {abbrev}: nothing can be detected with the guard off",
-        );
-        assert_eq!(
-            total.get(CounterId::SdcEscaped),
-            total.get(CounterId::SdcInjected),
-            "unverified BFS {abbrev}: every injection must be charged as escaped",
-        );
-        assert!(
-            corrupted_dpus(&reports).is_empty(),
-            "unverified BFS {abbrev}: escapes are silent — no DPU may be named",
-        );
-        escaped += total.get(CounterId::SdcEscaped);
-        if faulty.levels != clean.levels {
-            diverged += 1;
-        }
+    let report = catalog_sdc();
+    assert_eq!(report.controls.len(), 13 * 3);
+    for c in &report.controls {
+        let ctx = format!("unverified {} {}", c.app, c.graph);
+        assert!(c.ledger_ok, "{ctx}: ledgers have a remainder");
+        assert_eq!(c.detected, 0, "{ctx}: nothing can be detected with the guard off");
+        assert_eq!(c.escaped, c.injected, "{ctx}: every injection must be charged as escaped");
+        assert_eq!(c.corrupted_dpus, 0, "{ctx}: escapes are silent — no DPU may be named");
     }
+    let bfs = || report.controls.iter().filter(|c| c.app == "bfs");
+    let escaped: u64 = bfs().map(|c| c.escaped).sum();
     assert!(escaped > 0, "the unverified sweep never injected anything");
     assert!(
-        diverged > 0,
+        bfs().any(|c| !c.values_match),
         "corruption escaped on every graph yet no BFS answer diverged — \
          the injector is not corrupting live outputs",
     );
@@ -187,7 +109,7 @@ fn unverified_runs_let_every_injection_escape() {
 
 #[test]
 fn verified_flip_runs_are_bit_identical_across_thread_counts() {
-    let (abbrev, graph) = catalog_graphs().swap_remove(4);
+    let (abbrev, graph) = harness::catalog(SCALE, SEED).swap_remove(4);
     set_sim_threads(1);
     let sequential =
         engine(Some(flips(0.2))).bfs(&graph, 0, &AppOptions::default()).expect("bfs runs");
@@ -213,7 +135,7 @@ fn verified_flip_runs_are_bit_identical_across_thread_counts() {
 /// no fault plan at all, so clean goldens never move.
 #[test]
 fn zero_flip_rate_is_indistinguishable_from_no_fault_plan() {
-    let (abbrev, graph) = catalog_graphs().swap_remove(0);
+    let (abbrev, graph) = harness::catalog(SCALE, SEED).swap_remove(0);
     let clean = engine(None).bfs(&graph, 0, &AppOptions::default()).expect("bfs runs");
     let gated = engine(Some(flips(0.0))).bfs(&graph, 0, &AppOptions::default()).expect("bfs runs");
     assert_eq!(gated.levels, clean.levels, "{abbrev}: levels moved");
@@ -234,7 +156,7 @@ fn zero_flip_rate_is_indistinguishable_from_no_fault_plan() {
 
 #[test]
 fn quarantine_replans_without_changing_answers() {
-    let (_, graph) = catalog_graphs().swap_remove(2);
+    let (_, graph) = harness::catalog(SCALE, SEED).swap_remove(2);
     let weighted = graph.with_random_weights(9);
     let eng = engine(None);
     // Exact (u32 min) semirings only: quarantine re-partitions the machine,
@@ -295,18 +217,15 @@ fn service_config(quarantine_threshold: Option<u32>) -> ServiceConfig {
 #[test]
 fn service_scoreboard_quarantines_struck_dpus_and_balances_its_ledger() {
     let eng = engine(Some(flips(0.35)));
-    let graphs = vec![catalog_graphs().swap_remove(1).1.with_random_weights(9)];
+    let graphs = vec![harness::catalog(SCALE, SEED).swap_remove(1).1.with_random_weights(9)];
     let nodes: Vec<u32> = graphs.iter().map(|g| g.nodes()).collect();
     let workload = seeded_workload(0xABCD, 1_000, 48, 2, &nodes, [1, 1, 1]);
     let mut svc = ServiceEngine::new(&eng, service_config(Some(2)));
     let report = svc.run(&graphs, &workload).expect("service survives quarantine churn");
 
     let c = &report.counters;
-    assert_eq!(
-        c.get(CounterId::QuarantineDpusTotal),
-        c.get(CounterId::QuarantineDpusActive) + c.get(CounterId::QuarantineDpusQuarantined),
-        "quarantine machine ledger has a remainder",
-    );
+    // The quarantine machine partition and the admission/outcome ledgers.
+    assert_eq!(c.check_ledgers(), Ok(()), "ledgers broke under quarantine");
     assert_eq!(c.get(CounterId::QuarantineDpusTotal), 64, "scoreboard must track physical DPUs");
     assert!(
         c.get(CounterId::QuarantineStrikes) > 0,
@@ -331,16 +250,6 @@ fn service_scoreboard_quarantines_struck_dpus_and_balances_its_ledger() {
     );
     // Detection still corrects everything while healthy DPUs remain.
     assert_eq!(c.get(CounterId::SdcEscaped), 0, "corruption escaped despite verification");
-    assert_eq!(
-        report.arrivals(),
-        report.admitted() + report.rejected(),
-        "admission ledger broke under quarantine",
-    );
-    assert_eq!(
-        report.admitted(),
-        report.served() + report.shed_wait() + report.shed_deadline(),
-        "outcome ledger broke under quarantine",
-    );
 }
 
 /// Threshold disabled (the default): the same storm records nothing on the
@@ -349,7 +258,7 @@ fn service_scoreboard_quarantines_struck_dpus_and_balances_its_ledger() {
 #[test]
 fn disabled_scoreboard_keeps_quarantine_counters_zero() {
     let eng = engine(Some(flips(0.35)));
-    let graphs = vec![catalog_graphs().swap_remove(1).1.with_random_weights(9)];
+    let graphs = vec![harness::catalog(SCALE, SEED).swap_remove(1).1.with_random_weights(9)];
     let nodes: Vec<u32> = graphs.iter().map(|g| g.nodes()).collect();
     let workload = seeded_workload(0xABCD, 1_000, 16, 2, &nodes, [1, 1, 1]);
     let mut svc = ServiceEngine::new(&eng, service_config(None));
@@ -378,7 +287,7 @@ fn total_quarantine_degrades_gracefully() {
         ..Default::default()
     })
     .expect("valid config");
-    let graphs = vec![catalog_graphs().swap_remove(0).1.with_random_weights(9)];
+    let graphs = vec![harness::catalog(SCALE, SEED).swap_remove(0).1.with_random_weights(9)];
     let nodes: Vec<u32> = graphs.iter().map(|g| g.nodes()).collect();
     let workload = seeded_workload(0xFADE, 1_000, 32, 2, &nodes, [1, 1, 1]);
     let mut config = service_config(Some(1));
@@ -398,11 +307,7 @@ fn total_quarantine_degrades_gracefully() {
         "queries after total quarantine must shed to degraded results",
     );
     assert!(report.served() > 0, "queries before the scoreboard tripped must still serve");
-    assert_eq!(report.arrivals(), report.admitted() + report.rejected());
-    assert_eq!(
-        report.admitted(),
-        report.served() + report.shed_wait() + report.shed_deadline(),
-    );
+    assert_eq!(c.check_ledgers(), Ok(()));
     for (t, ledger) in report.tenants.iter().enumerate() {
         assert_eq!(ledger.arrivals, ledger.admitted + ledger.rejected, "tenant {t}");
         assert_eq!(
@@ -421,7 +326,7 @@ fn total_quarantine_degrades_gracefully() {
 /// partitions.
 #[test]
 fn quarantine_state_is_world_checked_on_resume() {
-    let (_, graph) = catalog_graphs().swap_remove(3);
+    let (_, graph) = harness::catalog(SCALE, SEED).swap_remove(3);
     let weighted = graph.with_random_weights(9);
     let eng = engine(None);
     let trace = seeded_trace_weighted(weighted.nodes(), 8, 0x5EED, [1, 1, 1]);

@@ -1,17 +1,20 @@
 //! Seeded mutation-fuzz differential audit of the dynamic-graph layer: for
-//! every Table 2 catalog graph, a seeded sequence of insert/delete batches
-//! is applied epoch by epoch, and after each epoch the same query trace is
-//! served twice — once through the incremental [`DeltaEngine`] (seeded
-//! frontier repair over the previous epoch's converged answers) and once
-//! from scratch on the mutated graph. Answers and value fingerprints must
-//! be bit-identical at every epoch, the `delta.*` ledgers must balance,
-//! and the whole run must be reproducible at 1 and 4 host threads.
+//! every Table 2 catalog graph, the `mutate` gate (`audit::mutate`, the
+//! same function `alpha_pim_cli mutate` runs) applies a seeded sequence of
+//! insert/delete batches epoch by epoch, and at each epoch serves the same
+//! query trace twice — once through the incremental [`DeltaEngine`]
+//! (seeded frontier repair over the previous epoch's converged answers)
+//! and once from scratch on the mutated graph. Answers and value
+//! fingerprints must be bit-identical at every epoch, the `delta.*`
+//! ledgers must balance, and the whole run must be reproducible at 1 and
+//! 4 host threads.
 
 use alpha_pim::apps::AppOptions;
-use alpha_pim::serve::{fingerprint_results, ServeConfig, ServeEngine};
+use alpha_pim::serve::{fingerprint_results, ServeConfig};
 use alpha_pim::{AlphaPim, DeltaEngine};
+use alpha_pim_bench::audit::{self, Epochs, MutateReport};
 use alpha_pim_sim::par::set_sim_threads;
-use alpha_pim_sim::{CounterId, CounterSet, PimConfig, SimFidelity};
+use alpha_pim_sim::{CounterId, PimConfig, SimFidelity};
 use alpha_pim_sparse::delta::seeded_batch;
 use alpha_pim_sparse::{datasets, gen, Coo, Graph, MutationBatch};
 
@@ -46,7 +49,7 @@ fn catalog_graphs() -> Vec<(&'static str, Graph)> {
             let g = spec
                 .generate_scaled(SCALE.clamp(min_scale, max_scale), SEED)
                 .expect("catalog recipes are valid");
-            (spec.abbrev, g.with_random_weights(9))
+            (spec.abbrev, g)
         })
         .collect()
 }
@@ -62,122 +65,12 @@ fn fuzz_trace(nodes: u32, seed: u64) -> Vec<alpha_pim::serve::Query> {
     ]
 }
 
-/// Drives one graph through the seeded epoch sequence, asserting the
-/// differential gate at every mutated epoch when `referee` is set;
-/// returns the per-epoch answer fingerprints and the engine's lifetime
-/// counters for cross-thread comparison.
-fn fuzz_one(abbrev: &str, graph: &Graph, trace_seed: u64, referee: bool) -> (Vec<u64>, CounterSet) {
-    let eng = engine();
-    let mut delta = DeltaEngine::new(&eng, config(), graph, 64).expect("canonical graph");
-    let trace = fuzz_trace(graph.nodes(), trace_seed);
-    let mut fingerprints = Vec::new();
-    for epoch in 0..=EPOCHS {
-        if epoch > 0 {
-            let batch = seeded_batch(
-                delta.graph().adjacency(),
-                trace_seed.wrapping_add(epoch),
-                OPS_PER_EPOCH,
-                9,
-            );
-            let report = delta.mutate(&batch).expect("in-bounds batch");
-            assert_eq!(report.epoch, epoch, "{abbrev}: epoch did not advance");
-            assert_eq!(
-                report.stats.inserted + report.stats.deleted,
-                report.stats.applied(),
-                "{abbrev}: apply ledger broke at epoch {epoch}",
-            );
-        }
-        let (results, stats) = delta.serve(&trace).expect("incremental serve");
-        fingerprints.push(fingerprint_results(&results));
-
-        // The referee: a fresh engine, from scratch, on the same epoch's
-        // graph. Every answer must match element for element. Epoch 0 is
-        // skipped — nothing has mutated yet, both paths are the same code.
-        if referee && epoch > 0 {
-            let mut scratch = ServeEngine::new(&eng, config());
-            let (expected, _) =
-                scratch.serve(delta.graph(), &trace).expect("from-scratch serve");
-            for (i, (got, want)) in results.iter().zip(&expected).enumerate() {
-                match (got, want) {
-                    (
-                        alpha_pim::serve::QueryResult::Bfs(a),
-                        alpha_pim::serve::QueryResult::Bfs(b),
-                    ) => {
-                        assert_eq!(a.levels, b.levels, "{abbrev}: BFS {i} diverged at {epoch}");
-                    }
-                    (
-                        alpha_pim::serve::QueryResult::Sssp(a),
-                        alpha_pim::serve::QueryResult::Sssp(b),
-                    ) => {
-                        assert_eq!(
-                            a.distances, b.distances,
-                            "{abbrev}: SSSP {i} diverged at {epoch}",
-                        );
-                    }
-                    (
-                        alpha_pim::serve::QueryResult::Ppr(a),
-                        alpha_pim::serve::QueryResult::Ppr(b),
-                    ) => {
-                        assert!(
-                            a.scores
-                                .iter()
-                                .zip(&b.scores)
-                                .all(|(x, y)| x.to_bits() == y.to_bits()),
-                            "{abbrev}: PPR {i} diverged at {epoch}",
-                        );
-                    }
-                    _ => panic!("{abbrev}: result kind flipped at epoch {epoch} query {i}"),
-                }
-            }
-            assert_eq!(
-                fingerprints[epoch as usize],
-                fingerprint_results(&expected),
-                "{abbrev}: value fingerprint diverged at epoch {epoch}",
-            );
-            // BFS and SSSP repair from the previous epoch's answers; PPR
-            // is trajectory-dependent and always reruns in full.
-            assert_eq!(
-                stats.iter().filter(|s| s.incremental).count(),
-                2,
-                "{abbrev}: BFS+SSSP must take the incremental path at epoch {epoch}",
-            );
-            for s in stats.iter() {
-                assert_eq!(
-                    s.frontier_seeded + s.frontier_saved,
-                    s.frontier_full,
-                    "{abbrev}: per-query frontier ledger broke at epoch {epoch}",
-                );
-            }
-        }
-    }
-
-    let c = *delta.counters();
-    assert_eq!(
-        c.get(CounterId::DeltaEpochs),
-        EPOCHS,
-        "{abbrev}: epoch ledger miscounted",
-    );
-    assert_eq!(
-        c.get(CounterId::DeltaEdgesInserted) + c.get(CounterId::DeltaEdgesDeleted),
-        c.get(CounterId::DeltaEdgesApplied),
-        "{abbrev}: inserted + deleted != applied",
-    );
-    assert_eq!(
-        c.get(CounterId::DeltaEdgesApplied) + c.get(CounterId::DeltaEdgesRedundant),
-        c.get(CounterId::DeltaEdgesRequested),
-        "{abbrev}: applied + redundant != requested",
-    );
-    assert_eq!(
-        c.get(CounterId::DeltaPartitionsDirty) + c.get(CounterId::DeltaPartitionsClean),
-        c.get(CounterId::DeltaPartitionsTotal),
-        "{abbrev}: dirty + clean != total partitions",
-    );
-    assert_eq!(
-        c.get(CounterId::DeltaFrontierSeeded) + c.get(CounterId::DeltaFrontierSaved),
-        c.get(CounterId::DeltaFrontierFull),
-        "{abbrev}: seeded + saved != full frontier",
-    );
-    (fingerprints, c)
+/// Drives one graph through the seeded epoch sequence with the `mutate`
+/// gate, which referees every epoch against a from-scratch rerun.
+fn fuzz_one(graph: &Graph, trace_seed: u64) -> MutateReport {
+    let epochs = Epochs { count: EPOCHS, ops: OPS_PER_EPOCH, seed: trace_seed, max_weight: 9 };
+    audit::mutate(&engine(), config(), graph, &fuzz_trace(graph.nodes(), trace_seed), epochs)
+        .expect("the mutate gate runs")
 }
 
 /// The tentpole gate: every catalog graph, every epoch, incremental ==
@@ -187,17 +80,55 @@ fn incremental_serving_matches_rebuild_on_every_catalog_graph() {
     for (i, (abbrev, graph)) in catalog_graphs().iter().enumerate() {
         let trace_seed = SEED ^ (i as u64) << 8;
         set_sim_threads(1);
-        let (fp_single, counters_single) = fuzz_one(abbrev, graph, trace_seed, true);
+        let single = fuzz_one(graph, trace_seed);
+        assert_eq!(single.epochs.len() as u64, EPOCHS + 1);
+        for (epoch, e) in single.epochs.iter().enumerate() {
+            // Every answer matches the referee's bit for bit.
+            assert_eq!(e.mismatched, Vec::<usize>::new(), "{abbrev}: answers diverged at {epoch}");
+            assert_eq!(
+                e.fingerprint, e.referee,
+                "{abbrev}: value fingerprint diverged at epoch {epoch}",
+            );
+            for s in &e.stats {
+                assert_eq!(
+                    s.frontier_seeded + s.frontier_saved,
+                    s.frontier_full,
+                    "{abbrev}: per-query frontier ledger broke at epoch {epoch}",
+                );
+            }
+            let Some(landed) = &e.landed else { continue };
+            assert_eq!(landed.epoch, epoch as u64, "{abbrev}: epoch did not advance");
+            assert_eq!(
+                landed.stats.inserted + landed.stats.deleted,
+                landed.stats.applied(),
+                "{abbrev}: apply ledger broke at epoch {epoch}",
+            );
+            // BFS and SSSP repair from the previous epoch's answers; PPR
+            // is trajectory-dependent and always reruns in full.
+            assert_eq!(
+                e.incremental(),
+                2,
+                "{abbrev}: BFS+SSSP must take the incremental path at epoch {epoch}",
+            );
+        }
+        let c = &single.counters;
+        assert_eq!(c.get(CounterId::DeltaEpochs), EPOCHS, "{abbrev}: epoch ledger miscounted");
+        assert_eq!(c.check_ledgers(), Ok(()), "{abbrev}");
+        assert_eq!(single.verdict(), Ok(()), "{abbrev}");
+
         // The 4-thread replay must land on the same per-epoch answers and
-        // ledgers; the 1-thread pass already refereed them from scratch.
+        // ledgers.
         set_sim_threads(4);
-        let (fp_multi, counters_multi) = fuzz_one(abbrev, graph, trace_seed, false);
+        let multi = fuzz_one(graph, trace_seed);
+        let fingerprints =
+            |r: &MutateReport| r.epochs.iter().map(|e| e.fingerprint).collect::<Vec<_>>();
         assert_eq!(
-            fp_single, fp_multi,
+            fingerprints(&single),
+            fingerprints(&multi),
             "{abbrev}: per-epoch fingerprints drifted between 1 and 4 threads",
         );
         assert_eq!(
-            counters_single, counters_multi,
+            single.counters, multi.counters,
             "{abbrev}: lifetime counters drifted between 1 and 4 threads",
         );
     }

@@ -40,18 +40,7 @@ fn table2_graph() -> Graph {
 /// simulated-time record — the serving engine promises identical execution,
 /// not merely close results.
 fn assert_bit_identical(a: &QueryResult, b: &QueryResult, ctx: &str) {
-    match (a, b) {
-        (QueryResult::Bfs(x), QueryResult::Bfs(y)) => assert_eq!(x.levels, y.levels, "{ctx}"),
-        (QueryResult::Sssp(x), QueryResult::Sssp(y)) => {
-            assert_eq!(x.distances, y.distances, "{ctx}")
-        }
-        (QueryResult::Ppr(x), QueryResult::Ppr(y)) => {
-            let xb: Vec<u32> = x.scores.iter().map(|v| v.to_bits()).collect();
-            let yb: Vec<u32> = y.scores.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(xb, yb, "{ctx}");
-        }
-        _ => panic!("{ctx}: result kinds diverged"),
-    }
+    assert!(a.same_values(b), "{ctx}: answers diverged");
     assert_eq!(
         a.report().total_seconds().to_bits(),
         b.report().total_seconds().to_bits(),
