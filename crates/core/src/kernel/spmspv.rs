@@ -20,13 +20,13 @@ use std::ops::Range;
 
 use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::par::{par_map_indexed, par_map_indexed_with};
-use alpha_pim_sim::report::{DpuEval, DpuJob};
+use alpha_pim_sim::report::{DpuEval, DpuJob, ReuseKey};
 use alpha_pim_sim::trace::Record;
 use alpha_pim_sim::{KernelAccumulator, PimSystem};
 use alpha_pim_sparse::partition::{
     near_square_grid, partition_cols, partition_grid, partition_rows, Balance,
 };
-use alpha_pim_sparse::{Coo, Csc, Csr, SparseVector};
+use alpha_pim_sparse::{Coo, Csr, SparseVector};
 
 use crate::error::AlphaPimError;
 use crate::kernel::exec::{launch, IterationOutcome, Landed, LoadModel, MergeModel};
@@ -51,14 +51,14 @@ pub struct PreparedSpmspv<S: Semiring> {
 #[derive(Debug)]
 struct CscRowBand<V> {
     rows: std::ops::Range<u32>,
-    matrix: Csc<V>,
+    matrix: Dcsc<V>,
 }
 
 /// A column band in CSC form (all rows × local columns).
 #[derive(Debug)]
 struct CscColBand<V> {
     cols: std::ops::Range<u32>,
-    matrix: Csc<V>,
+    matrix: Dcsc<V>,
 }
 
 /// One 2D tile in CSC form (local rows × local columns).
@@ -66,7 +66,124 @@ struct CscColBand<V> {
 struct CscTile<V> {
     rows: std::ops::Range<u32>,
     cols: std::ops::Range<u32>,
-    matrix: Csc<V>,
+    matrix: Dcsc<V>,
+}
+
+/// A CSC partition as the host keeps it: only its non-empty columns, the
+/// DCSC layout of Buluç & Gilbert (IPDPS 2008), so a partition costs host
+/// memory and time in proportion to its entries rather than its width.
+/// Entries come in exactly the order [`alpha_pim_sparse::Csc::from_coo`]
+/// gives them, so every semiring sum accumulates in the same order. The
+/// modelled DPU still holds a dense CSC: the MRAM check, the column-pointer
+/// DMA and the per-column decode are charged for it.
+#[derive(Debug)]
+struct Dcsc<V> {
+    /// Ascending local ids of the non-empty columns.
+    cols: Vec<u32>,
+    /// `cols.len() + 1` offsets of each column's first entry.
+    offsets: Vec<u32>,
+    /// Each entry's local row.
+    rows: Vec<u32>,
+    /// Each entry's value.
+    vals: Vec<V>,
+}
+
+impl<V: Copy> Dcsc<V> {
+    /// Lays out `coo`'s entries column by column, rows ascending within a
+    /// column and duplicate entries in COO order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AlphaPimError::Capacity`] if the partition holds more
+    /// entries than `u32` offsets address.
+    fn from_coo(coo: &Coo<V>) -> Result<Self, AlphaPimError> {
+        let nnz = u32::try_from(coo.nnz()).map_err(|_| {
+            AlphaPimError::Capacity(format!(
+                "a partition of {} entries overflows u32 offsets",
+                coo.nnz()
+            ))
+        })?;
+        let (rows, cols, vals) = (coo.rows(), coo.cols(), coo.vals());
+        let mut order: Vec<u32> = (0..nnz).collect();
+        order.sort_unstable_by_key(|&e| (cols[e as usize], rows[e as usize], e));
+        let mut m = Dcsc {
+            cols: Vec::new(),
+            offsets: Vec::new(),
+            rows: Vec::with_capacity(order.len()),
+            vals: Vec::with_capacity(order.len()),
+        };
+        for e in order.into_iter().map(|e| e as usize) {
+            if m.cols.last() != Some(&cols[e]) {
+                m.cols.push(cols[e]);
+                m.offsets.push(m.rows.len() as u32);
+            }
+            m.rows.push(rows[e]);
+            m.vals.push(vals[e]);
+        }
+        m.offsets.push(nnz);
+        Ok(m)
+    }
+
+    /// Number of stored entries.
+    fn nnz(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Rows and values of the `k`-th non-empty column.
+    fn col(&self, k: usize) -> (&[u32], &[V]) {
+        let (lo, hi) = (self.offsets[k] as usize, self.offsets[k + 1] as usize);
+        (&self.rows[lo..hi], &self.vals[lo..hi])
+    }
+
+    /// The indices of the non-empty columns in `first..=last`, searched
+    /// from index `from`, before which every column lies below `first`.
+    fn col_span(&self, from: usize, first: u32, last: u32) -> Range<usize> {
+        let lo = from + gallop(&self.cols[from..], |&c| c < first);
+        lo..lo + gallop(&self.cols[lo..], |&c| c <= last)
+    }
+
+    /// Entries stored in the columns with indices `span`.
+    fn span_entries(&self, span: Range<usize>) -> usize {
+        (self.offsets[span.end] - self.offsets[span.start]) as usize
+    }
+
+    /// The input `entries` that meet a non-empty column, as `(entry
+    /// position, column index)` pairs in ascending order. Both lists are
+    /// sorted, so each step skips a whole run of misses by [`gallop`].
+    fn meets<'a, X>(
+        &'a self,
+        entries: &'a [(u32, X)],
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let (mut p, mut k) = (0, 0);
+        std::iter::from_fn(move || {
+            while p < entries.len() && k < self.cols.len() {
+                let (j, c) = (entries[p].0, self.cols[k]);
+                if j < c {
+                    p += gallop(&entries[p..], |e| e.0 < c);
+                } else if c < j {
+                    k += gallop(&self.cols[k..], |&c| c < j);
+                } else {
+                    (p, k) = (p + 1, k + 1);
+                    return Some((p - 1, k - 1));
+                }
+            }
+            None
+        })
+    }
+}
+
+/// How many leading items of `xs` satisfy `before`, which holds for a
+/// prefix of `xs` and fails for the rest. The probe distance doubles from
+/// the front, so skipping `d` items costs `O(log d)` comparisons: two
+/// lists of similar length merge in linear time, and a short list skips
+/// through a long one.
+fn gallop<T>(xs: &[T], before: impl Fn(&T) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, 1);
+    while hi <= xs.len() && before(&xs[hi - 1]) {
+        (lo, hi) = (hi, 2 * hi);
+    }
+    // `xs[hi - 1]`, if there is one, was probed and failed.
+    lo + xs[lo..(hi - 1).min(xs.len())].partition_point(before)
 }
 
 #[derive(Debug)]
@@ -119,51 +236,42 @@ impl<S: Semiring> PreparedSpmspv<S> {
                 }
                 SpmspvData::Csr(bands)
             }
+            // The CSC variants check each DPU's dense CSC against its MRAM
+            // bank, then keep the partition in the host's hypersparse layout.
             SpmspvVariant::CscR => {
                 let parts = partition_rows(matrix, d, Balance::Nnz)?;
-                let bands: Vec<CscRowBand<S::Elem>> = parts
-                    .into_iter()
-                    .map(|p| CscRowBand { rows: p.row_range, matrix: p.matrix.to_csc() })
-                    .collect();
-                for b in &bands {
-                    let bytes = (n as u64 + 1) * 4
-                        + b.matrix.nnz() as u64 * ventry
-                        + n as u64 * ventry;
+                let mut bands = Vec::with_capacity(parts.len());
+                for p in parts {
+                    let bytes =
+                        (n as u64 + 1) * 4 + p.matrix.nnz() as u64 * ventry + n as u64 * ventry;
                     sys.check_mram(bytes).map_err(AlphaPimError::Capacity)?;
+                    let matrix = Dcsc::from_coo(&p.matrix)?;
+                    bands.push(CscRowBand { rows: p.row_range, matrix });
                 }
                 SpmspvData::CscR(bands)
             }
             SpmspvVariant::CscC => {
                 let parts = partition_cols(matrix, d, Balance::Nnz)?;
-                let bands: Vec<CscColBand<S::Elem>> = parts
-                    .into_iter()
-                    .map(|p| CscColBand { cols: p.col_range, matrix: p.matrix.to_csc() })
-                    .collect();
-                for b in &bands {
-                    let cols = (b.cols.end - b.cols.start) as u64;
-                    let bytes =
-                        (cols + 1) * 4 + b.matrix.nnz() as u64 * ventry + n as u64 * eb;
+                let mut bands = Vec::with_capacity(parts.len());
+                for p in parts {
+                    let cols = p.col_range.len() as u64;
+                    let bytes = (cols + 1) * 4 + p.matrix.nnz() as u64 * ventry + n as u64 * eb;
                     sys.check_mram(bytes).map_err(AlphaPimError::Capacity)?;
+                    let matrix = Dcsc::from_coo(&p.matrix)?;
+                    bands.push(CscColBand { cols: p.col_range, matrix });
                 }
                 SpmspvData::CscC(bands)
             }
             SpmspvVariant::Csc2d => {
                 let (gr, gc) = near_square_grid(d);
                 let grid = partition_grid(matrix, gr, gc)?;
-                let tiles: Vec<CscTile<S::Elem>> = grid
-                    .tiles
-                    .into_iter()
-                    .map(|t| CscTile {
-                        rows: t.row_range,
-                        cols: t.col_range,
-                        matrix: t.matrix.to_csc(),
-                    })
-                    .collect();
-                for t in &tiles {
-                    let cols = (t.cols.end - t.cols.start) as u64;
-                    let rows = (t.rows.end - t.rows.start) as u64;
+                let mut tiles = Vec::with_capacity(grid.tiles.len());
+                for t in grid.tiles {
+                    let (cols, rows) = (t.col_range.len() as u64, t.row_range.len() as u64);
                     let bytes = (cols + 1) * 4 + t.matrix.nnz() as u64 * ventry + rows * eb;
                     sys.check_mram(bytes).map_err(AlphaPimError::Capacity)?;
+                    let matrix = Dcsc::from_coo(&t.matrix)?;
+                    tiles.push(CscTile { rows: t.row_range, cols: t.col_range, matrix });
                 }
                 SpmspvData::Csc2d(tiles)
             }
@@ -515,7 +623,7 @@ impl<S: Semiring> BandScratch<S> {
         &mut self,
         acc: &KernelAccumulator,
         dpu: u32,
-        m: &Csc<S::Elem>,
+        m: &Dcsc<S::Elem>,
         band: usize,
         entries: &[(u32, S::Elem)],
         sys: &PimSystem,
@@ -572,6 +680,10 @@ impl<S: Semiring> BandScratch<S> {
 /// The reserved mutex protecting the dynamic column work queue.
 const QUEUE_MUTEX: u16 = crate::kernel::layout::DATA_MUTEXES;
 
+/// Decoding one input entry's column pointers, charged for every entry
+/// whether or not its column holds any.
+const COLUMN_DECODE: [(InstrClass, u32); 2] = [(InstrClass::Arith, 3), (InstrClass::Control, 2)];
+
 /// CSC SpMSpV worker shared by CSC-R, CSC-C, and CSC-2D.
 ///
 /// Tasklets pull *chunks of active columns* from a shared work queue
@@ -583,7 +695,7 @@ const QUEUE_MUTEX: u16 = crate::kernel::layout::DATA_MUTEXES;
 /// output band under one stripe mutex per column when the band fits in
 /// shared WRAM, or through the per-tasklet blocked MRAM cache otherwise.
 struct CscActiveJob<'a, S: Semiring> {
-    m: &'a Csc<S::Elem>,
+    m: &'a Dcsc<S::Elem>,
     x_entries: &'a [(u32, S::Elem)],
     band_bytes: u64,
     wram_bytes: u32,
@@ -609,7 +721,6 @@ impl<S: Semiring> DpuJob for CscActiveJob<'_, S> {
         // Dynamic chunking: enough chunks for balance, large enough to
         // amortize queue synchronization when the frontier is dense.
         let chunk_cols = (x_entries.len() / (tasklets as usize * 2)).max(1);
-        let chunks: Vec<&[(u32, S::Elem)]> = x_entries.chunks(chunk_cols).collect();
         // A buffered shared-WRAM update costs the same DMA-free
         // instructions for every entry, so each active column's entries
         // are recorded as one run.
@@ -633,10 +744,15 @@ impl<S: Semiring> DpuJob for CscActiveJob<'_, S> {
             .collect();
         let mut blocked: Vec<BlockedOutput> =
             (0..tasklets as usize).map(|_| BlockedOutput::new(eb)).collect();
+        let meets: Vec<(usize, usize)> = m.meets(x_entries).collect();
+        let (mut pending, mut next_col) = (&meets[..], 0);
         // Deterministic round-robin stands in for the dynamic queue order.
-        for (ci, chunk) in chunks.iter().enumerate() {
+        for (ci, chunk) in x_entries.chunks(chunk_cols).enumerate() {
             let tid = ci % tasklets as usize;
             let t = &mut traces[tid];
+            let (start, end) = (ci * chunk_cols, ci * chunk_cols + chunk.len());
+            let (hits, rest) = pending.split_at(gallop(pending, |&(p, _)| p < end));
+            pending = rest;
             // Dequeue: grab the next chunk descriptor under the queue mutex.
             t.mutex_lock(QUEUE_MUTEX);
             t.compute(InstrClass::LoadStore, 2);
@@ -652,9 +768,14 @@ impl<S: Semiring> DpuJob for CscActiveJob<'_, S> {
             // per-column fetches and stay DMA-latency-bound.
             let first_col = chunk.first().map(|&(j, _)| j).unwrap_or(0);
             let last_col = chunk.last().map(|&(j, _)| j).unwrap_or(0);
-            let span_entries = m.col_ptr()[last_col as usize + 1] - m.col_ptr()[first_col as usize];
-            let useful_entries: usize =
-                chunk.iter().map(|&(j, _)| m.col_nnz(j)).sum();
+            let useful_entries: usize = hits.iter().map(|&(_, k)| m.col(k).0.len()).sum();
+            let span_entries = if useful_entries == 0 {
+                0
+            } else {
+                let span = m.col_span(next_col, first_col, last_col);
+                next_col = span.end;
+                m.span_entries(span)
+            };
             let span_streamed = useful_entries > 0 && span_entries <= 2 * useful_entries;
             if span_streamed {
                 t.dma_stream(span_entries as u64 * ventry as u64, CHUNK_BYTES, CHUNK_OVERHEAD);
@@ -663,13 +784,14 @@ impl<S: Semiring> DpuJob for CscActiveJob<'_, S> {
             // partial results for the same output rows are buffered in WRAM
             // and merged under one stripe mutex per chunk).
             let mut stripe_updates = [0u32; crate::kernel::layout::DATA_MUTEXES as usize];
-            for &(j, xv) in *chunk {
-                t.compute(InstrClass::Arith, 3);
-                t.compute(InstrClass::Control, 2);
-                let (col_rows, col_vals) = m.col(j);
-                if col_rows.is_empty() {
-                    continue;
-                }
+            // Every input entry decodes its column; an empty column ends
+            // there, so the entries up to each hit decode as one run.
+            let mut decoded = start;
+            for &(p, k) in hits {
+                t.compute_repeated(&COLUMN_DECODE, (p + 1 - decoded) as u64);
+                decoded = p + 1;
+                let xv = x_entries[p].1;
+                let (col_rows, col_vals) = m.col(k);
                 if !span_streamed {
                     let bytes = col_rows.len() as u64 * ventry as u64;
                     t.dma_stream(bytes, CHUNK_BYTES, CHUNK_OVERHEAD);
@@ -690,6 +812,7 @@ impl<S: Semiring> DpuJob for CscActiveJob<'_, S> {
                 }
                 *ops += 2 * col_rows.len() as u64;
             }
+            t.compute_repeated(&COLUMN_DECODE, (end - decoded) as u64);
             if shared_wram {
                 // Merge the chunk's buffered contributions into the shared
                 // accumulator, one stripe mutex per touched stripe.
@@ -720,8 +843,15 @@ impl<S: Semiring> DpuJob for CscActiveJob<'_, S> {
         }
         traces
     }
-}
 
+    /// A partition whose input segment meets none of its non-empty columns
+    /// records only queue, decode and band traffic, which its band, the
+    /// segment's length and whether it holds any entry decide.
+    fn reuse_key(&self) -> Option<ReuseKey> {
+        let idle = self.m.meets(self.x_entries).next().is_none();
+        idle.then_some((self.band_bytes, self.x_entries.len() as u64, self.m.nnz() == 0))
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -758,6 +888,137 @@ mod tests {
         let idx: Vec<u32> = (0..n as u32).filter(|i| i % stride == 0).collect();
         let vals: Vec<S::Elem> = idx.iter().map(|&i| S::from_weight(i % 7 + 1)).collect();
         SparseVector::from_pairs(n, idx, vals).unwrap()
+    }
+
+    /// A seeded `n × n` matrix with empty rows and columns and repeated
+    /// `(row, col)` entries; each value is its COO position, so the
+    /// entries' order shows in the values.
+    fn duplicated_matrix(seed: u64, n: u32) -> Coo<u32> {
+        let mut rng = alpha_pim_sparse::gen::rng::SplitMix64::new(seed);
+        let live = |i: u32| i % 5 != 2 && i % 7 != 3;
+        let lines: Vec<u32> = (0..n).filter(|&i| live(i)).collect();
+        let mut entries: Vec<(u32, u32)> = Vec::new();
+        for _ in 0..(n * 3) {
+            let r = lines[rng.usize_below(lines.len())];
+            let c = lines[rng.usize_below(lines.len())];
+            entries.push((r, c));
+            if rng.u32_below(4) == 0 {
+                entries.push((r, c));
+            }
+            if rng.u32_below(6) == 0 {
+                entries.push(entries[rng.usize_below(entries.len())]);
+            }
+        }
+        Coo::from_entries(n, n, entries.into_iter().zip(0..).map(|((r, c), v)| (r, c, v))).unwrap()
+    }
+
+    #[test]
+    fn hypersparse_layout_keeps_every_entry_in_csc_order() {
+        for seed in 0..24u64 {
+            let coo = duplicated_matrix(seed, 20 + seed as u32 * 3);
+            let (dcsc, csc) = (Dcsc::from_coo(&coo).unwrap(), coo.to_csc());
+            assert_eq!(dcsc.nnz(), coo.nnz(), "seed {seed}");
+            assert_eq!(dcsc.offsets.len(), dcsc.cols.len() + 1, "seed {seed}");
+            assert!(dcsc.cols.windows(2).all(|w| w[0] < w[1]), "seed {seed}: columns ascend");
+            let mut seen = vec![false; coo.nnz()];
+            let mut k = 0;
+            for c in 0..csc.n_cols() {
+                if csc.col_nnz(c) == 0 {
+                    continue;
+                }
+                assert_eq!(dcsc.cols[k], c, "seed {seed}: only non-empty columns, all of them");
+                assert_eq!(dcsc.col(k), csc.col(c), "seed {seed} column {c}");
+                for &v in dcsc.col(k).1 {
+                    assert!(!std::mem::replace(&mut seen[v as usize], true), "seed {seed}");
+                }
+                k += 1;
+            }
+            assert_eq!(k, dcsc.cols.len(), "seed {seed}");
+            assert!(seen.iter().all(|&s| s), "seed {seed}: every entry appears once");
+            let (first, last) = (3, coo.n_cols() - 4);
+            let span: usize = (first..=last).map(|c| csc.col_nnz(c)).sum();
+            let cols = dcsc.col_span(0, first, last);
+            assert_eq!(dcsc.span_entries(cols.clone()), span, "seed {seed}");
+            assert_eq!(dcsc.col_span(cols.start, first, last), cols, "seed {seed}");
+            // Segments from every column down to a sparse few meet
+            // exactly the non-empty columns they name.
+            for stride in [1, 2, 5, 17] {
+                let entries: Vec<(u32, ())> = (seed as u32 % stride..coo.n_cols())
+                    .step_by(stride as usize)
+                    .map(|j| (j, ()))
+                    .collect();
+                let naive: Vec<(usize, usize)> = entries
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(p, &(j, _))| Some((p, dcsc.cols.binary_search(&j).ok()?)))
+                    .collect();
+                assert_eq!(dcsc.meets(&entries).collect::<Vec<_>>(), naive, "seed {seed}");
+            }
+        }
+    }
+
+    /// `M ⊗ x` summed as the CSC kernels sum it: each partition over its
+    /// entries in [`alpha_pim_sparse::Csc::from_coo`] order, then the
+    /// partitions' non-zero partial sums in partition order.
+    fn partitioned_reference<S: Semiring>(
+        parts: Vec<(u32, u32, Coo<S::Elem>)>,
+        x: &SparseVector<S::Elem>,
+    ) -> Vec<S::Elem> {
+        let dense = x.to_dense(S::zero());
+        let mut y = vec![S::zero(); x.len()];
+        for (row0, col0, m) in parts {
+            let mut partial = vec![S::zero(); m.n_rows() as usize];
+            for (r, c, v) in m.to_csc().iter() {
+                let xv = dense[(col0 + c) as usize];
+                if !S::is_zero(&xv) {
+                    partial[r as usize] = S::add(partial[r as usize], S::mul(v, xv));
+                }
+            }
+            for (r, v) in partial.into_iter().enumerate().filter(|(_, v)| !S::is_zero(v)) {
+                let g = row0 as usize + r;
+                y[g] = S::add(y[g], v);
+            }
+        }
+        y
+    }
+
+    #[test]
+    fn csc_variants_pin_the_f32_accumulation_order_with_duplicates() {
+        let n = 96;
+        let m = duplicated_matrix(7, n).map(|v| 0.013 * (v % 97) as f32 + 0.001);
+        let idx: Vec<u32> = (0..n).filter(|i| i % 3 != 1).collect();
+        let vals: Vec<f32> = idx.iter().map(|&i| 1.0 / (i as f32 + 3.0)).collect();
+        let x = SparseVector::from_pairs(n as usize, idx, vals).unwrap();
+        let sys = system(6);
+        let d = sys.num_dpus();
+        let rows = partition_rows(&m, d, Balance::Nnz).unwrap();
+        let cols = partition_cols(&m, d, Balance::Nnz).unwrap();
+        let (gr, gc) = near_square_grid(d);
+        let grid = partition_grid(&m, gr, gc).unwrap();
+        let cases = [
+            (
+                SpmspvVariant::CscR,
+                rows.into_iter().map(|p| (p.row_range.start, 0, p.matrix)).collect(),
+            ),
+            (
+                SpmspvVariant::CscC,
+                cols.into_iter().map(|p| (0, p.col_range.start, p.matrix)).collect(),
+            ),
+            (
+                SpmspvVariant::Csc2d,
+                grid.tiles
+                    .into_iter()
+                    .map(|t| (t.row_range.start, t.col_range.start, t.matrix))
+                    .collect(),
+            ),
+        ];
+        for (variant, parts) in cases {
+            let expect = partitioned_reference::<PlusTimes>(parts, &x);
+            let prep = PreparedSpmspv::<PlusTimes>::prepare(&m, variant, &sys).unwrap();
+            let got = prep.run(&x, &sys).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.y.values()), bits(&expect), "variant {variant}");
+        }
     }
 
     #[test]

@@ -251,6 +251,31 @@ pub struct TenantReport {
     pub wait_cycles: u64,
 }
 
+impl TenantReport {
+    /// Checks the ledger's two identities,
+    /// `arrivals == admitted + rejected` and
+    /// `admitted == served + shed_wait + shed_deadline`.
+    ///
+    /// # Errors
+    ///
+    /// The first identity that breaks, with its values.
+    pub fn check_ledgers(&self) -> Result<(), String> {
+        if self.arrivals != self.admitted + self.rejected {
+            return Err(format!(
+                "tenant ledger breach: arrivals {} != admitted {} + rejected {}",
+                self.arrivals, self.admitted, self.rejected
+            ));
+        }
+        if self.admitted != self.served + self.shed_wait + self.shed_deadline {
+            return Err(format!(
+                "tenant ledger breach: admitted {} != served {} + shed_wait {} + shed_deadline {}",
+                self.admitted, self.served, self.shed_wait, self.shed_deadline
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The report of one sustained-load run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
@@ -960,8 +985,7 @@ mod tests {
         assert_eq!(report.counters.get(CounterId::TenantsActive), 2);
         assert_eq!(report.latencies_cycles.len(), 30);
         for t in &report.tenants {
-            assert_eq!(t.arrivals, t.admitted + t.rejected);
-            assert_eq!(t.admitted, t.served + t.shed_wait + t.shed_deadline);
+            assert_eq!(t.check_ledgers(), Ok(()));
         }
     }
 
@@ -1000,8 +1024,7 @@ mod tests {
         assert_eq!(report.tenants[1].rejected, 6);
         assert_eq!(report.tenants[1].admitted, 0);
         for t in &report.tenants {
-            assert_eq!(t.arrivals, t.admitted + t.rejected);
-            assert_eq!(t.admitted, t.served + t.shed_wait + t.shed_deadline);
+            assert_eq!(t.check_ledgers(), Ok(()));
         }
     }
 

@@ -89,7 +89,7 @@ pub use instr::{InstrClass, InstrMix};
 pub use par::{par_map_indexed, par_map_indexed_with, set_sim_threads, sim_threads, SimThreads};
 pub use report::{
     BatchReport, CycleBreakdown, DpuDetail, DpuEval, DpuJob, DpuProfile, DpuReport,
-    KernelAccumulator, KernelReport, PhaseBreakdown,
+    KernelAccumulator, KernelReport, PhaseBreakdown, ReuseKey,
 };
 pub use resilience::{FaultSummary, RecoverySummary};
 pub use system::PimSystem;

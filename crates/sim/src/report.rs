@@ -4,7 +4,6 @@
 //! built from.
 
 use std::collections::HashMap;
-use std::ops::ControlFlow;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::analytic::TaskletStats;
@@ -27,7 +26,21 @@ use crate::trace::{Record, TaskletTrace, TraceEvent};
 pub trait DpuJob {
     /// Runs the partition, recording each tasklet into a clone of `proto`.
     fn record<R: Record + Clone>(self, proto: &R) -> Vec<R>;
+
+    /// The job's shape, for a job whose recording that shape decides
+    /// alone; `None` (the default) otherwise. A job that returns a key
+    /// promises two things: it produces no functional output, and it
+    /// records exactly the calls that every other job of the launch with
+    /// the same key records. [`KernelAccumulator::evaluate_job`] then
+    /// evaluates each key once per launch and recorder.
+    fn reuse_key(&self) -> Option<ReuseKey> {
+        None
+    }
 }
+
+/// An exact [`DpuJob::reuse_key`], never a hash: two jobs of one launch
+/// share a key only if they record the same calls.
+pub type ReuseKey = (u64, u64, bool);
 
 /// Most trace events one launch keeps for replay reuse (8 bytes each):
 /// enough for every replayed set of a `Sampled` launch, while a `Full`
@@ -35,13 +48,33 @@ pub trait DpuJob {
 /// its traces.
 const REUSE_EVENTS: usize = 1 << 22;
 
-/// The distinct trace sets a launch has replayed, each with its
-/// fault-free profile, bucketed by [`trace_set_key`].
+/// What a launch keeps for reuse: the distinct trace sets it has
+/// replayed, each with its fault-free profile and bucketed by
+/// [`trace_set_key`], and the fault-free evaluation of each keyed job
+/// shape.
 #[derive(Debug, Default)]
 struct ReplayStore {
     sets: HashMap<u64, Vec<(Vec<TaskletTrace>, DpuProfile)>>,
     /// Events held across every stored set.
     events: usize,
+    /// Per [`DpuJob::reuse_key`] and recorder (`true`: replayed traces),
+    /// the first evaluation; `None` for a shape that records nothing.
+    keyed: HashMap<(ReuseKey, bool), Option<Clean>>,
+}
+
+/// A DPU's evaluation before its fault verdict: the estimate of what its
+/// partition recorded and, where the launch details the DPU, its profile.
+#[derive(Debug, Clone, PartialEq)]
+struct Clean {
+    estimate: TraceEstimate,
+    detailed: Option<DpuProfile>,
+}
+
+/// One partition's recording, in the recorder
+/// [`KernelAccumulator::replays`] picked for its DPU.
+enum Recording {
+    Traces(Vec<TaskletTrace>),
+    Stats(Vec<TaskletStats>),
 }
 
 /// A hash of a trace set's tasklet boundaries and events. It only picks a
@@ -400,7 +433,7 @@ fn json_f64(x: f64) -> String {
 /// consumed by [`KernelAccumulator::merge`]. Opaque: it exists so that
 /// evaluation (the expensive, embarrassingly parallel part) can run on
 /// worker threads while the order-sensitive reduction stays sequential.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpuEval {
     dpu_id: u32,
     mix: InstrMix,
@@ -533,11 +566,58 @@ impl KernelAccumulator {
 
     /// Runs one partition's `job` with the recorder [`Self::replays`]
     /// picks for `dpu_id` and evaluates what it recorded.
+    ///
+    /// A job with a [`DpuJob::reuse_key`] is recorded and evaluated only
+    /// for the first DPU of the launch with that key and recorder. Every
+    /// later one copies that fault-free evaluation, then draws and pays
+    /// its own fault verdict, as a replay-store hit does; a shape that
+    /// records nothing leaves each of its DPUs idle. Debug builds record
+    /// every keyed job anyway and check the copy against the recording.
     pub fn evaluate_job(&self, dpu_id: u32, job: impl DpuJob) -> DpuEval {
-        if self.replays(dpu_id) {
-            self.evaluate(dpu_id, &job.record(&TaskletTrace::new()))
+        let replayed = self.replays(dpu_id);
+        let Some(key) = job.reuse_key().map(|k| (k, replayed)) else {
+            return match self.record(replayed, job) {
+                Recording::Traces(traces) => self.evaluate(dpu_id, &traces),
+                Recording::Stats(stats) => self.evaluate_stats(dpu_id, &stats),
+            };
+        };
+        let stored = self.store().keyed.get(&key).cloned();
+        let clean = match stored {
+            Some(clean) => {
+                #[cfg(debug_assertions)]
+                {
+                    let fresh = self.clean(dpu_id, &self.record(replayed, job));
+                    debug_assert_eq!(fresh, clean, "jobs keyed {key:?} recorded different calls");
+                }
+                clean
+            }
+            None => {
+                let clean = self.clean(dpu_id, &self.record(replayed, job));
+                self.store().keyed.entry(key).or_insert_with(|| clean.clone());
+                clean
+            }
+        };
+        self.charge(dpu_id, clean.map(|c| move || c))
+    }
+
+    /// Records `job` into event traces where the launch replays the DPU
+    /// and into closed-form statistics everywhere else.
+    fn record(&self, replayed: bool, job: impl DpuJob) -> Recording {
+        if replayed {
+            Recording::Traces(job.record(&TaskletTrace::new()))
         } else {
-            self.evaluate_stats(dpu_id, &job.record(&TaskletStats::new(&self.cfg.pipeline)))
+            Recording::Stats(job.record(&TaskletStats::new(&self.cfg.pipeline)))
+        }
+    }
+
+    /// The fault-free evaluation of `recording`; `None` if it recorded
+    /// nothing.
+    fn clean(&self, dpu_id: u32, recording: &Recording) -> Option<Clean> {
+        match recording {
+            Recording::Traces(traces) => {
+                (!traces.is_empty()).then(|| self.clean_traces(dpu_id, traces))
+            }
+            Recording::Stats(stats) => (!stats.is_empty()).then(|| self.clean_stats(stats)),
         }
     }
 
@@ -558,13 +638,7 @@ impl KernelAccumulator {
     /// to [`Self::merge`] in DPU order so floating-point reductions stay
     /// bit-identical to a sequential run.
     pub fn evaluate(&self, dpu_id: u32, traces: &[TaskletTrace]) -> DpuEval {
-        let (verdict, fault_events) = match self.fault_verdict(dpu_id, traces.is_empty()) {
-            ControlFlow::Continue(drawn) => drawn,
-            ControlFlow::Break(idle) => return idle,
-        };
-        let detailed = dpu_id.is_multiple_of(self.stride).then(|| self.replay(traces));
-        let estimate = estimate_cycles(traces, &self.cfg.pipeline);
-        self.estimated(dpu_id, estimate, detailed, verdict, fault_events)
+        self.charge(dpu_id, (!traces.is_empty()).then_some(|| self.clean_traces(dpu_id, traces)))
     }
 
     /// The counterpart of [`Self::evaluate`] for closed-form
@@ -579,13 +653,21 @@ impl KernelAccumulator {
     /// identity. Fault semantics (verdicts, penalties, drops) are identical
     /// to the replay path.
     pub fn evaluate_stats(&self, dpu_id: u32, stats: &[TaskletStats]) -> DpuEval {
-        let (verdict, fault_events) = match self.fault_verdict(dpu_id, stats.is_empty()) {
-            ControlFlow::Continue(drawn) => drawn,
-            ControlFlow::Break(idle) => return idle,
-        };
+        self.charge(dpu_id, (!stats.is_empty()).then_some(|| self.clean_stats(stats)))
+    }
+
+    /// The fault-free evaluation of a non-empty trace set.
+    fn clean_traces(&self, dpu_id: u32, traces: &[TaskletTrace]) -> Clean {
+        Clean {
+            estimate: estimate_cycles(traces, &self.cfg.pipeline),
+            detailed: dpu_id.is_multiple_of(self.stride).then(|| self.replay(traces)),
+        }
+    }
+
+    /// The fault-free evaluation of non-empty tasklet statistics.
+    fn clean_stats(&self, stats: &[TaskletStats]) -> Clean {
         if let SimFidelity::Sampled(_) = self.cfg.fidelity {
-            let estimate = estimate_stats(stats, &self.cfg.pipeline);
-            return self.estimated(dpu_id, estimate, None, verdict, fault_events);
+            return Clean { estimate: estimate_stats(stats, &self.cfg.pipeline), detailed: None };
         }
         let mut mix = InstrMix::new();
         let mut instructions = 0u64;
@@ -593,20 +675,9 @@ impl KernelAccumulator {
             mix.merge(&s.instr_mix());
             instructions += s.instructions();
         }
-        let mut profile = crate::analytic::predict_dpu(stats, &self.cfg.pipeline);
-        if let Some(engine) = &self.faults {
-            apply_fault_penalty(engine, verdict, &mut profile);
-        }
-        let est_cycles = profile.report.total_cycles;
-        DpuEval {
-            dpu_id,
-            mix,
-            instructions,
-            est_cycles,
-            detailed: Some(profile),
-            fault_events,
-            lost: false,
-        }
+        let profile = crate::analytic::predict_dpu(stats, &self.cfg.pipeline);
+        let estimate = TraceEstimate { cycles: profile.report.total_cycles, instructions, mix };
+        Clean { estimate, detailed: Some(profile) }
     }
 
     /// The fault-free profile of `traces`: a copy of the stored one when
@@ -634,45 +705,23 @@ impl KernelAccumulator {
     }
 
     /// The launch's replay store. A worker that panicked while holding it
-    /// left every stored set whole (each is pushed in one step), so a
+    /// left every stored entry whole (each is inserted in one step), so a
     /// poisoned lock is simply taken over.
     fn store(&self) -> MutexGuard<'_, ReplayStore> {
         self.replayed.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Finishes an estimated evaluation: charges the fault verdict's
-    /// penalty to the estimate and, on a replayed DPU, to its profile.
-    fn estimated(
-        &self,
-        dpu_id: u32,
-        estimate: TraceEstimate,
-        mut detailed: Option<DpuProfile>,
-        verdict: FaultVerdict,
-        fault_events: CounterSet,
-    ) -> DpuEval {
-        let TraceEstimate { cycles: mut est_cycles, instructions, mix } = estimate;
-        if let Some(engine) = &self.faults {
-            est_cycles += engine.penalty_cycles(verdict, est_cycles);
-            if let Some(profile) = detailed.as_mut() {
-                apply_fault_penalty(engine, verdict, profile);
-            }
-        }
-        DpuEval { dpu_id, mix, instructions, est_cycles, detailed, fault_events, lost: false }
-    }
-
-    /// The prologue both evaluators share: draws `dpu_id`'s fault verdict
-    /// and records its events, or breaks with the finished evaluation when
-    /// nothing runs. A structurally `empty` partition (e.g. more DPUs
-    /// than index ranges) loads nothing and launches no kernel, so no
-    /// cycles accrue, no events are recorded, and no verdict is drawn — an
-    /// idle DPU cannot be a fault site. A dropped DPU's partition is gone:
-    /// no instructions retire and no cycles accrue; only the loss survives,
-    /// in the event ledger.
-    fn fault_verdict(
-        &self,
-        dpu_id: u32,
-        empty: bool,
-    ) -> ControlFlow<DpuEval, (FaultVerdict, CounterSet)> {
+    /// Draws `dpu_id`'s fault verdict and charges it to the DPU's
+    /// fault-free evaluation, which `clean` computes only for a DPU that
+    /// runs. `None` stands for a structurally empty partition (e.g. more
+    /// DPUs than index ranges): it loads nothing and launches no kernel,
+    /// so no cycles accrue, no events are recorded, and no verdict is
+    /// drawn — an idle DPU cannot be a fault site. A dropped DPU's
+    /// partition is gone: no instructions retire and no cycles accrue;
+    /// only the loss survives, in the event ledger. Otherwise the
+    /// verdict's penalty is charged to the estimate and, on a detailed
+    /// DPU, to its profile.
+    fn charge(&self, dpu_id: u32, clean: Option<impl FnOnce() -> Clean>) -> DpuEval {
         let idle = |fault_events, lost| DpuEval {
             dpu_id,
             mix: InstrMix::new(),
@@ -682,9 +731,9 @@ impl KernelAccumulator {
             fault_events,
             lost,
         };
-        if empty {
-            return ControlFlow::Break(idle(CounterSet::new(), false));
-        }
+        let Some(clean) = clean else {
+            return idle(CounterSet::new(), false);
+        };
         let mut fault_events = CounterSet::new();
         let verdict = match &self.faults {
             Some(engine) => {
@@ -695,9 +744,17 @@ impl KernelAccumulator {
             None => FaultVerdict::Healthy,
         };
         if verdict.is_dropped() {
-            return ControlFlow::Break(idle(fault_events, true));
+            return idle(fault_events, true);
         }
-        ControlFlow::Continue((verdict, fault_events))
+        let Clean { estimate, mut detailed } = clean();
+        let TraceEstimate { cycles: mut est_cycles, instructions, mix } = estimate;
+        if let Some(engine) = &self.faults {
+            est_cycles += engine.penalty_cycles(verdict, est_cycles);
+            if let Some(profile) = detailed.as_mut() {
+                apply_fault_penalty(engine, verdict, profile);
+            }
+        }
+        DpuEval { dpu_id, mix, instructions, est_cycles, detailed, fault_events, lost: false }
     }
 
     /// Folds one evaluated DPU into the aggregate. Order-dependent: callers
@@ -939,6 +996,107 @@ mod tests {
                 t
             })
             .collect()
+    }
+
+    /// A partition of `tasklets` tasklets whose recording `work` alone
+    /// decides; `keyed` offers that shape as its reuse key.
+    struct ShapeJob {
+        tasklets: u32,
+        work: u32,
+        keyed: bool,
+    }
+
+    impl DpuJob for ShapeJob {
+        fn record<R: Record + Clone>(self, proto: &R) -> Vec<R> {
+            (0..self.tasklets)
+                .map(|i| {
+                    let mut t = proto.clone();
+                    t.compute(InstrClass::Arith, self.work + 5 * i);
+                    t.dma(64 * (i + 1));
+                    t.mutex_lock(0);
+                    t.compute(InstrClass::LoadStore, 2);
+                    t.mutex_unlock(0);
+                    t.barrier();
+                    t
+                })
+                .collect()
+        }
+
+        fn reuse_key(&self) -> Option<ReuseKey> {
+            self.keyed.then_some((u64::from(self.tasklets), u64::from(self.work), false))
+        }
+    }
+
+    #[test]
+    fn keyed_jobs_evaluate_like_unkeyed_ones_under_faults() {
+        // Three shapes, one recording nothing, spread over the DPUs so
+        // every shape meets several verdicts.
+        let shapes = [(4, 30), (0, 0), (2, 90)];
+        let plan = crate::config::FaultPlan {
+            seed: 0x5EED,
+            dpu_loss_rate: 0.15,
+            straggler_rate: 0.2,
+            bitflip_rate: 0.2,
+            policy: crate::config::ResiliencePolicy { redistribute: false, ..Default::default() },
+            ..Default::default()
+        };
+        for fidelity in [SimFidelity::Full, SimFidelity::Sampled(4), SimFidelity::Analytic] {
+            let cfg = PimConfig {
+                num_dpus: 48,
+                fidelity,
+                observability: ObservabilityLevel::PerTasklet,
+                faults: Some(plan.clone()),
+                ..Default::default()
+            };
+            let engine = FaultEngine::from_config(&cfg).expect("the plan fires");
+            let run = |keyed: bool| {
+                let mut acc = KernelAccumulator::new(&cfg);
+                let evals: Vec<DpuEval> = (0..cfg.num_dpus)
+                    .map(|d| {
+                        let (tasklets, work) = shapes[d as usize % shapes.len()];
+                        acc.evaluate_job(d, ShapeJob { tasklets, work, keyed })
+                    })
+                    .collect();
+                let stored = acc.store().keyed.len();
+                for eval in evals.iter().cloned() {
+                    acc.merge(eval);
+                }
+                (evals, stored, acc.finish())
+            };
+            let (plain, none_stored, plain_report) = run(false);
+            let (keyed, stored, keyed_report) = run(true);
+            assert_eq!(none_stored, 0, "{fidelity:?}");
+            // One evaluation per shape and recorder: Sampled(4) also
+            // replays DPUs 0, 12, 24 and 36, all of the first shape.
+            let replayed_shapes = usize::from(fidelity == SimFidelity::Sampled(4));
+            assert_eq!(stored, shapes.len() + replayed_shapes, "{fidelity:?}");
+            assert_eq!(keyed, plain, "{fidelity:?}");
+            assert_eq!(keyed_report, plain_report, "{fidelity:?}");
+            let mut seen = (false, false, false, false);
+            for (d, eval) in keyed.iter().enumerate() {
+                let verdict = engine.verdict(d as u32);
+                if shapes[d % shapes.len()].0 == 0 {
+                    // Records nothing: idle, no verdict drawn.
+                    assert!(!eval.is_active() && !eval.is_lost(), "{fidelity:?} dpu {d}");
+                    assert!(eval.fault_events.is_empty(), "{fidelity:?} dpu {d}");
+                    seen.3 |= verdict != FaultVerdict::Healthy;
+                    continue;
+                }
+                let mut events = CounterSet::new();
+                engine.record_events(verdict, &mut events);
+                assert_eq!(eval.fault_events, events, "{fidelity:?} dpu {d}");
+                assert_eq!(eval.is_lost(), verdict.is_dropped(), "{fidelity:?} dpu {d}");
+                assert_eq!(eval.is_active(), !verdict.is_dropped(), "{fidelity:?} dpu {d}");
+                seen.0 |= verdict == FaultVerdict::Straggler;
+                seen.1 |= matches!(verdict, FaultVerdict::EccRetry { .. });
+                seen.2 |= verdict.is_dropped();
+            }
+            assert_eq!(
+                seen,
+                (true, true, true, true),
+                "{fidelity:?}: the plan must hit every case"
+            );
+        }
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl FaultSummary {
         }
     }
 
-    /// Total fault-attributed cycles (the `slot.fault` bucket).
-    pub fn fault_cycles(&self) -> u64 {
-        self.straggler_cycles + self.retry_cycles
-    }
-
     /// Whether every detected fault was recovered.
     pub fn fully_recovered(&self) -> bool {
         self.lost == 0
@@ -216,7 +211,7 @@ mod tests {
         c.add(CounterId::FaultStragglerCycles, 120);
         c.add(CounterId::FaultRetryCycles, 80);
         let s = FaultSummary::from_counters(&c);
-        assert_eq!(s.fault_cycles(), 200);
+        assert_eq!((s.straggler_cycles, s.retry_cycles), (120, 80));
         assert_eq!(c.sum(&CounterId::FAULT_CYCLES), 200);
     }
 }

@@ -180,5 +180,15 @@ echo "==> benchmark determinism audit (pimbench: tiny workloads, seeds 1 and 791
 # every model metric, counter and answer fingerprint repeats bit for bit.
 cargo test --release --offline --manifest-path pimbench/Cargo.toml
 
+echo "==> benchmark at full size (paper-replay and analytic-serve, seed 1, minimum rounds)"
+# The audit above runs 16-DPU workloads, where few partitions sit idle.
+# These are the benchmark's own configurations (2,048 DPUs; the frozen
+# full-size analytic-serve fingerprint). Each run exits non-zero on a
+# wrong answer, a moved fingerprint or a library error.
+for workload in paper-replay analytic-serve; do
+    cargo run --release --quiet --offline --manifest-path pimbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0 --trace 0
+done
+
 echo "==> bench artifact trajectory"
 ./scripts/bench_summary.sh

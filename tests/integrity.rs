@@ -309,12 +309,7 @@ fn total_quarantine_degrades_gracefully() {
     assert!(report.served() > 0, "queries before the scoreboard tripped must still serve");
     assert_eq!(c.check_ledgers(), Ok(()));
     for (t, ledger) in report.tenants.iter().enumerate() {
-        assert_eq!(ledger.arrivals, ledger.admitted + ledger.rejected, "tenant {t}");
-        assert_eq!(
-            ledger.admitted,
-            ledger.served + ledger.shed_wait + ledger.shed_deadline,
-            "tenant {t}",
-        );
+        assert_eq!(ledger.check_ledgers(), Ok(()), "tenant {t}");
     }
 }
 
