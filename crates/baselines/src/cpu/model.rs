@@ -15,7 +15,6 @@ use crate::Algorithm;
 
 /// Per-algorithm CPU timing constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuModel {
     /// Fixed seconds per iteration (scheduling, frontier management).
     pub per_iteration_s: f64,

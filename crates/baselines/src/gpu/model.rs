@@ -12,7 +12,6 @@ use crate::Algorithm;
 
 /// Per-algorithm GPU timing constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuModel {
     /// Fixed seconds per iteration (kernel launches + sync).
     pub per_iteration_s: f64,

@@ -4,7 +4,6 @@
 
 /// Micro-architectural specification of one comparison system.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemSpec {
     /// Marketing name.
     pub name: &'static str,

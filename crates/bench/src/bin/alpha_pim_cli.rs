@@ -31,7 +31,7 @@
 //! --resume              serve only: resume an interrupted trace from DIR
 //! --deadline-cycles N   serve only: shed queries over this cycle budget
 //! --crash-after K       serve only: kill the first batch at boundary K
-//! --fast-path P         serve only: replay | analytic | auto (default replay)
+//! --fast-path P         serve only: replay | analytic (default replay)
 //! --mix B:S:P           serve only: BFS:SSSP:PPR trace weights (default 1:1:1)
 //! --baseline-queries N  serve --fast-path only: replay-path sample size
 //!                       for the throughput baseline (default 256)
@@ -195,11 +195,8 @@ fn parse_args() -> Result<Args, String> {
                 args.fast_path = match value.as_str() {
                     "replay" => FastPath::Replay,
                     "analytic" => FastPath::Analytic,
-                    "auto" => FastPath::Auto,
                     other => {
-                        return Err(format!(
-                            "unknown fast path {other} (expected replay|analytic|auto)"
-                        ))
+                        return Err(format!("unknown fast path {other} (expected replay|analytic)"))
                     }
                 };
             }
@@ -924,11 +921,10 @@ fn fast_path_name(p: FastPath) -> &'static str {
     match p {
         FastPath::Replay => "replay",
         FastPath::Analytic => "analytic",
-        FastPath::Auto => "auto",
     }
 }
 
-/// `serve --fast-path analytic|auto`: throughput benchmark of the analytic
+/// `serve --fast-path analytic`: throughput benchmark of the analytic
 /// serving fast path. Serves the full trace with closed-form timing and
 /// wall-clocks it, then wall-clocks the exact cycle-replay path on the
 /// first `--baseline-queries` queries of the same trace and extrapolates
@@ -960,8 +956,8 @@ fn run_serve_fastpath(
     let mut fast = ServeEngine::new(engine, config);
     if !fast.fast_path_active() {
         println!(
-            "note: fast path gated off (observability below Aggregate, or sampled replay \
-             under auto) — timing falls back to exact replay"
+            "note: fast path gated off (observability below Aggregate) — timing falls back \
+             to exact replay"
         );
     }
     let start = Instant::now();

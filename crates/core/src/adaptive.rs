@@ -13,7 +13,9 @@
 //! batched serving engine may replace cycle replay with the closed-form
 //! analytic timing model (`alpha_pim_sim::analytic`).
 
-use alpha_pim_sim::{ObservabilityLevel, PimConfig, SimFidelity};
+use std::sync::OnceLock;
+
+use alpha_pim_sim::{ObservabilityLevel, PimConfig};
 use alpha_pim_sparse::datasets::GraphClass;
 use alpha_pim_sparse::{gen, Graph, GraphStats};
 
@@ -28,26 +30,16 @@ pub enum FastPath {
     /// [`ObservabilityLevel::Aggregate`]. PerDpu/PerTasklet engines keep
     /// replay: their detail records promise real per-tasklet attribution.
     Analytic,
-    /// Decide from the engine configuration: like `Analytic`, but also
-    /// defers to an explicit [`SimFidelity::Sampled`] fidelity — the
-    /// caller already chose their own accuracy/speed trade-off there.
-    Auto,
 }
 
 /// Fast-path dispatch: whether a serving engine over `cfg` should time
 /// supersteps with the analytic model instead of cycle replay.
 ///
 /// `Replay` never does; `Analytic` does whenever Aggregate-level
-/// observability permits; `Auto` additionally keeps an explicitly
-/// requested sampled replay. Result values and traffic counters are
+/// observability permits. Result values and traffic counters are
 /// identical either way — only cycle timing switches models.
 pub fn use_analytic_timing(path: FastPath, cfg: &PimConfig) -> bool {
-    let aggregate = cfg.observability == ObservabilityLevel::Aggregate;
-    match path {
-        FastPath::Replay => false,
-        FastPath::Analytic => aggregate,
-        FastPath::Auto => aggregate && !matches!(cfg.fidelity, SimFidelity::Sampled(_)),
-    }
+    path == FastPath::Analytic && cfg.observability == ObservabilityLevel::Aggregate
 }
 
 /// The two features the paper's classifier consumes (§4.2.1).
@@ -155,8 +147,11 @@ impl DecisionTree {
     }
 
     /// Trains on the built-in synthetic corpus — the framework default.
+    /// The corpus is seeded, so the tree is trained once per process and
+    /// cloned on every later call.
     pub fn default_trained() -> Self {
-        DecisionTree::train(&training_corpus(0xA1FA), 3)
+        static TREE: OnceLock<DecisionTree> = OnceLock::new();
+        TREE.get_or_init(|| DecisionTree::train(&training_corpus(0xA1FA), 3)).clone()
     }
 }
 

@@ -438,7 +438,9 @@ impl<'a> DeltaEngine<'a> {
             let frontier = SparseVector::from_pairs(n as usize, seed_idx, seed_val)?;
             let max_iterations = self.serve.config().options.max_iterations;
             let stepper = Stepper::new(engine, Relax { values: dist }, frontier, max_iterations);
-            let (repaired, report) = stepper.run(self.engine.system())?;
+            // Repairs step on the serving machine, so they take the same
+            // timing path as full reruns.
+            let (repaired, report) = stepper.run(self.serve.machine()?)?;
             (repaired.values, report)
         };
 
@@ -493,8 +495,7 @@ impl<'a> DeltaEngine<'a> {
         };
         let options = self.serve.config().options;
         let threshold = self.engine.switch_threshold(graph);
-        let engine =
-            Rc::new(MvEngine::new(&matrix, &options, threshold, self.engine.system())?);
+        let engine = Rc::new(MvEngine::new(&matrix, &options, threshold, self.serve.machine()?)?);
         if sssp {
             self.repair_sssp = Some(Rc::clone(&engine));
         } else {
@@ -608,6 +609,7 @@ fn repair_seed(
 mod tests {
     use super::*;
     use crate::apps::AppOptions;
+    use crate::serve::FastPath;
     use alpha_pim_sim::{PimConfig, SimFidelity};
     use alpha_pim_sparse::delta::seeded_batch;
     use alpha_pim_sparse::gen;
@@ -766,6 +768,30 @@ mod tests {
         let (r, s) = delta.serve(&q).unwrap();
         assert!(s[0].incremental);
         assert_eq!(values(&r[0]), vec![0, 2, 1, 5], "insert re-attaches the suffix");
+    }
+
+    #[test]
+    fn repairs_are_timed_on_the_serving_machine() {
+        // A `Full` engine on the analytic fast path repairs on an analytic
+        // machine, exactly like an `Analytic` engine that replays.
+        let g = graph(220, 1_700, 11);
+        let q = [Query::Sssp { source: 3 }];
+        let repaired = |fidelity, fast_path| {
+            let pim =
+                AlphaPim::new(PimConfig { num_dpus: 8, fidelity, ..Default::default() }).unwrap();
+            let config = ServeConfig { fast_path, ..Default::default() };
+            let mut delta = DeltaEngine::new(&pim, config, &g, 8).unwrap();
+            delta.serve(&q).unwrap();
+            let batch = seeded_batch(delta.graph().adjacency(), 0xA11, 30, 9);
+            delta.mutate(&batch).unwrap();
+            let (mut results, stats) = delta.serve(&q).unwrap();
+            assert!(stats[0].incremental, "the old answer seeds the repair");
+            results.pop().unwrap()
+        };
+        let fast = repaired(SimFidelity::Full, FastPath::Analytic);
+        let analytic = repaired(SimFidelity::Analytic, FastPath::Replay);
+        assert!(fast.same_values(&analytic));
+        assert_eq!(format!("{:?}", fast.report()), format!("{:?}", analytic.report()));
     }
 
     #[test]

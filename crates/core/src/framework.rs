@@ -70,9 +70,8 @@ impl AlphaPim {
     /// skipping cycle replay entirely. Result values, traffic bytes, and
     /// event counts are bit-identical to the replay system; cycle
     /// attribution becomes a calibrated approximation. Returns `None` if
-    /// the modified configuration fails validation — fidelity never
-    /// affects validity today, but the serving fast path degrades to
-    /// replay instead of panicking.
+    /// the modified configuration fails validation (fidelity never
+    /// affects validity today).
     pub fn analytic_twin(&self) -> Option<PimSystem> {
         let mut cfg = self.system.config().clone();
         cfg.fidelity = SimFidelity::Analytic;

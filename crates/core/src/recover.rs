@@ -136,10 +136,6 @@ pub enum CheckpointPolicy {
     /// Snapshot at every N-th superstep boundary (`1` = every boundary).
     /// `0` is treated as `1`.
     EveryN(u32),
-    /// Snapshot only at boundaries where some query has turned `degraded`
-    /// (a DPU was lost, or a deadline shed fired) — cheap insurance that
-    /// kicks in exactly when the run starts going wrong.
-    OnDegraded,
 }
 
 impl CheckpointPolicy {
@@ -149,13 +145,11 @@ impl CheckpointPolicy {
     }
 
     /// Whether a snapshot fires at the boundary after superstep number
-    /// `supersteps` (1-based count of completed supersteps), given whether
-    /// any query in the batch is currently degraded.
-    pub fn fires(self, supersteps: u32, any_degraded: bool) -> bool {
+    /// `supersteps` (1-based count of completed supersteps).
+    pub fn fires(self, supersteps: u32) -> bool {
         match self {
             CheckpointPolicy::Disabled => false,
             CheckpointPolicy::EveryN(n) => supersteps.is_multiple_of(n.max(1)),
-            CheckpointPolicy::OnDegraded => any_degraded,
         }
     }
 }
@@ -1007,14 +1001,12 @@ mod tests {
     #[test]
     fn policy_cadence() {
         assert!(!CheckpointPolicy::Disabled.is_enabled());
-        assert!(!CheckpointPolicy::Disabled.fires(1, true));
-        assert!(CheckpointPolicy::EveryN(1).fires(1, false));
-        assert!(CheckpointPolicy::EveryN(1).fires(2, false));
-        assert!(!CheckpointPolicy::EveryN(3).fires(2, false));
-        assert!(CheckpointPolicy::EveryN(3).fires(3, false));
+        assert!(!CheckpointPolicy::Disabled.fires(1));
+        assert!(CheckpointPolicy::EveryN(1).fires(1));
+        assert!(CheckpointPolicy::EveryN(1).fires(2));
+        assert!(!CheckpointPolicy::EveryN(3).fires(2));
+        assert!(CheckpointPolicy::EveryN(3).fires(3));
         // Zero is clamped to one, not a division fault.
-        assert!(CheckpointPolicy::EveryN(0).fires(5, false));
-        assert!(CheckpointPolicy::OnDegraded.fires(1, true));
-        assert!(!CheckpointPolicy::OnDegraded.fires(1, false));
+        assert!(CheckpointPolicy::EveryN(0).fires(5));
     }
 }

@@ -275,20 +275,15 @@ pub struct ServeEngine<'a> {
     resident_bytes: u64,
     evictions: u64,
     evicted_bytes: u64,
-    /// The [`SimFidelity::Analytic`] twin supersteps run against when the
-    /// fast path is active; `None` keeps every superstep on the exact
-    /// replay system.
-    analytic_sys: Option<PimSystem>,
+    /// The machine kernels are prepared, stepped and timed on: the
+    /// engine's system without the quarantined DPUs, under
+    /// [`SimFidelity::Analytic`] when the fast path is active. `None` under
+    /// total quarantine: batches complete by shedding their queries (done,
+    /// degraded, partial answers retained) instead of executing supersteps
+    /// — graceful degradation, never a panic.
+    machine: Option<PimSystem>,
     /// Physical DPU ids currently quarantined (sorted, deduplicated).
     quarantine: Vec<u32>,
-    /// The quarantine-reduced execution system supersteps run against;
-    /// `None` while the quarantine list is empty (the engine's own system
-    /// serves) or under total quarantine.
-    exec_sys: Option<PimSystem>,
-    /// Every DPU is quarantined: batches complete by shedding their
-    /// queries (done, degraded, partial answers retained) instead of
-    /// executing supersteps — graceful degradation, never a panic.
-    total_quarantine: bool,
 }
 
 impl<'a> ServeEngine<'a> {
@@ -299,20 +294,14 @@ impl<'a> ServeEngine<'a> {
     /// When [`ServeConfig::fast_path`] and the engine's observability
     /// level select the analytic fast path (see
     /// [`adaptive::use_analytic_timing`]), supersteps are timed by the
-    /// closed-form model on an [`AlphaPim::analytic_twin`] of the system;
-    /// otherwise they replay cycle-level traces exactly as before.
+    /// closed-form model on an analytic copy of the system; otherwise they
+    /// replay cycle-level traces exactly as before.
     pub fn new(engine: &'a AlphaPim, config: ServeConfig) -> Self {
         let config = ServeConfig {
             batch_size: config.batch_size.max(1),
             cache_capacity: config.cache_capacity.max(1),
             ..config
         };
-        let analytic_sys =
-            if adaptive::use_analytic_timing(config.fast_path, engine.system().config()) {
-                engine.analytic_twin()
-            } else {
-                None
-            };
         ServeEngine {
             engine,
             config,
@@ -323,10 +312,8 @@ impl<'a> ServeEngine<'a> {
             resident_bytes: 0,
             evictions: 0,
             evicted_bytes: 0,
-            analytic_sys,
+            machine: build_machine(engine, config.fast_path, &[]),
             quarantine: Vec::new(),
-            exec_sys: None,
-            total_quarantine: false,
         }
     }
 
@@ -338,7 +325,8 @@ impl<'a> ServeEngine<'a> {
     /// Whether supersteps run on the analytic fast path (the requested
     /// [`FastPath`] after observability gating).
     pub fn fast_path_active(&self) -> bool {
-        self.analytic_sys.is_some()
+        self.machine.is_some()
+            && adaptive::use_analytic_timing(self.config.fast_path, self.engine.system().config())
     }
 
     /// The physical DPUs currently quarantined (sorted, deduplicated).
@@ -350,7 +338,7 @@ impl<'a> ServeEngine<'a> {
     /// query is shed at admission (done, degraded, partial answer) so the
     /// serving surface degrades instead of panicking.
     pub fn total_quarantine(&self) -> bool {
-        self.total_quarantine
+        self.machine.is_none()
     }
 
     /// Replaces the quarantine set with the given *physical* DPU ids and
@@ -370,52 +358,26 @@ impl<'a> ServeEngine<'a> {
         if q == self.quarantine {
             return;
         }
+        self.machine = build_machine(self.engine, self.config.fast_path, &q);
         self.quarantine = q;
-        if self.quarantine.is_empty() {
-            self.exec_sys = None;
-            self.total_quarantine = false;
-        } else {
-            match self.engine.system().config().excluding_dpus(&self.quarantine) {
-                Some(cfg) => {
-                    self.exec_sys = PimSystem::new(cfg).ok();
-                    self.total_quarantine = self.exec_sys.is_none();
-                }
-                None => {
-                    self.exec_sys = None;
-                    self.total_quarantine = true;
-                }
-            }
-        }
-        // The analytic twin must model the same (reduced) machine.
-        self.analytic_sys =
-            if adaptive::use_analytic_timing(self.config.fast_path, self.engine.system().config()) {
-                match &self.exec_sys {
-                    Some(sys) => {
-                        let mut cfg = sys.config().clone();
-                        cfg.fidelity = SimFidelity::Analytic;
-                        PimSystem::new(cfg).ok()
-                    }
-                    None if self.total_quarantine => None,
-                    None => self.engine.analytic_twin(),
-                }
-            } else {
-                None
-            };
     }
 
-    /// The exact system supersteps execute against: the quarantine-reduced
-    /// machine when a quarantine is active, the engine's own otherwise.
-    fn exec_system(&self) -> &PimSystem {
-        self.exec_sys.as_ref().unwrap_or_else(|| self.engine.system())
+    /// The machine queries run on.
+    ///
+    /// # Errors
+    ///
+    /// [`AlphaPimError::Config`] under total quarantine.
+    pub(crate) fn machine(&self) -> Result<&PimSystem, AlphaPimError> {
+        self.machine
+            .as_ref()
+            .ok_or_else(|| AlphaPimError::Config("every DPU is quarantined".into()))
     }
 
-    /// The system supersteps are timed against: the analytic twin when the
-    /// fast path is active, the exact execution system otherwise.
-    fn timing_system(&self) -> &PimSystem {
-        match &self.analytic_sys {
-            Some(sys) => sys,
-            None => self.exec_system(),
-        }
+    /// The machine kernels are prepared for: the serving machine, or the
+    /// engine's own system under total quarantine, where prepared kernels
+    /// only seed the shed queries' partial answers.
+    fn plan_system(&self) -> &PimSystem {
+        self.machine.as_ref().unwrap_or_else(|| self.engine.system())
     }
 
     /// Lifetime partition-cache hits.
@@ -635,7 +597,7 @@ impl<'a> ServeEngine<'a> {
         deadlines: &[Option<u64>],
         tag: u64,
     ) -> Result<BatchRun, AlphaPimError> {
-        let dpus = self.exec_system().num_dpus();
+        let dpus = self.plan_system().num_dpus();
         let graph_fp = structural_fingerprint(graph.adjacency(), u64::from);
         let threshold = self.engine.switch_threshold(graph);
         let hits_before = self.hits;
@@ -654,17 +616,6 @@ impl<'a> ServeEngine<'a> {
         counters.add(CounterId::ServeCacheMisses, misses_delta);
         counters.add(CounterId::ServeCacheEvictions, self.evictions - evictions_before);
         counters.add(CounterId::ServeEvictedBytes, self.evicted_bytes - evicted_bytes_before);
-        // Total quarantine: no machine remains to execute on. Every query
-        // is shed immediately — done, degraded, its partial (initial-state)
-        // answer retained — so the batch completes without a superstep.
-        if self.total_quarantine {
-            for slot in &mut slots {
-                if let Slot::Live(s) = slot {
-                    s.shed();
-                    counters.add(CounterId::ServeShed, 1);
-                }
-            }
-        }
         // Per-query overrides are normalized to one entry per query so the
         // snapshot layout is a pure function of the query count.
         let mut deadlines = deadlines.to_vec();
@@ -698,7 +649,7 @@ impl<'a> ServeEngine<'a> {
         graph: &Graph,
         checkpoint: &BatchCheckpoint,
     ) -> Result<BatchRun, AlphaPimError> {
-        let dpus_now = self.exec_system().num_dpus();
+        let dpus_now = self.plan_system().num_dpus();
         let payload = recover::unseal(&checkpoint.snapshot)?;
         let mut d = recover::Dec::new(payload);
         let tag = d.u64()?;
@@ -852,10 +803,6 @@ impl<'a> ServeEngine<'a> {
         crash: Option<HostCrashPlan>,
         store: Option<&CheckpointStore>,
     ) -> Result<Option<u32>, AlphaPimError> {
-        let sys = self.timing_system();
-        let tcfg = &sys.config().transfer;
-        let hcfg = &sys.config().host;
-        let dpus = sys.num_dpus();
         // A lone query has no shared transfer to pack into: it runs (and
         // costs) exactly its standalone superstep sequence.
         let shared = run.queries.len() > 1;
@@ -863,6 +810,17 @@ impl<'a> ServeEngine<'a> {
         // there is always at least the initial snapshot to restart from.
         let armed = self.config.checkpoint.is_enabled() || crash.is_some();
 
+        // Total quarantine: no machine remains to execute on. Every live
+        // query is shed — done, degraded, its partial (initial-state)
+        // answer retained — so the batch completes without a superstep.
+        if self.machine.is_none() {
+            for slot in &mut run.slots {
+                if let Slot::Live(s) = slot {
+                    s.shed();
+                    run.counters.add(CounterId::ServeShed, 1);
+                }
+            }
+        }
         // Queries complete on arrival settle — and journal — up front.
         for i in 0..run.slots.len() {
             let done = matches!(&run.slots[i], Slot::Live(s) if s.is_done());
@@ -873,6 +831,10 @@ impl<'a> ServeEngine<'a> {
         if armed && !run.resumed {
             take_snapshot(run, store)?;
         }
+        let Some(sys) = &self.machine else { return Ok(None) };
+        let tcfg = &sys.config().transfer;
+        let hcfg = &sys.config().host;
+        let dpus = sys.num_dpus();
         loop {
             let live: Vec<usize> = (0..run.slots.len())
                 .filter(|&i| matches!(&run.slots[i], Slot::Live(_)))
@@ -935,11 +897,8 @@ impl<'a> ServeEngine<'a> {
             }
             run.supersteps += 1;
             let boundary = run.supersteps - 1;
-            if armed {
-                let any_degraded = run.slots.iter().any(slot_degraded);
-                if self.config.checkpoint.fires(run.supersteps, any_degraded) {
-                    take_snapshot(run, store)?;
-                }
+            if armed && self.config.checkpoint.fires(run.supersteps) {
+                take_snapshot(run, store)?;
             }
             if let Some(plan) = crash {
                 if plan.fires_after(u64::from(boundary)) {
@@ -962,7 +921,7 @@ impl<'a> ServeEngine<'a> {
         let key = CacheKey {
             graph_fp,
             app,
-            dpus: self.exec_system().num_dpus(),
+            dpus: self.plan_system().num_dpus(),
             policy_bits: policy_bits(&self.config.options),
             threshold_bits: threshold.to_bits(),
         };
@@ -976,7 +935,7 @@ impl<'a> ServeEngine<'a> {
         self.misses += 1;
         // Preparation partitions across the quarantine-reduced machine, so
         // a re-plan after quarantining is just a cache miss here.
-        let sys = self.exec_system();
+        let sys = self.plan_system();
         let engine = match app {
             AppKind::Bfs => {
                 let matrix = graph.transposed().map(BoolOrAnd::from_weight);
@@ -1036,6 +995,20 @@ impl<'a> ServeEngine<'a> {
         self.cache.push(CacheEntry { key, engine: engine.clone(), last_used: tick, bytes });
         Ok(engine)
     }
+}
+
+/// The machine a serving engine runs on: `engine`'s system without the
+/// `quarantine`d physical DPUs, under [`SimFidelity::Analytic`] when
+/// `fast_path` applies (preparation does not depend on fidelity). `None`
+/// when no DPU is left.
+fn build_machine(engine: &AlphaPim, fast_path: FastPath, quarantine: &[u32]) -> Option<PimSystem> {
+    let base = engine.system().config();
+    let mut cfg =
+        if quarantine.is_empty() { base.clone() } else { base.excluding_dpus(quarantine)? };
+    if adaptive::use_analytic_timing(fast_path, base) {
+        cfg.fidelity = SimFidelity::Analytic;
+    }
+    PimSystem::new(cfg).ok()
 }
 
 /// Estimated resident footprint of one prepared engine: every matrix
@@ -1173,13 +1146,6 @@ impl<R: Served> LiveQuery for Stepper<R> {
 enum Slot {
     Live(Box<dyn LiveQuery>),
     Done(QueryResult),
-}
-
-fn slot_degraded(slot: &Slot) -> bool {
-    match slot {
-        Slot::Live(s) => s.report().degraded,
-        Slot::Done(r) => r.report().degraded,
-    }
 }
 
 /// The in-flight state of one batch — everything [`ServeEngine::execute`]
@@ -1439,20 +1405,6 @@ pub fn fingerprint_fold(mut h: u64, results: &[QueryResult]) -> u64 {
     h
 }
 
-/// The batch tag recorded in a checkpoint's snapshot — which batch of a
-/// deterministic service replay the checkpoint belongs to, read without
-/// deserializing any stepper state.
-///
-/// # Errors
-///
-/// [`AlphaPimError::Recover`] when the snapshot fails container
-/// validation (checksum, version) or is too short to hold a tag.
-pub fn checkpoint_tag(checkpoint: &BatchCheckpoint) -> Result<u64, AlphaPimError> {
-    let payload = recover::unseal(&checkpoint.snapshot)?;
-    let mut d = recover::Dec::new(payload);
-    Ok(d.u64()?)
-}
-
 /// Generates a seeded, reproducible trace of `count` mixed queries over a
 /// graph with `nodes` vertices — the workload the CLI's `serve` subcommand
 /// and the CI smoke stage replay. Uses the uniform 1:1:1 BFS/SSSP/PPR mix;
@@ -1695,27 +1647,32 @@ mod tests {
         let engine = engine(6);
         let g = graph();
         let queries = seeded_trace(g.nodes(), 6, 0xFA57);
-        let mut replay = ServeEngine::new(&engine, ServeConfig::default());
-        let (exact, _) = replay.serve(&g, &queries).unwrap();
-        let mut fast = ServeEngine::new(
-            &engine,
-            ServeConfig { fast_path: FastPath::Analytic, ..Default::default() },
-        );
-        let (approx, batches) = fast.serve(&g, &queries).unwrap();
-        assert!(fast.fast_path_active());
-        assert_eq!(exact.len(), approx.len());
-        for (e, a) in exact.iter().zip(approx.iter()) {
-            match (e, a) {
-                (QueryResult::Bfs(x), QueryResult::Bfs(y)) => assert_eq!(x.levels, y.levels),
-                (QueryResult::Sssp(x), QueryResult::Sssp(y)) => {
-                    assert_eq!(x.distances, y.distances)
+        // The healthy machine, and one re-planned around a quarantined DPU.
+        for quarantine in [&[][..], &[2]] {
+            let mut replay = ServeEngine::new(&engine, ServeConfig::default());
+            replay.set_quarantine(quarantine);
+            let (exact, _) = replay.serve(&g, &queries).unwrap();
+            let mut fast = ServeEngine::new(
+                &engine,
+                ServeConfig { fast_path: FastPath::Analytic, ..Default::default() },
+            );
+            fast.set_quarantine(quarantine);
+            let (approx, batches) = fast.serve(&g, &queries).unwrap();
+            assert!(fast.fast_path_active(), "quarantine {quarantine:?}");
+            assert_eq!(exact.len(), approx.len());
+            for (e, a) in exact.iter().zip(approx.iter()) {
+                match (e, a) {
+                    (QueryResult::Bfs(x), QueryResult::Bfs(y)) => assert_eq!(x.levels, y.levels),
+                    (QueryResult::Sssp(x), QueryResult::Sssp(y)) => {
+                        assert_eq!(x.distances, y.distances)
+                    }
+                    (QueryResult::Ppr(x), QueryResult::Ppr(y)) => assert_eq!(x.scores, y.scores),
+                    other => panic!("result kinds diverged: {other:?}"),
                 }
-                (QueryResult::Ppr(x), QueryResult::Ppr(y)) => assert_eq!(x.scores, y.scores),
-                other => panic!("result kinds diverged: {other:?}"),
+                // Timing is approximated, but must stay positive and sane.
+                assert!(a.report().total_seconds() > 0.0);
             }
-            // Timing is approximated, but must stay positive and sane.
-            assert!(a.report().total_seconds() > 0.0);
+            assert!(!batches.is_empty());
         }
-        assert!(!batches.is_empty());
     }
 }

@@ -42,8 +42,7 @@ use crate::error::AlphaPimError;
 use crate::framework::AlphaPim;
 use crate::recover::{BatchCheckpoint, CheckpointStore};
 use crate::serve::{
-    checkpoint_tag, fingerprint_fold, BatchOutcome, Query, ServeConfig, ServeEngine,
-    FINGERPRINT_SEED,
+    fingerprint_fold, BatchOutcome, Query, ServeConfig, ServeEngine, FINGERPRINT_SEED,
 };
 
 /// Scale of one virtual-time unit: a dispatched query advances its
@@ -54,7 +53,6 @@ const VT_SCALE: u64 = 1 << 24;
 /// weight (so high-priority tenants drain faster but nobody starves) and
 /// order overload rejection (low-priority queries are turned away first).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Priority {
     /// Best-effort traffic: rejected first under overload, weight ×1.
     Low,
@@ -574,7 +572,7 @@ impl<'a> ServiceEngine<'a> {
         checkpoint: &BatchCheckpoint,
         store: Option<&CheckpointStore>,
     ) -> Result<ServiceOutcome, AlphaPimError> {
-        let tag = checkpoint_tag(checkpoint)?;
+        let tag = checkpoint.tag()?;
         self.drive(graphs, workload, mutations, Mode::Resume { tag, checkpoint }, store)
     }
 

@@ -3,14 +3,14 @@
 //! Defaults model the machine used in the paper (§5.2): 20 PIM DIMMs with
 //! 2,560 DPUs total (2,048 used by default, as in the paper's experiments),
 //! each DPU a 350 MHz multithreaded in-order core with a 14-stage revolver
-//! pipeline, a 64 MB MRAM bank, 64 KB of WRAM, and 24 KB of IRAM (§2.3.2).
+//! pipeline, a 64 MB MRAM bank and 64 KB of WRAM (§2.3.2). The 24 KB
+//! instruction memory (IRAM) is not modelled: every kernel fits in it.
 //! Timing constants are calibrated to published UPMEM/PrIM/PIMulator
 //! measurements; see `DESIGN.md` for the calibration table.
 
 
 /// Full configuration of a simulated UPMEM PIM system.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PimConfig {
     /// Number of DPUs allocated to kernels (paper default: 2,048).
     pub num_dpus: u32,
@@ -22,8 +22,6 @@ pub struct PimConfig {
     pub mram_bytes: u64,
     /// WRAM (scratchpad) capacity per DPU in bytes (64 KB).
     pub wram_bytes: u32,
-    /// IRAM (instruction memory) capacity per DPU in bytes (24 KB).
-    pub iram_bytes: u32,
     /// Pipeline timing model.
     pub pipeline: PipelineConfig,
     /// CPU↔DPU transfer timing model.
@@ -34,11 +32,9 @@ pub struct PimConfig {
     pub fidelity: SimFidelity,
     /// How much per-DPU / per-tasklet counter detail the kernel reports
     /// retain (aggregate rollups are always collected).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub observability: ObservabilityLevel,
     /// Deterministic fault-injection plan. `None` (the default) models a
     /// fully healthy machine and adds no work to the hot path.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub faults: Option<FaultPlan>,
     /// Logical→physical DPU remap used when part of the machine is
     /// quarantined: entry `i` is the physical DPU id behind logical DPU
@@ -46,7 +42,6 @@ pub struct PimConfig {
     /// on *physical* ids, so a quarantined system built by
     /// [`PimConfig::excluding_dpus`] keeps every surviving DPU's seeded
     /// fate while kernels see a smaller, contiguous machine.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub dpu_remap: Vec<u32>,
 }
 
@@ -58,7 +53,6 @@ impl Default for PimConfig {
             dpu_frequency_hz: 350_000_000,
             mram_bytes: 64 * 1024 * 1024,
             wram_bytes: 64 * 1024,
-            iram_bytes: 24 * 1024,
             pipeline: PipelineConfig::default(),
             transfer: TransferConfig::default(),
             host: HostConfig::default(),
@@ -138,12 +132,6 @@ impl PimConfig {
         cfg.dpu_remap = keep;
         Some(cfg)
     }
-
-    /// The physical DPU id behind logical DPU `dpu` under
-    /// [`PimConfig::dpu_remap`] (identity when no remap is active).
-    pub fn physical_dpu(&self, dpu: u32) -> u32 {
-        self.dpu_remap.get(dpu as usize).copied().unwrap_or(dpu)
-    }
 }
 
 /// A deterministic, seed-driven fault-injection plan (the resilience
@@ -158,7 +146,6 @@ impl PimConfig {
 /// CPU↔DPU transfer batch. Per-DPU kinds are mutually exclusive with
 /// precedence loss > bit-flip > straggler.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Seed of the fault draws (independent of the graph seeds).
     pub seed: u64,
@@ -177,7 +164,6 @@ pub struct FaultPlan {
     /// ECC event, no timeout, no heartbeat loss — the flipped value flows
     /// into the host merge unless the ABFT merge guard
     /// ([`ResiliencePolicy::verify_merges`]) catches it.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub silent_flip_rate: f64,
     /// How the host reacts to detected faults.
     pub policy: ResiliencePolicy,
@@ -257,7 +243,6 @@ impl FaultPlan {
 /// Host-side reaction to detected faults (the policy half of the
 /// resilience layer; see `DESIGN.md` §10 for the state machine).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResiliencePolicy {
     /// Bounded-retry budget for recoverable faults (ECC scrubs, transfer
     /// retransmits). `0` disables retries, escalating ECC events to DPU
@@ -275,10 +260,7 @@ pub struct ResiliencePolicy {
     /// fingerprints for the tropical/boolean semirings). On a mismatch the
     /// offending partition is recomputed on a healthy DPU; with
     /// verification off, silent corruption escapes into merged results.
-    /// Serde note: absent in serialized configs predating the integrity
-    /// layer, where it deserializes to `false` (the old unverified
-    /// behavior); fresh [`Default`] configs verify.
-    #[cfg_attr(feature = "serde", serde(default))]
+    /// [`Default`] configs verify.
     pub verify_merges: bool,
 }
 
@@ -295,7 +277,6 @@ impl Default for ResiliencePolicy {
 
 /// Revolver pipeline and DMA timing parameters (§2.3.2).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PipelineConfig {
     /// Minimum cycles between consecutive instructions of one tasklet — the
     /// "revolver" scheduling constraint (11 on UPMEM).
@@ -319,7 +300,6 @@ pub struct PipelineConfig {
     /// What-if (§6.4 recommendation): non-blocking DMA lets the issuing
     /// tasklet keep computing while the transfer is in flight (upper-bound
     /// model — data dependencies are assumed prefetchable).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub non_blocking_dma: bool,
 }
 
@@ -371,7 +351,6 @@ impl PipelineConfig {
 /// why 1D row-wise partitioning pays so dearly for full-vector loads
 /// (Fig 2) and why 2,048 DPUs can be load-bound (Fig 8).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransferConfig {
     /// Fixed per-batch overhead in seconds (driver + rank setup).
     pub batch_overhead_s: f64,
@@ -383,7 +362,6 @@ pub struct TransferConfig {
     /// What-if (§6.4 recommendation): a direct inter-DPU interconnect that
     /// exchanges vectors without a host round-trip. `None` models the real
     /// machine (host-mediated only).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub inter_dpu: Option<InterDpuConfig>,
 }
 
@@ -400,7 +378,6 @@ impl Default for TransferConfig {
 
 /// Parameters of a hypothetical direct DPU-to-DPU interconnect (§6.4).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InterDpuConfig {
     /// Per-DPU link bandwidth in bytes/second.
     pub link_bandwidth: f64,
@@ -419,7 +396,6 @@ impl Default for InterDpuConfig {
 /// Host CPU model for the Merge phase (parallel OpenMP-style merge on the
 /// Xeon host, §4.1.1) and per-iteration convergence checks.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HostConfig {
     /// Merge throughput per host thread, bytes/second.
     pub merge_bytes_per_s_per_thread: f64,
@@ -441,7 +417,6 @@ impl Default for HostConfig {
 
 /// Trade-off between simulation accuracy and speed at the system level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SimFidelity {
     /// Discrete-event-simulate every DPU.
     Full,
@@ -474,7 +449,6 @@ impl Default for SimFidelity {
 /// per-DPU (and per-tasklet) [`crate::report::DpuDetail`] records, which
 /// cost memory proportional to the detailed sample size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ObservabilityLevel {
     /// Aggregate counters only (the default).
     #[default]
@@ -508,7 +482,6 @@ mod tests {
         assert_eq!(cfg.pipeline.revolver_period, 11);
         assert_eq!(cfg.mram_bytes, 64 << 20);
         assert_eq!(cfg.wram_bytes, 64 << 10);
-        assert_eq!(cfg.iram_bytes, 24 << 10);
         assert!(cfg.validate().is_ok());
     }
 

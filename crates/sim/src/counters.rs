@@ -66,7 +66,6 @@ pub const NUM_COUNTERS: usize = 81;
 
 /// Identifier of one observability counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CounterId {
     /// Issue slots in which an instruction dispatched.
     SlotIssue,
@@ -575,7 +574,6 @@ impl std::error::Error for LedgerBreach {}
 /// A fixed-size bank of all registry counters. Cheap to copy, merge, and
 /// compare; the zero value is the empty set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CounterSet {
     values: [u64; NUM_COUNTERS],
 }

@@ -13,7 +13,6 @@ use crate::report::PhaseBreakdown;
 
 /// Average-power energy model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyModel {
     /// Watts per active DPU (PIM chip share of DIMM power).
     pub dpu_power_w: f64,

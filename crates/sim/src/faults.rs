@@ -20,8 +20,6 @@ use crate::pipeline::{mix64, straggler_extra_cycles};
 
 /// Salt distinguishing the per-kind draw streams.
 const SALT_LOSS: u64 = 0x10_55;
-/// Salt for the host-crash superstep draw.
-const SALT_CRASH: u64 = 0xC4_A5;
 const SALT_FLIP: u64 = 0xF1_1B;
 const SALT_STRAGGLER: u64 = 0x57_4A;
 const SALT_TIMEOUT: u64 = 0x71_3E;
@@ -193,12 +191,6 @@ impl FaultEngine {
         (victim, pattern)
     }
 
-    /// Whether `dpu`'s partition is dropped (unsurvivable loss). Kernels
-    /// consult this before applying a partition's functional result.
-    pub fn dpu_is_dropped(&self, dpu: u32) -> bool {
-        self.verdict(dpu).is_dropped()
-    }
-
     /// Total backoff cycles of `retries` exponential rounds
     /// (`base, 2·base, 4·base, …`, shift-capped to stay finite and
     /// saturating at `u64::MAX` instead of overflowing).
@@ -295,9 +287,8 @@ pub fn saturating_backoff(base: u64, retries: u32) -> u64 {
 /// boundary right after a given superstep of a serving batch completes.
 /// Unlike the DPU-level verdicts above, a host crash kills the *orchestrator*
 /// — all in-flight stepper state would be lost without the checkpoint layer
-/// (`alpha_pim::recover`). The crash superstep is either pinned explicitly
-/// or drawn as a pure SplitMix64 hash of the seed, so crash sweeps replay
-/// identically at any thread count.
+/// (`alpha_pim::recover`). The crash superstep is pinned explicitly, so
+/// crash sweeps replay identically at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostCrashPlan {
     /// Zero-based superstep index after which the host dies. The crash
@@ -310,15 +301,6 @@ impl HostCrashPlan {
     /// A plan that crashes right after superstep `k` completes.
     pub fn at(superstep: u64) -> Self {
         HostCrashPlan { crash_after_superstep: superstep }
-    }
-
-    /// A seeded plan: draws the crash superstep uniformly from
-    /// `0..max_supersteps` (clamped to at least one boundary) as a pure
-    /// hash of `seed`, so the same seed always crashes at the same place.
-    pub fn seeded(seed: u64, max_supersteps: u64) -> Self {
-        let k = mix64(seed ^ mix64(SALT_CRASH.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-            % max_supersteps.max(1);
-        HostCrashPlan { crash_after_superstep: k }
     }
 
     /// Whether the host dies at the boundary after `superstep`.
@@ -340,7 +322,7 @@ mod tests {
         let e = FaultEngine::new(plan(0.0), 64);
         for d in 0..64 {
             assert_eq!(e.verdict(d), FaultVerdict::Healthy);
-            assert!(!e.dpu_is_dropped(d));
+            assert!(!e.verdict(d).is_dropped());
         }
         assert_eq!(e.transfer_timeout_retries(0, 1024), 0);
     }
@@ -451,7 +433,7 @@ mod tests {
         for d in 0..16 {
             assert_eq!(e.verdict(d), FaultVerdict::SilentFlip, "dpu {d}");
             assert!(e.silently_flipped(d));
-            assert!(!e.dpu_is_dropped(d));
+            assert!(!e.verdict(d).is_dropped());
             assert_eq!(e.penalty_cycles(FaultVerdict::SilentFlip, 1000), 0);
             e.record_events(e.verdict(d), &mut c);
         }
@@ -553,18 +535,6 @@ mod tests {
     fn host_crash_plans_are_pure_and_bounded() {
         assert!(HostCrashPlan::at(3).fires_after(3));
         assert!(!HostCrashPlan::at(3).fires_after(2));
-        for seed in 0..64u64 {
-            let a = HostCrashPlan::seeded(seed, 10);
-            let b = HostCrashPlan::seeded(seed, 10);
-            assert_eq!(a, b, "seed {seed}");
-            assert!(a.crash_after_superstep < 10, "seed {seed}");
-        }
-        // Zero supersteps clamps to one boundary rather than dividing by 0.
-        assert_eq!(HostCrashPlan::seeded(1, 0).crash_after_superstep, 0);
-        // Different seeds actually spread across the range.
-        let distinct: std::collections::HashSet<u64> =
-            (0..32).map(|s| HostCrashPlan::seeded(s, 8).crash_after_superstep).collect();
-        assert!(distinct.len() > 3, "draws collapsed: {distinct:?}");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 /// Category of one issued DPU instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InstrClass {
     /// Integer ALU operations (add, sub, shift, compare, logic).
     Arith,
@@ -77,7 +76,6 @@ impl std::fmt::Display for InstrClass {
 
 /// Histogram of issued instructions by class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InstrMix {
     counts: [u64; 6],
 }

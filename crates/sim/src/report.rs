@@ -100,7 +100,6 @@ fn trace_set_key(traces: &[TaskletTrace]) -> u64 {
 
 /// Cycle-level result of simulating one DPU (the Fig 9–11 metrics).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DpuReport {
     /// Makespan in cycles, including pipeline drain.
     pub total_cycles: u64,
@@ -124,17 +123,6 @@ pub struct DpuReport {
     pub spin_retries: u64,
 }
 
-impl DpuReport {
-    /// Fraction of cycles in which an instruction issued, in `[0, 1]`.
-    pub fn issue_utilization(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            self.active_cycles as f64 / self.total_cycles as f64
-        }
-    }
-}
-
 /// Full observability result of simulating one DPU: the slot-level report
 /// plus the counter rollup and each tasklet's exact cycle attribution
 /// (see [`crate::pipeline::simulate_dpu_profiled`]).
@@ -152,7 +140,6 @@ pub struct DpuProfile {
 /// Per-DPU observability record retained in a [`KernelReport`] when the
 /// configured [`crate::config::ObservabilityLevel`] asks for it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DpuDetail {
     /// Which DPU this record describes.
     pub dpu_id: u32,
@@ -171,7 +158,6 @@ pub struct DpuDetail {
 /// simulation. All quantities are sums of per-DPU cycles, so fractions are
 /// meaningful machine-wide.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CycleBreakdown {
     /// Issue-active cycles.
     pub active: u64,
@@ -279,7 +265,6 @@ fn counters_json(c: &CounterSet) -> String {
 
 /// Aggregate result of simulating one kernel launch across every DPU.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelReport {
     /// DPUs that participated.
     pub num_dpus: u32,
@@ -304,36 +289,22 @@ pub struct KernelReport {
     /// Whether the launch completed gracefully degraded: at least one DPU
     /// was lost without redistribution, so its partition's results are
     /// missing from the output (see [`crate::faults`]).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub degraded: bool,
     /// Physical ids of DPUs whose outputs failed an ABFT checksum guard at
     /// merge time (silent corruption detected and corrected by the
     /// integrity layer). Sorted, deduplicated; empty on clean runs and
     /// whenever verification is disabled. The serving health scoreboard
     /// consumes this to build quarantine strikes.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub corrupted_dpus: Vec<u32>,
     /// Per-DPU observability records (empty below
     /// [`crate::config::ObservabilityLevel::PerDpu`]).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub dpu_details: Vec<DpuDetail>,
 }
 
 impl KernelReport {
-    /// Achieved operations per second across the whole PIM system, taking
-    /// `useful_ops` as the operation count of the kernel (used for the
-    /// compute-utilization comparison of Table 4).
-    pub fn achieved_ops_per_s(&self, useful_ops: u64) -> f64 {
-        if self.seconds == 0.0 {
-            0.0
-        } else {
-            useful_ops as f64 / self.seconds
-        }
-    }
-
     /// The whole report as a single JSON object with deterministic key
-    /// order, independent of the `serde` feature (counters keyed by
-    /// registry label, per-DPU details in merge order).
+    /// order (counters keyed by registry label, per-DPU details in merge
+    /// order).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!(
@@ -880,7 +851,6 @@ impl KernelAccumulator {
 /// engine: what the batch cost, what running each query alone would have
 /// cost, and where the amortization came from.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatchReport {
     /// Queries executed in this batch.
     pub queries: u32,
@@ -941,7 +911,6 @@ impl BatchReport {
 /// phases of §4.1: load the input vector, run the kernel, retrieve
 /// results, and merge on the host.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseBreakdown {
     /// CPU→DPU input-vector transfer seconds.
     pub load: f64,

@@ -84,14 +84,6 @@ impl PimSystem {
         self.faults.as_ref()
     }
 
-    /// Whether `dpu`'s partition was lost without redistribution under the
-    /// active fault plan. Kernels consult this after merging a DPU's
-    /// evaluation and skip applying its functional results, completing the
-    /// launch gracefully degraded.
-    pub fn dpu_is_lost(&self, dpu: u32) -> bool {
-        self.faults.as_ref().is_some_and(|e| e.dpu_is_dropped(dpu))
-    }
-
     /// Applies the fault plan's transfer-timeout draw to one counted batch:
     /// `seq`/`bytes_before` snapshot the batch counter and traffic counters
     /// from before the batch, `base` is its clean duration. On a timeout

@@ -10,9 +10,6 @@ cargo build --release --offline --workspace
 echo "==> cargo test (offline)"
 cargo test -q --offline --workspace
 
-echo "==> serde feature compiles"
-cargo build -q --offline --workspace --features serde
-
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy"
     cargo clippy -q --offline --workspace --all-targets -- -D warnings

@@ -188,9 +188,8 @@ fn fastpath_graphs() -> Vec<(&'static str, Graph)> {
         .collect()
 }
 
-/// Locks `FastPath::Auto`'s dispatch rule: at `Aggregate` observability it
-/// must be byte-identical to the explicit analytic path, while `PerDpu`
-/// and `PerTasklet` gate it back to cycle replay — and on every path and
+/// Locks the analytic fast path's dispatch rule: `PerDpu` and `PerTasklet`
+/// observability gate it back to cycle replay — and on every path and
 /// observability level the result values fingerprint identically, on all
 /// three catalog graphs.
 #[test]
@@ -219,31 +218,20 @@ fn auto_fast_path_matches_analytic_at_aggregate_and_replay_when_observed() {
             })
             .expect("valid config");
             let ctx = format!("{abbrev}/{observability:?}");
-            let (auto_res, auto_rep) = run_trace(&eng, &graph, config(FastPath::Auto), &trace);
             let (ana_res, ana_rep) = run_trace(&eng, &graph, config(FastPath::Analytic), &trace);
             let (rep_res, rep_rep) = run_trace(&eng, &graph, config(FastPath::Replay), &trace);
 
-            if observability == ObservabilityLevel::Aggregate {
-                assert_eq!(
-                    auto_rep, ana_rep,
-                    "{ctx}: Auto must take the analytic path at Aggregate observability"
-                );
-            } else {
-                assert_eq!(
-                    auto_rep, rep_rep,
-                    "{ctx}: Auto must fall back to cycle replay when per-unit \
-                     observability needs real traces"
-                );
+            if observability != ObservabilityLevel::Aggregate {
                 assert_eq!(
                     ana_rep, rep_rep,
-                    "{ctx}: the explicit analytic request is gated off the same way"
+                    "{ctx}: the analytic request must fall back to cycle replay when \
+                     per-unit observability needs real traces"
                 );
             }
 
             // Result values never depend on the timing path.
-            let fp = fingerprint_results(&auto_res);
-            assert_eq!(fp, fingerprint_results(&ana_res), "{ctx}: analytic changed result bits");
-            assert_eq!(fp, fingerprint_results(&rep_res), "{ctx}: replay changed result bits");
+            let fp = fingerprint_results(&ana_res);
+            assert_eq!(fp, fingerprint_results(&rep_res), "{ctx}: analytic changed result bits");
             fingerprints.push(fp);
         }
         // ...nor on the observability level.
