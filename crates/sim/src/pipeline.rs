@@ -36,8 +36,9 @@ use crate::trace::{TaskletTrace, TraceEvent};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
-    /// May issue once `avail` is reached (covers revolver wait and DMA
-    /// completion wait, which is folded into `avail`).
+    /// In the ready queue: may issue once `avail` is reached (covers
+    /// revolver wait and DMA completion wait, which is folded into
+    /// `avail`).
     Runnable,
     /// Waiting at the all-tasklet barrier.
     BarrierWait,
@@ -45,11 +46,68 @@ enum Status {
     Done,
 }
 
-/// Which synchronization primitive a pending wait threshold belongs to.
+/// What, beyond the revolver spacing, holds a tasklet between its last
+/// issue and its next: absolute cycles at which each readiness condition
+/// is met. The wait is walked through them in priority order (DMA, sync,
+/// revolver, RF) and the remainder is dispatch-slot contention. One issue
+/// sets at most one of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SyncKind {
-    Mutex,
-    Barrier,
+enum Stall {
+    None,
+    /// A blocking DMA: the engine grant (start of this tasklet's
+    /// transfer), the end of its startup window, and its completion.
+    Dma { granted: u64, started: u64, done: u64 },
+    /// A contended acquire: the backoff ends.
+    Mutex { ready: u64 },
+    /// Parked at the barrier: the barrier releases.
+    Barrier { ready: u64 },
+}
+
+/// The per-tasklet counters the replay writes, kept as plain fields and
+/// turned into one [`CounterSet`] per tasklet when the replay ends.
+#[derive(Debug, Clone, Copy, Default)]
+struct TaskletCounters {
+    issue: u64,
+    dispatch: u64,
+    revolver: u64,
+    rf: u64,
+    dma_queue: u64,
+    dma_startup: u64,
+    dma_transfer: u64,
+    mutex: u64,
+    barrier: u64,
+    tail: u64,
+    spin_retries: u64,
+    dma_transfers: u64,
+    dma_bytes: u64,
+    mutex_acquires: u64,
+    barrier_crossings: u64,
+}
+
+impl TaskletCounters {
+    fn to_set(self) -> CounterSet {
+        let mut c = CounterSet::new();
+        for (id, n) in [
+            (CounterId::TaskletIssue, self.issue),
+            (CounterId::TaskletDispatch, self.dispatch),
+            (CounterId::TaskletRevolver, self.revolver),
+            (CounterId::TaskletRf, self.rf),
+            (CounterId::TaskletDmaQueue, self.dma_queue),
+            (CounterId::TaskletDmaStartup, self.dma_startup),
+            (CounterId::TaskletDmaTransfer, self.dma_transfer),
+            (CounterId::TaskletMutex, self.mutex),
+            (CounterId::TaskletBarrier, self.barrier),
+            (CounterId::TaskletTail, self.tail),
+            (CounterId::SpinRetries, self.spin_retries),
+            (CounterId::DmaTransfers, self.dma_transfers),
+            (CounterId::DmaBytes, self.dma_bytes),
+            (CounterId::MutexAcquires, self.mutex_acquires),
+            (CounterId::BarrierCrossings, self.barrier_crossings),
+        ] {
+            c.set(id, n);
+        }
+        c
+    }
 }
 
 struct Thread<'a> {
@@ -59,38 +117,23 @@ struct Thread<'a> {
     remaining: u32,
     /// Earliest cycle at which the next instruction may issue.
     avail: u64,
-    /// Cycle until which the thread is stalled on DMA (for attribution).
-    dma_until: u64,
     status: Status,
     rf_pending: bool,
     /// Cumulative cycles spent blocked (DMA + mutex + barrier).
     stalled_cycles: u64,
     /// Cycle at which the thread blocked on mutex/barrier (for accounting).
     blocked_at: u64,
-    /// Cycle just after the thread's last issued instruction.
-    end_cycle: u64,
-    // --- wait-anatomy thresholds for the observability layer ---
-    // Absolute cycles at which successive readiness conditions for the
-    // *next* issue are satisfied; the gap up to the actual issue is walked
-    // through them in priority order (DMA, sync, revolver, RF) and the
-    // remainder is dispatch-slot contention.
-    /// Cycle just after the last issue: start of the current wait interval.
+    // --- wait anatomy for the observability layer ---
+    /// Cycle just after the last issue: start of the current wait interval,
+    /// and where the tasklet's active span ends if it issues no more.
     wait_from: u64,
-    /// DMA engine grant (start of this thread's transfer), if blocked.
-    dma_queue_ready: u64,
-    /// DMA startup window complete.
-    dma_startup_ready: u64,
-    /// DMA transfer complete.
-    dma_done: u64,
-    /// Mutex backoff elapsed / barrier released.
-    sync_ready: u64,
-    sync_kind: Option<SyncKind>,
+    stall: Stall,
     /// Revolver spacing satisfied.
     rev_ready: u64,
     /// RF-hazard penalty elapsed (== `rev_ready` when no hazard hit).
     rf_ready: u64,
     /// Per-tasklet observability counters.
-    counters: CounterSet,
+    counters: TaskletCounters,
 }
 
 impl<'a> Thread<'a> {
@@ -101,46 +144,16 @@ impl<'a> Thread<'a> {
             ev: 0,
             remaining: 0,
             avail: 0,
-            dma_until: 0,
             status,
             rf_pending: false,
             stalled_cycles: 0,
             blocked_at: 0,
-            end_cycle: 0,
             wait_from: 0,
-            dma_queue_ready: 0,
-            dma_startup_ready: 0,
-            dma_done: 0,
-            sync_ready: 0,
-            sync_kind: None,
+            stall: Stall::None,
             rev_ready: 0,
             rf_ready: 0,
-            counters: CounterSet::new(),
+            counters: TaskletCounters::default(),
         }
-    }
-
-    /// The event the next issued instruction belongs to.
-    fn current(&self) -> Option<&TraceEvent> {
-        self.events.get(self.ev)
-    }
-
-    /// Advances past the current instruction; returns true when the trace
-    /// is exhausted.
-    fn advance(&mut self) -> bool {
-        match self.events.get(self.ev) {
-            Some(TraceEvent::Compute { count, .. }) => {
-                if self.remaining == 0 {
-                    self.remaining = *count;
-                }
-                self.remaining -= 1;
-                if self.remaining == 0 {
-                    self.ev += 1;
-                }
-            }
-            Some(_) => self.ev += 1,
-            None => {}
-        }
-        self.ev >= self.events.len()
     }
 
     /// Attributes the wait interval `[wait_from, issue_at)` to the tasklet
@@ -149,46 +162,34 @@ impl<'a> Thread<'a> {
     /// remains — the tasklet was ready but lost the issue slot — to
     /// dispatch contention. The segments partition the interval exactly.
     fn attribute_wait(&mut self, issue_at: u64) {
-        fn seg(cur: &mut u64, upto: u64, limit: u64) -> u64 {
-            let bound = upto.min(limit);
-            if bound > *cur {
-                let d = bound - *cur;
-                *cur = bound;
-                d
-            } else {
-                0
-            }
-        }
         let mut cur = self.wait_from;
-        let dq = seg(&mut cur, self.dma_queue_ready, issue_at);
-        let ds = seg(&mut cur, self.dma_startup_ready, issue_at);
-        let dt = seg(&mut cur, self.dma_done, issue_at);
-        let sy = seg(&mut cur, self.sync_ready, issue_at);
-        let rv = seg(&mut cur, self.rev_ready, issue_at);
-        let rf = seg(&mut cur, self.rf_ready, issue_at);
-        let dispatch = issue_at - cur;
-        self.counters.add(CounterId::TaskletDmaQueue, dq);
-        self.counters.add(CounterId::TaskletDmaStartup, ds);
-        self.counters.add(CounterId::TaskletDmaTransfer, dt);
-        match self.sync_kind {
-            Some(SyncKind::Mutex) => self.counters.add(CounterId::TaskletMutex, sy),
-            Some(SyncKind::Barrier) => self.counters.add(CounterId::TaskletBarrier, sy),
-            None => debug_assert_eq!(sy, 0),
+        // The part of [cur, upto) before the issue; advances `cur` past it.
+        let mut seg = |upto: u64| {
+            let d = upto.min(issue_at).saturating_sub(cur);
+            cur += d;
+            d
+        };
+        let c = &mut self.counters;
+        match self.stall {
+            Stall::None => {}
+            Stall::Dma { granted, started, done } => {
+                c.dma_queue += seg(granted);
+                c.dma_startup += seg(started);
+                c.dma_transfer += seg(done);
+            }
+            Stall::Mutex { ready } => c.mutex += seg(ready),
+            Stall::Barrier { ready } => c.barrier += seg(ready),
         }
-        self.counters.add(CounterId::TaskletRevolver, rv);
-        self.counters.add(CounterId::TaskletRf, rf);
-        self.counters.add(CounterId::TaskletDispatch, dispatch);
+        c.revolver += seg(self.rev_ready);
+        c.rf += seg(self.rf_ready);
+        c.dispatch += issue_at - cur;
     }
 
-    /// Resets the wait-anatomy thresholds after an issue at `issue_at`
-    /// whose revolver spacing expires at `rev_ready`.
+    /// Opens the wait that follows an issue at `issue_at` whose revolver
+    /// spacing (and RF penalty, if any) expires at `rev_ready`.
     fn begin_wait(&mut self, issue_at: u64, rev_ready: u64) {
         self.wait_from = issue_at + 1;
-        self.dma_queue_ready = 0;
-        self.dma_startup_ready = 0;
-        self.dma_done = 0;
-        self.sync_ready = 0;
-        self.sync_kind = None;
+        self.stall = Stall::None;
         self.rev_ready = rev_ready;
         self.rf_ready = rev_ready;
     }
@@ -197,6 +198,82 @@ impl<'a> Thread<'a> {
 #[derive(Default)]
 struct Mutex {
     held_by: Option<usize>,
+}
+
+/// The ready queue: the runnable tasklets, each once, in ascending order
+/// of their key `(avail, tasklet id)` packed into one `u128`, in a ring
+/// buffer. The head is the tasklet that can issue earliest, ties going to
+/// the lowest id. A key is inserted by shifting its smaller or its larger
+/// neighbours one slot, from whichever end of the queue is nearer: a
+/// tasklet re-queued after an issue waits out the revolver period, so it
+/// usually sorts behind its computing peers, and ahead of any stalled on
+/// DMA.
+struct ReadyQueue {
+    /// Power-of-two capacity, at least the tasklet count.
+    ring: Vec<u128>,
+    head: usize,
+    len: usize,
+}
+
+impl ReadyQueue {
+    fn new(tasklets: usize) -> Self {
+        ReadyQueue { ring: vec![0; tasklets.next_power_of_two()], head: 0, len: 0 }
+    }
+
+    /// Ring index of the `i`-th queued key (`i` may run one past either
+    /// end).
+    fn slot(&self, i: usize) -> usize {
+        self.head.wrapping_add(i) & (self.ring.len() - 1)
+    }
+
+    /// The `(avail, tasklet id)` of the next tasklet to issue.
+    fn head(&self) -> Option<(u64, usize)> {
+        (self.len > 0).then(|| {
+            let key = self.ring[self.head];
+            ((key >> 64) as u64, key as u64 as usize)
+        })
+    }
+
+    /// Dequeues the head.
+    fn pop(&mut self) {
+        self.head = self.slot(1);
+        self.len -= 1;
+    }
+
+    /// Queues `tid`, which must not be queued, to issue at `avail`.
+    fn push(&mut self, avail: u64, tid: usize) {
+        let key = (u128::from(avail) << 64) | tid as u128;
+        let mut at;
+        if self.len > 0 && key < self.ring[self.slot(self.len / 2)] {
+            // Front half: open a slot before the head and shift the
+            // smaller keys into it.
+            self.head = self.slot(usize::MAX);
+            at = 0;
+            while at < self.len {
+                let next = self.ring[self.slot(at + 1)];
+                if next > key {
+                    break;
+                }
+                let to = self.slot(at);
+                self.ring[to] = next;
+                at += 1;
+            }
+        } else {
+            at = self.len;
+            while at > 0 {
+                let prev = self.ring[self.slot(at - 1)];
+                if prev < key {
+                    break;
+                }
+                let to = self.slot(at);
+                self.ring[to] = prev;
+                at -= 1;
+            }
+        }
+        let to = self.slot(at);
+        self.ring[to] = key;
+        self.len += 1;
+    }
 }
 
 /// SplitMix64 finalizer, used for deterministic hazard selection and — via
@@ -215,9 +292,16 @@ pub fn mix64(mut z: u64) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if the traces deadlock (e.g. a mutex is released by a tasklet
-/// that never acquired it, or live tasklets block forever) — this indicates
-/// a malformed kernel trace, not a data-dependent condition.
+/// These indicate a malformed kernel trace, not a data-dependent
+/// condition:
+///
+/// * a tasklet unlocks a mutex it does not hold (or one no tasklet ever
+///   locked);
+/// * the traces deadlock: every live tasklet is parked at the barrier, or
+///   a tasklet waits on a mutex whose holder can never release it — the
+///   holder finished, is parked at the barrier, or waits (directly or
+///   through a chain of holders) on a mutex held by the requester or by
+///   one of the first two.
 pub fn simulate_dpu(traces: &[TaskletTrace], cfg: &PipelineConfig) -> DpuReport {
     simulate_dpu_profiled(traces, cfg).report
 }
@@ -225,6 +309,10 @@ pub fn simulate_dpu(traces: &[TaskletTrace], cfg: &PipelineConfig) -> DpuReport 
 /// Replays tasklet traces against the revolver-pipeline model, returning
 /// the slot-level report plus the full observability profile: the DPU's
 /// counter rollup and one exact per-tasklet cycle attribution each.
+///
+/// Runnable tasklets wait in a ready queue ordered by `(avail, tasklet
+/// id)`: each issue slot goes to the tasklet that can issue earliest,
+/// ties to the lowest id.
 ///
 /// Invariants (enforced by the `counter_invariants` test suite):
 ///
@@ -236,10 +324,16 @@ pub fn simulate_dpu(traces: &[TaskletTrace], cfg: &PipelineConfig) -> DpuReport 
 ///
 /// # Panics
 ///
-/// Same deadlock conditions as [`simulate_dpu`].
+/// Same conditions as [`simulate_dpu`].
 pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> DpuProfile {
     let mut threads: Vec<Thread<'_>> = traces.iter().map(Thread::new).collect();
     let n = threads.len();
+    let mut ready = ReadyQueue::new(n);
+    for (tid, th) in threads.iter().enumerate() {
+        if th.status == Status::Runnable {
+            ready.push(0, tid);
+        }
+    }
     let mut mutexes: Vec<Mutex> = Vec::new();
     let mut barrier_arrived: Vec<bool> = vec![false; n];
     let mut engine_free: u64 = 0;
@@ -250,74 +344,76 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
     let mut idle_rev: u64 = 0;
     let mut idle_rf: u64 = 0;
     let mut spin_retries: u64 = 0;
-    let mut mix = crate::instr::InstrMix::new();
+    let mut mix = InstrMix::new();
     for t in traces {
         mix.merge(&t.instr_mix());
     }
     let hazard_threshold = (cfg.rf_hazard_rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
+    let revolver = cfg.revolver_period as u64;
+    let rf_penalty = cfg.rf_hazard_penalty as u64;
 
-    loop {
-        // Pick the runnable thread with the earliest availability,
-        // tie-broken round-robin by id.
-        let mut best: Option<usize> = None;
-        for (tid, th) in threads.iter().enumerate() {
-            if th.status == Status::Runnable {
-                match best {
-                    None => best = Some(tid),
-                    Some(b) if th.avail < threads[b].avail => best = Some(tid),
-                    _ => {}
-                }
-            }
-        }
-        let Some(tid) = best else {
-            if threads.iter().all(|t| t.status == Status::Done) {
-                break;
-            }
-            panic!("deadlock: all live tasklets blocked on synchronization");
-        };
-
-        let avail = threads[tid].avail;
+    while let Some((avail, tid)) = ready.head() {
+        let th = &mut threads[tid];
         let issue_at = avail.max(cycle);
-        if issue_at > cycle {
-            // Attribute the idle gap [cycle, issue_at).
-            let gap = issue_at - cycle;
-            let memory_stalled = threads.iter().any(|t| t.dma_until > cycle);
-            if memory_stalled {
-                idle_mem += gap;
-            } else if threads[tid].rf_pending {
-                let rf = gap.min(cfg.rf_hazard_penalty as u64);
-                idle_rf += rf;
-                idle_rev += gap - rf;
-            } else {
-                idle_rev += gap;
-            }
-        }
-        threads[tid].rf_pending = false;
+        // Attribute the idle gap [cycle, issue_at), if any. Some tasklet is
+        // stalled on DMA exactly when the engine is still busy: every
+        // blocking DMA ends no later than the last one, which ends when
+        // the engine frees.
+        let gap = issue_at - cycle;
+        let memory_stalled = !cfg.non_blocking_dma && engine_free > cycle;
+        let mem = if memory_stalled { gap } else { 0 };
+        let rf = if !memory_stalled && th.rf_pending { gap.min(rf_penalty) } else { 0 };
+        idle_mem += mem;
+        idle_rf += rf;
+        idle_rev += gap - mem - rf;
+        th.rf_pending = false;
 
         // Tasklet-level: settle the wait interval that ends at this issue.
-        threads[tid].attribute_wait(issue_at);
-        threads[tid].counters.add(CounterId::TaskletIssue, 1);
+        th.attribute_wait(issue_at);
+        th.counters.issue += 1;
 
         // Issue exactly one instruction of the current event at `issue_at`.
-        let event = *threads[tid].current().expect("runnable thread has a current event");
+        let event = th.events[th.ev];
         issued += 1;
         cycle = issue_at + 1;
-        threads[tid].end_cycle = cycle;
-        let mut next_avail = issue_at + cfg.revolver_period as u64;
-        threads[tid].begin_wait(issue_at, next_avail);
+        let mut next_avail = issue_at + revolver;
+        th.begin_wait(issue_at, next_avail);
 
-        // Register-file even/odd bank conflict on register-reading classes.
-        if let TraceEvent::Compute { class, .. } = event {
-            if class.reads_registers() && mix64(issued ^ ((tid as u64) << 48)) < hazard_threshold
-            {
-                next_avail += cfg.rf_hazard_penalty as u64;
-                threads[tid].rf_pending = true;
-                threads[tid].rf_ready = next_avail;
+        if let TraceEvent::Compute { class, count } = event {
+            // Register-file even/odd bank conflict on register-reading
+            // classes.
+            let hazard =
+                class.reads_registers() && mix64(issued ^ ((tid as u64) << 48)) < hazard_threshold;
+            if hazard {
+                next_avail += rf_penalty;
             }
+            th.rf_pending = hazard;
+            th.rf_ready = next_avail;
+            th.avail = next_avail;
+            if th.remaining == 0 {
+                th.remaining = count;
+            }
+            th.remaining -= 1;
+            if th.remaining == 0 {
+                th.ev += 1;
+            }
+            ready.pop();
+            if th.ev < th.events.len() {
+                ready.push(next_avail, tid);
+            } else {
+                th.status = Status::Done;
+                // A tasklet finishing may be the last thing a barrier
+                // waits on.
+                try_release_barrier(&mut threads, &mut barrier_arrived, cycle, &mut ready, tid);
+            }
+            continue;
         }
 
+        // DMA and synchronization leave the queue; the tasklet is re-queued
+        // below if it stays runnable.
+        ready.pop();
         match event {
-            TraceEvent::Compute { .. } => {}
+            TraceEvent::Compute { .. } => {} // issued above
             TraceEvent::Dma { bytes } => {
                 // DMA through the serialized per-DPU engine. On the real
                 // machine the issuing tasklet blocks until completion; the
@@ -325,40 +421,44 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
                 let start = engine_free.max(cycle);
                 let done = start + cfg.dma_cycles(bytes);
                 engine_free = done;
-                threads[tid].counters.add(CounterId::DmaTransfers, 1);
-                threads[tid].counters.add(CounterId::DmaBytes, bytes as u64);
+                th.counters.dma_transfers += 1;
+                th.counters.dma_bytes += bytes as u64;
                 if !cfg.non_blocking_dma {
-                    threads[tid].dma_until = done;
-                    threads[tid].stalled_cycles += done.saturating_sub(cycle);
+                    th.stalled_cycles += done.saturating_sub(cycle);
                     next_avail = next_avail.max(done);
-                    threads[tid].dma_queue_ready = start;
-                    threads[tid].dma_startup_ready =
-                        (start + cfg.dma_startup_cycles as u64).min(done);
-                    threads[tid].dma_done = done;
+                    th.stall = Stall::Dma {
+                        granted: start,
+                        started: (start + cfg.dma_startup_cycles as u64).min(done),
+                        done,
+                    };
                 }
             }
             TraceEvent::MutexLock { id } => {
                 if mutexes.len() <= id as usize {
                     mutexes.resize_with(id as usize + 1, Mutex::default);
                 }
-                let m = &mut mutexes[id as usize];
-                match m.held_by {
+                match mutexes[id as usize].held_by {
                     None => {
-                        m.held_by = Some(tid);
-                        threads[tid].counters.add(CounterId::MutexAcquires, 1);
+                        mutexes[id as usize].held_by = Some(tid);
+                        th.counters.mutex_acquires += 1;
                     }
-                    Some(_) => {
+                    Some(holder) => {
                         // Contended acquire: the attempt failed, the tasklet
                         // backs off and retries (§6.4.2 — contention inflates
                         // sync instruction counts). The event is not consumed.
                         spin_retries += 1;
-                        threads[tid].counters.add(CounterId::SpinRetries, 1);
-                        mix.add(crate::instr::InstrClass::Sync, 1);
+                        th.counters.spin_retries += 1;
+                        mix.add(InstrClass::Sync, 1);
                         let backoff = cfg.mutex_backoff_cycles as u64;
-                        threads[tid].sync_ready = issue_at + backoff;
-                        threads[tid].sync_kind = Some(SyncKind::Mutex);
-                        threads[tid].avail = (issue_at + backoff).max(next_avail);
-                        threads[tid].stalled_cycles += backoff;
+                        th.stall = Stall::Mutex { ready: issue_at + backoff };
+                        th.avail = (issue_at + backoff).max(next_avail);
+                        th.stalled_cycles += backoff;
+                        ready.push(th.avail, tid);
+                        assert!(
+                            holder_can_release(&threads, &mutexes, holder, tid),
+                            "deadlock: tasklet {tid} waits on mutex {id}, which its holder \
+                             (tasklet {holder}) can never release",
+                        );
                         continue;
                     }
                 }
@@ -371,25 +471,31 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
                 m.held_by = None;
             }
             TraceEvent::Barrier => {
-                threads[tid].counters.add(CounterId::BarrierCrossings, 1);
+                th.counters.barrier_crossings += 1;
                 barrier_arrived[tid] = true;
-                threads[tid].status = Status::BarrierWait;
-                threads[tid].blocked_at = cycle;
-                try_release_barrier(&mut threads, &mut barrier_arrived, cycle);
+                th.status = Status::BarrierWait;
+                th.blocked_at = cycle;
+                try_release_barrier(&mut threads, &mut barrier_arrived, cycle, &mut ready, tid);
             }
         }
 
         // Consume the instruction and update thread scheduling state.
         // (avail carries the revolver spacing even across mutex/barrier
         // blocking, so a woken thread still honours the dispatch gap.)
-        threads[tid].avail = next_avail;
-        let done = threads[tid].advance();
-        if done {
-            threads[tid].status = Status::Done;
-            // A tasklet finishing may be the last thing a barrier waits on.
-            try_release_barrier(&mut threads, &mut barrier_arrived, cycle);
+        let th = &mut threads[tid];
+        th.avail = next_avail;
+        th.ev += 1;
+        if th.ev >= th.events.len() {
+            th.status = Status::Done;
+            try_release_barrier(&mut threads, &mut barrier_arrived, cycle, &mut ready, tid);
+        } else if th.status == Status::Runnable {
+            ready.push(next_avail, tid);
         }
     }
+    assert!(
+        threads.iter().all(|t| t.status == Status::Done),
+        "deadlock: all live tasklets blocked on synchronization"
+    );
 
     // An in-flight DMA keeps the kernel alive even when no instruction
     // follows it; the makespan covers the last completion, and the trailing
@@ -398,7 +504,7 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
     let total_cycles = cycle.max(engine_free) + cfg.pipeline_depth as u64;
     let active_thread_area: u64 = threads
         .iter()
-        .map(|t| t.end_cycle.saturating_sub(t.stalled_cycles))
+        .map(|t| t.wait_from.saturating_sub(t.stalled_cycles))
         .sum();
     let avg_active_threads =
         if total_cycles == 0 { 0.0 } else { active_thread_area as f64 / total_cycles as f64 };
@@ -408,14 +514,15 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
     let mut counters = CounterSet::new();
     let mut tasklets = Vec::with_capacity(n);
     for th in &mut threads {
-        th.counters.add(CounterId::TaskletTail, total_cycles - th.wait_from.min(total_cycles));
+        th.counters.tail += total_cycles - th.wait_from.min(total_cycles);
+        let set = th.counters.to_set();
         debug_assert_eq!(
-            th.counters.sum(&CounterId::TASKLET_CYCLES),
+            set.sum(&CounterId::TASKLET_CYCLES),
             total_cycles,
             "tasklet cycle attribution must partition the makespan",
         );
-        counters.merge(&th.counters);
-        tasklets.push(th.counters);
+        counters.merge(&set);
+        tasklets.push(set);
     }
     counters.add(CounterId::SlotIssue, issued);
     counters.add(CounterId::SlotMemory, idle_mem);
@@ -443,8 +550,49 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
     }
 }
 
-/// Releases the all-tasklet barrier if every live tasklet has arrived.
-fn try_release_barrier(threads: &mut [Thread<'_>], arrived: &mut [bool], cycle: u64) {
+/// Whether the holder of a mutex that `requester` waits on can still
+/// release it. It cannot when it finished, is parked at the barrier (which
+/// the waiting requester has not reached), or itself waits on a mutex
+/// whose chain of holders leads back to the requester, closes a cycle, or
+/// ends in one of the first two states.
+fn holder_can_release(
+    threads: &[Thread<'_>],
+    mutexes: &[Mutex],
+    holder: usize,
+    requester: usize,
+) -> bool {
+    let mut h = holder;
+    // A chain longer than the tasklet count revisits a tasklet: a cycle.
+    for _ in 0..threads.len() {
+        let th = &threads[h];
+        if h == requester || th.status != Status::Runnable {
+            return false;
+        }
+        let next = match th.events.get(th.ev) {
+            Some(TraceEvent::MutexLock { id }) => {
+                mutexes.get(*id as usize).and_then(|m| m.held_by)
+            }
+            _ => None,
+        };
+        match next {
+            Some(next) => h = next,
+            None => return true,
+        }
+    }
+    false
+}
+
+/// Releases the all-tasklet barrier if every live tasklet has arrived,
+/// returning the parked tasklets to the ready queue — all but `issuing`,
+/// the tasklet whose issue triggered the release, which its caller
+/// re-queues once its next availability is known.
+fn try_release_barrier(
+    threads: &mut [Thread<'_>],
+    arrived: &mut [bool],
+    cycle: u64,
+    ready: &mut ReadyQueue,
+    issuing: usize,
+) {
     let any_waiting = threads.iter().any(|t| t.status == Status::BarrierWait);
     if !any_waiting {
         return;
@@ -460,8 +608,10 @@ fn try_release_barrier(threads: &mut [Thread<'_>], arrived: &mut [bool], cycle: 
             th.status = Status::Runnable;
             th.stalled_cycles += cycle - th.blocked_at;
             th.avail = th.avail.max(cycle);
-            th.sync_ready = cycle;
-            th.sync_kind = Some(SyncKind::Barrier);
+            th.stall = Stall::Barrier { ready: cycle };
+            if i != issuing {
+                ready.push(th.avail, i);
+            }
         }
     }
 }
@@ -771,6 +921,75 @@ mod tests {
         holder.compute(InstrClass::Arith, 100);
         holder.mutex_unlock(0);
         simulate_dpu(&[holder, t], &cfg());
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock")]
+    fn holder_finishing_without_unlock_deadlocks() {
+        let mut holder = TaskletTrace::new();
+        holder.mutex_lock(0);
+        holder.compute(InstrClass::Arith, 1);
+        let mut waiter = TaskletTrace::new();
+        waiter.compute(InstrClass::Arith, 5);
+        waiter.mutex_lock(0);
+        waiter.mutex_unlock(0);
+        simulate_dpu(&[holder, waiter], &cfg());
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock")]
+    fn holder_parked_at_the_barrier_deadlocks() {
+        // The holder waits at the barrier for the waiter, which cannot
+        // reach it without the holder's mutex.
+        let mut holder = TaskletTrace::new();
+        holder.mutex_lock(0);
+        holder.barrier();
+        holder.mutex_unlock(0);
+        let mut waiter = TaskletTrace::new();
+        waiter.compute(InstrClass::Arith, 3);
+        waiter.mutex_lock(0);
+        waiter.mutex_unlock(0);
+        waiter.barrier();
+        simulate_dpu(&[holder, waiter], &cfg());
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock")]
+    fn crossed_mutexes_deadlock() {
+        // Each tasklet holds the mutex the other one wants.
+        let crossed = |first: u16, second: u16| {
+            let mut t = TaskletTrace::new();
+            t.mutex_lock(first);
+            t.compute(InstrClass::Arith, 20);
+            t.mutex_lock(second);
+            t.mutex_unlock(second);
+            t.mutex_unlock(first);
+            t
+        };
+        simulate_dpu(&[crossed(0, 1), crossed(1, 0)], &cfg());
+    }
+
+    #[test]
+    fn waiting_behind_a_waiting_holder_is_no_deadlock() {
+        // Tasklet 2 waits on mutex 1, whose holder waits on mutex 0, whose
+        // holder is still computing: the chain drains.
+        let mut first = TaskletTrace::new();
+        first.mutex_lock(0);
+        first.compute(InstrClass::Arith, 30);
+        first.mutex_unlock(0);
+        let mut middle = TaskletTrace::new();
+        middle.compute(InstrClass::Arith, 2);
+        middle.mutex_lock(1);
+        middle.mutex_lock(0);
+        middle.mutex_unlock(0);
+        middle.mutex_unlock(1);
+        let mut last = TaskletTrace::new();
+        last.compute(InstrClass::Arith, 5);
+        last.mutex_lock(1);
+        last.mutex_unlock(1);
+        let r = simulate_dpu(&[first, middle, last], &cfg());
+        assert!(r.spin_retries > 0);
+        assert_eq!(r.issued_instructions, 32 + 6 + 7 + r.spin_retries);
     }
 
     #[test]
