@@ -56,11 +56,19 @@ enum Stall {
     None,
     /// A blocking DMA: the engine grant (start of this tasklet's
     /// transfer), the end of its startup window, and its completion.
-    Dma { granted: u64, started: u64, done: u64 },
+    Dma {
+        granted: u64,
+        started: u64,
+        done: u64,
+    },
     /// A contended acquire: the backoff ends.
-    Mutex { ready: u64 },
+    Mutex {
+        ready: u64,
+    },
     /// Parked at the barrier: the barrier releases.
-    Barrier { ready: u64 },
+    Barrier {
+        ready: u64,
+    },
 }
 
 /// The per-tasklet counters the replay writes, kept as plain fields and
@@ -186,7 +194,7 @@ impl<'a> Thread<'a> {
     }
 
     /// Opens the wait that follows an issue at `issue_at` whose revolver
-    /// spacing (and RF penalty, if any) expires at `rev_ready`.
+    /// spacing expires at `rev_ready`.
     fn begin_wait(&mut self, issue_at: u64, rev_ready: u64) {
         self.wait_from = issue_at + 1;
         self.stall = Stall::None;
@@ -297,11 +305,10 @@ pub fn mix64(mut z: u64) -> u64 {
 ///
 /// * a tasklet unlocks a mutex it does not hold (or one no tasklet ever
 ///   locked);
-/// * the traces deadlock: every live tasklet is parked at the barrier, or
-///   a tasklet waits on a mutex whose holder can never release it — the
-///   holder finished, is parked at the barrier, or waits (directly or
-///   through a chain of holders) on a mutex held by the requester or by
-///   one of the first two.
+/// * deadlock: a tasklet waits on a mutex whose holder can never release
+///   it — the holder finished, is parked at the barrier, or waits
+///   (directly or through a chain of holders) on a mutex held by the
+///   requester or by one of the first two.
 pub fn simulate_dpu(traces: &[TaskletTrace], cfg: &PipelineConfig) -> DpuReport {
     simulate_dpu_profiled(traces, cfg).report
 }
@@ -335,7 +342,6 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
         }
     }
     let mut mutexes: Vec<Mutex> = Vec::new();
-    let mut barrier_arrived: Vec<bool> = vec![false; n];
     let mut engine_free: u64 = 0;
 
     let mut cycle: u64 = 0; // next free issue slot
@@ -404,7 +410,7 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
                 th.status = Status::Done;
                 // A tasklet finishing may be the last thing a barrier
                 // waits on.
-                try_release_barrier(&mut threads, &mut barrier_arrived, cycle, &mut ready, tid);
+                try_release_barrier(&mut threads, cycle, &mut ready, tid);
             }
             continue;
         }
@@ -472,10 +478,9 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
             }
             TraceEvent::Barrier => {
                 th.counters.barrier_crossings += 1;
-                barrier_arrived[tid] = true;
                 th.status = Status::BarrierWait;
                 th.blocked_at = cycle;
-                try_release_barrier(&mut threads, &mut barrier_arrived, cycle, &mut ready, tid);
+                try_release_barrier(&mut threads, cycle, &mut ready, tid);
             }
         }
 
@@ -487,14 +492,16 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
         th.ev += 1;
         if th.ev >= th.events.len() {
             th.status = Status::Done;
-            try_release_barrier(&mut threads, &mut barrier_arrived, cycle, &mut ready, tid);
+            try_release_barrier(&mut threads, cycle, &mut ready, tid);
         } else if th.status == Status::Runnable {
             ready.push(next_avail, tid);
         }
     }
+    // The barrier releases as soon as the queue drains, so a drained queue
+    // means every tasklet finished.
     assert!(
         threads.iter().all(|t| t.status == Status::Done),
-        "deadlock: all live tasklets blocked on synchronization"
+        "the ready queue drained with tasklets still parked"
     );
 
     // An in-flight DMA keeps the kernel alive even when no instruction
@@ -569,9 +576,7 @@ fn holder_can_release(
             return false;
         }
         let next = match th.events.get(th.ev) {
-            Some(TraceEvent::MutexLock { id }) => {
-                mutexes.get(*id as usize).and_then(|m| m.held_by)
-            }
+            Some(TraceEvent::MutexLock { id }) => mutexes.get(*id as usize).and_then(|m| m.held_by),
             _ => None,
         };
         match next {
@@ -582,28 +587,21 @@ fn holder_can_release(
     false
 }
 
-/// Releases the all-tasklet barrier if every live tasklet has arrived,
-/// returning the parked tasklets to the ready queue — all but `issuing`,
-/// the tasklet whose issue triggered the release, which its caller
+/// Called after `issuing` parked at the barrier or finished (so it is not
+/// queued): releases the all-tasklet barrier once every live tasklet has
+/// arrived, which is when none is left in the ready queue. The parked
+/// tasklets return to the queue — all but `issuing`, which its caller
 /// re-queues once its next availability is known.
 fn try_release_barrier(
     threads: &mut [Thread<'_>],
-    arrived: &mut [bool],
     cycle: u64,
     ready: &mut ReadyQueue,
     issuing: usize,
 ) {
-    let any_waiting = threads.iter().any(|t| t.status == Status::BarrierWait);
-    if !any_waiting {
-        return;
-    }
-    let all_arrived =
-        threads.iter().enumerate().all(|(i, t)| t.status == Status::Done || arrived[i]);
-    if !all_arrived {
+    if ready.len > 0 {
         return;
     }
     for (i, th) in threads.iter_mut().enumerate() {
-        arrived[i] = false;
         if th.status == Status::BarrierWait {
             th.status = Status::Runnable;
             th.stalled_cycles += cycle - th.blocked_at;

@@ -90,7 +90,7 @@ fn tasklet(shape: Shape, tid: usize, rng: &mut SplitMix64) -> TaskletTrace {
             }
         }
         Shape::Sparse => {
-            if tid % 3 != 0 {
+            if !tid.is_multiple_of(3) {
                 t.dma(256 * (1 + rng.u32_below(8)));
                 compute_block(&mut t, rng, 200);
             }
@@ -147,7 +147,7 @@ fn huge_corpus() -> Vec<Vec<TaskletTrace>> {
             (0..n)
                 .map(|tid| {
                     let mut t = TaskletTrace::new();
-                    if tid % 2 == 0 {
+                    if tid.is_multiple_of(2) {
                         for _ in 0..1 + rng.usize_below(2) {
                             t.dma(256 + rng.u32_below(257));
                             compute_block(&mut t, &mut rng, 30);
@@ -157,7 +157,7 @@ fn huge_corpus() -> Vec<Vec<TaskletTrace>> {
                             compute_block(&mut t, &mut rng, 60);
                         }
                     }
-                    if tid % 3 == 0 {
+                    if tid.is_multiple_of(3) {
                         t.barrier();
                         compute_block(&mut t, &mut rng, 10);
                     }
