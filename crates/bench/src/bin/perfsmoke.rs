@@ -9,7 +9,10 @@
 //! floating-point field, the full counter rollup, the per-DPU/per-tasklet
 //! observability details, and the JSON/CSV exporter strings — is
 //! bit-identical, and — when the machine actually has ≥4 cores — that the
-//! parallel SpMV replay is at least 2× faster. Emits
+//! parallel SpMV replay is at least 2× faster. A replay-only leg then times
+//! the discrete-event pipeline alone on fixed 16-tasklet trace sets and
+//! records its host nanoseconds per simulated instruction (no gate: host
+//! timings drift by more than 10 % between runs on a shared VM). Emits
 //! `BENCH_parallel_sim.json` in the working directory. On a single core
 //! the threads can only take turns, so the speedup is recorded as `null`
 //! and reported as not measured.
@@ -18,13 +21,19 @@ use std::time::Instant;
 
 use alpha_pim::semiring::BoolOrAnd;
 use alpha_pim::{PreparedSpmspv, PreparedSpmv, SpmspvVariant, SpmvVariant};
+use alpha_pim_sim::pipeline::simulate_dpu_profiled;
 use alpha_pim_sim::{
-    set_sim_threads, KernelReport, ObservabilityLevel, PimConfig, PimSystem, SimFidelity,
+    set_sim_threads, InstrClass, KernelReport, ObservabilityLevel, PimConfig, PimSystem,
+    PipelineConfig, SimFidelity, TaskletTrace,
 };
+use alpha_pim_sparse::gen::rng::SplitMix64;
 use alpha_pim_sparse::{gen, DenseVector, Graph, SparseVector};
 
 const DPUS: u32 = 2048;
 const ITERS: u32 = 5;
+
+/// Timed passes of the DES leg over its trace sets (one more warms up).
+const DES_ROUNDS: u32 = 20;
 
 /// Frozen fault-free makespan of the SpMV launch (2048 DPUs, 64 sampled,
 /// Erdős–Rényi 60k nodes / 600k edges seed 7, Coo1d, all-ones input). The
@@ -106,6 +115,95 @@ fn time_launch(
     (Timed { name, max_cycles, secs_seq, secs_par }, seq_report)
 }
 
+/// The DES leg's 16-tasklet trace sets: the compute-, memory- and
+/// sync-bound shapes of `examples/pipeline_profile.rs`, plus seeded mixes
+/// shaped like kernel partitions (chunked DMA streams with per-chunk
+/// bookkeeping, compute blocks of every class, short critical sections on
+/// a few shared mutexes, and a closing barrier).
+fn des_trace_sets() -> Vec<Vec<TaskletTrace>> {
+    let per_tasklet = |build: &dyn Fn(&mut TaskletTrace)| -> Vec<TaskletTrace> {
+        (0..16)
+            .map(|_| {
+                let mut t = TaskletTrace::new();
+                build(&mut t);
+                t
+            })
+            .collect()
+    };
+    let mut sets = vec![
+        per_tasklet(&|t| {
+            t.dma(2048);
+            t.compute(InstrClass::Arith, 4000);
+            t.compute(InstrClass::LoadStore, 1000);
+            t.barrier();
+        }),
+        per_tasklet(&|t| {
+            for _ in 0..200 {
+                t.dma(8);
+                t.compute(InstrClass::Arith, 6);
+            }
+            t.barrier();
+        }),
+        per_tasklet(&|t| {
+            for _ in 0..150 {
+                t.mutex_lock(0);
+                t.compute(InstrClass::LoadStore, 3);
+                t.mutex_unlock(0);
+                t.compute(InstrClass::Arith, 4);
+            }
+            t.barrier();
+        }),
+    ];
+    let classes = [InstrClass::Arith, InstrClass::LoadStore, InstrClass::Control, InstrClass::Move];
+    let mut rng = SplitMix64::new(0xDE5);
+    for _ in 0..8 {
+        let set = (0..16)
+            .map(|_| {
+                let mut t = TaskletTrace::new();
+                t.dma_stream(u64::from(256 + rng.u32_below(4096)), 256, 2);
+                for _ in 0..20 + rng.usize_below(40) {
+                    match rng.u32_below(8) {
+                        0 => t.dma(8 * (1 + rng.u32_below(64))),
+                        1 => {
+                            let id = rng.u32_below(4) as u16;
+                            t.mutex_lock(id);
+                            t.compute(InstrClass::LoadStore, 1 + rng.u32_below(4));
+                            t.mutex_unlock(id);
+                        }
+                        _ => t.compute(classes[rng.usize_below(4)], 1 + rng.u32_below(60)),
+                    }
+                }
+                t.barrier();
+                t
+            })
+            .collect();
+        sets.push(set);
+    }
+    sets
+}
+
+/// Times `simulate_dpu_profiled` alone over [`des_trace_sets`]: returns the
+/// simulated instructions replayed and the host seconds they took.
+fn time_des() -> (u64, f64) {
+    let sets = des_trace_sets();
+    let cfg = PipelineConfig::default();
+    let replay_all = || -> u64 {
+        sets.iter()
+            .map(|traces| {
+                std::hint::black_box(simulate_dpu_profiled(std::hint::black_box(traces), &cfg))
+                    .report
+                    .issued_instructions
+            })
+            .sum()
+    };
+    let per_round = replay_all();
+    let start = Instant::now();
+    for _ in 0..DES_ROUNDS {
+        assert_eq!(replay_all(), per_round, "the DES must replay the same instructions");
+    }
+    (per_round * u64::from(DES_ROUNDS), start.elapsed().as_secs_f64())
+}
+
 fn main() {
     let graph = Graph::from_coo(gen::erdos_renyi(60_000, 600_000, 7).expect("valid args"));
     let m = graph.transposed();
@@ -184,9 +282,17 @@ fn main() {
             s.map_or("null".to_string(), |s| format!("{s:.3}")),
         ));
     }
+    let (des_instructions, des_secs) = time_des();
+    let des_ns = des_secs * 1e9 / des_instructions as f64;
+    println!(
+        "perfsmoke: des replay {des_instructions} simulated instructions in {des_secs:.4}s, \
+         {des_ns:.1} ns per simulated instruction"
+    );
     let json = format!(
         "{{{}, \"threads_seq\": {threads_seq}, \"threads_par\": {threads_par}, \
-         \"cores\": {cores}, \"dpus\": {DPUS}, \"launches\": [{}]}}\n",
+         \"cores\": {cores}, \"dpus\": {DPUS}, \"launches\": [{}], \
+         \"des\": {{\"instructions\": {des_instructions}, \"secs\": {des_secs:.6}, \
+         \"ns_per_instr\": {des_ns:.2}}}}}\n",
         alpha_pim_bench::report::bench_schema_fields("perfsmoke"),
         launches.join(", "),
     );

@@ -4,7 +4,9 @@
 # artifact's headline metric. Artifacts that record both a host wall time
 # and the model time it simulated also show their ratio ("host/model", in
 # host seconds per model second) and the core count it was measured on
-# ("?" for artifacts written before `nproc` was recorded). All BENCH files
+# ("?" for artifacts written before `nproc` was recorded). The perfsmoke
+# artifact also shows the discrete-event replay's host nanoseconds per
+# simulated instruction, where it records them. All BENCH files
 # share the schema emitted by `alpha_pim_bench::report::bench_schema_fields`
 # (schema_version, commit, tier, nproc); files predating the schema show
 # "-" in those columns.
@@ -48,8 +50,9 @@ for f in "${files[@]}"; do
                 "frontier saved \((.saved_fraction * 10000 | round) / 100)%, \(.epochs) epochs x \(.ops_per_epoch) ops on \(.graph)"
             elif .launches != null then
                 "on \(.threads_par // "?") threads (\(.cores // "?") cores)" as $on
-                | [.launches[] | "\(.name) " + (if .speedup != null then "\(.speedup)x" else "not measured" end)]
-                | join(", ") + " " + $on
+                | ([.launches[] | "\(.name) " + (if .speedup != null then "\(.speedup)x" else "not measured" end)]
+                   | join(", ") + " " + $on)
+                  + (if .des != null then ", DES \(.des.ns_per_instr) ns per simulated instruction" else "" end)
             elif .speedup != null and .broadcast_bytes_saved != null then
                 "\(.speedup)x batched, \(.broadcast_bytes_saved) bytes saved"
             elif .resumed_fingerprint != null or .fingerprint != null then

@@ -17,8 +17,9 @@ else
     echo "==> clippy not installed, skipping"
 fi
 
-echo "==> counter audit (attribution invariants + 1-vs-N thread equality + differential)"
+echo "==> counter audit (attribution invariants + DES golden + 1-vs-N thread equality + differential)"
 cargo test -q --offline --release -p alpha-pim-sim --test counter_invariants
+cargo test -q --offline --release -p alpha-pim-sim --test des_golden
 cargo test -q --offline --release -p alpha-pim --test cycle_invariants
 cargo test -q --offline --release -p alpha-pim-bench --test differential
 cargo test -q --offline --release -p alpha-pim-bench --test golden_reports
