@@ -36,9 +36,9 @@ use crate::trace::{TaskletTrace, TraceEvent};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
-    /// In the ready queue: may issue once `avail` is reached (covers
-    /// revolver wait and DMA completion wait, which is folded into
-    /// `avail`).
+    /// In the ready queue (out of it only while issuing): may issue once
+    /// `avail` is reached (covers revolver wait and DMA completion wait,
+    /// which is folded into `avail`).
     Runnable,
     /// Waiting at the all-tasklet barrier.
     BarrierWait,
@@ -219,32 +219,33 @@ struct Mutex {
 struct ReadyQueue {
     /// Power-of-two capacity, at least the tasklet count.
     ring: Vec<u128>,
-    head: usize,
+    /// Ring index of the smallest key.
+    start: usize,
     len: usize,
 }
 
 impl ReadyQueue {
     fn new(tasklets: usize) -> Self {
-        ReadyQueue { ring: vec![0; tasklets.next_power_of_two()], head: 0, len: 0 }
+        ReadyQueue { ring: vec![0; tasklets.next_power_of_two()], start: 0, len: 0 }
     }
 
     /// Ring index of the `i`-th queued key (`i` may run one past either
     /// end).
     fn slot(&self, i: usize) -> usize {
-        self.head.wrapping_add(i) & (self.ring.len() - 1)
+        self.start.wrapping_add(i) & (self.ring.len() - 1)
     }
 
     /// The `(avail, tasklet id)` of the next tasklet to issue.
     fn head(&self) -> Option<(u64, usize)> {
         (self.len > 0).then(|| {
-            let key = self.ring[self.head];
+            let key = self.ring[self.start];
             ((key >> 64) as u64, key as u64 as usize)
         })
     }
 
     /// Dequeues the head.
     fn pop(&mut self) {
-        self.head = self.slot(1);
+        self.start = self.slot(1);
         self.len -= 1;
     }
 
@@ -255,7 +256,7 @@ impl ReadyQueue {
         if self.len > 0 && key < self.ring[self.slot(self.len / 2)] {
             // Front half: open a slot before the head and shift the
             // smaller keys into it.
-            self.head = self.slot(usize::MAX);
+            self.start = self.slot(usize::MAX);
             at = 0;
             while at < self.len {
                 let next = self.ring[self.slot(at + 1)];
@@ -308,7 +309,8 @@ pub fn mix64(mut z: u64) -> u64 {
 /// * deadlock: a tasklet waits on a mutex whose holder can never release
 ///   it — the holder finished, is parked at the barrier, or waits
 ///   (directly or through a chain of holders) on a mutex held by the
-///   requester or by one of the first two.
+///   requester, by a tasklet already in the chain, or by one of the first
+///   two.
 pub fn simulate_dpu(traces: &[TaskletTrace], cfg: &PipelineConfig) -> DpuReport {
     simulate_dpu_profiled(traces, cfg).report
 }
