@@ -14,7 +14,10 @@
 //! `Analytic` goldens freeze the closed-form prediction on the same
 //! 64-DPU machine: every kernel variant under two semirings, also on a
 //! hub-row variant of the graph, BFS, SSSP and PPR runs, and every per-DPU
-//! and per-tasklet record of two launches.
+//! and per-tasklet record of two launches. The exporter digests freeze the
+//! bytes of the JSON and CSV exports of one launch per fidelity, fault-free
+//! and faulty, and a faulty per-DPU batch freezes its crashed snapshot,
+//! its journal and its resumed `BatchReport` JSON.
 //!
 //! Last regeneration: the counter registry grew the six `sdc.*`
 //! silent-corruption ledgers and the six `quarantine.*` scoreboard
@@ -827,6 +830,99 @@ fn analytic_per_tasklet_details_match_golden_digest() {
     assert_app_golden(h.0, ANALYTIC_PER_TASKLET_GOLDEN, "analytic per-tasklet details");
 }
 
+/// The exporters' bytes, frozen at each fidelity: `KernelReport::to_json`,
+/// `counters_csv` and `CycleBreakdown::csv_row` of one CSC-2D SpMSpV
+/// launch (10 % frontier, mutex-contended) on the `PerTasklet` `Full`
+/// machine of the kernel goldens, and at `PerDpu` on the `Sampled(8)` and
+/// `Analytic` 64-DPU machines, each fault-free and under [`fault_plan`].
+#[test]
+fn exporter_bytes_match_golden_digests() {
+    let m = matrix();
+    let x = striped_vector(3_000, 0.1);
+    let mut actual = Vec::new();
+    for (mode, faults) in [("clean", None), ("faulty", Some(fault_plan()))] {
+        let full = PimConfig {
+            num_dpus: 16,
+            fidelity: SimFidelity::Full,
+            observability: ObservabilityLevel::PerTasklet,
+            faults: faults.clone(),
+            ..Default::default()
+        };
+        let per_dpu = |config: PimConfig| PimConfig {
+            observability: ObservabilityLevel::PerDpu,
+            ..config
+        };
+        for (fidelity, config) in [
+            ("full", full),
+            ("sampled", per_dpu(sampled_config(faults.clone()))),
+            ("analytic", per_dpu(analytic_config(faults.clone()))),
+        ] {
+            let sys = PimSystem::new(config).expect("valid config");
+            let r = PreparedSpmspv::<BoolOrAnd>::prepare(&m, SpmspvVariant::Csc2d, &sys)
+                .expect("fits")
+                .run(&x, &sys)
+                .expect("dims")
+                .kernel;
+            assert!(!r.dpu_details.is_empty(), "{fidelity}/{mode} keeps its details");
+            for (export, text) in [
+                ("json", r.to_json()),
+                ("counters_csv", r.counters_csv()),
+                ("csv_row", r.breakdown.csv_row()),
+            ] {
+                let mut h = Fnv::new();
+                h.bytes(text.as_bytes());
+                actual.push((format!("{fidelity}/{mode}/{export}"), h.0));
+            }
+        }
+    }
+    assert_digests(&actual, EXPORTER_GOLDEN, "exporter");
+}
+
+/// A BFS+SSSP+PPR batch on a `PerDpu` machine under [`fault_plan`],
+/// snapshotted at every boundary and killed after superstep 6: the sealed
+/// snapshot (whose kernel reports carry every `DpuDetail`), the
+/// write-ahead journal, and the `BatchReport` of the same batch resumed to
+/// completion by a fresh engine.
+#[test]
+fn faulty_crashed_batch_matches_golden_digests() {
+    let engine = AlphaPim::new(PimConfig {
+        num_dpus: 16,
+        fidelity: SimFidelity::Full,
+        observability: ObservabilityLevel::PerDpu,
+        faults: Some(fault_plan()),
+        ..Default::default()
+    })
+    .expect("valid config");
+    let config = ServeConfig { checkpoint: CheckpointPolicy::EveryN(1), ..Default::default() };
+    let queries = [Query::Bfs { source: 0 }, Query::Sssp { source: 0 }, Query::Ppr { source: 0 }];
+    let graph = weighted_app_graph();
+    let outcome = ServeEngine::new(&engine, config)
+        .run_batch_resilient(&graph, &queries, 0, Some(HostCrashPlan::at(6)), None)
+        .expect("runs");
+    let BatchOutcome::Crashed { superstep, checkpoint } = outcome else {
+        panic!("the batch must crash after superstep 6");
+    };
+    assert_eq!(superstep, 6);
+    assert!(!checkpoint.journal.is_empty(), "a query completed before the crash");
+    let resumed = ServeEngine::new(&engine, config)
+        .resume_batch(&graph, &checkpoint, None, None)
+        .expect("resumes");
+    let BatchOutcome::Completed(_, report) = resumed else {
+        panic!("the resumed batch must complete");
+    };
+    let mut actual = Vec::new();
+    for (what, bytes) in [
+        ("snapshot", checkpoint.snapshot),
+        ("journal", checkpoint.journal),
+        ("report", report.to_json().into_bytes()),
+    ] {
+        let mut h = Fnv::new();
+        h.bytes(&bytes);
+        actual.push((what.to_string(), h.0));
+    }
+    assert_digests(&actual, FAULTY_CRASHED_BATCH_GOLDEN, "faulty crashed batch");
+}
+
 const SAMPLED_SPMV_GOLDEN: &[(&str, u64)] = &[
     ("COO.nnz-1D/clean/one", 0x3c70_d668_5e43_8fea),
     ("COO.nnz-1D/clean/dense", 0x1886_5cc0_26f1_91ab),
@@ -1115,6 +1211,31 @@ const PPR_RUN_GOLDEN: u64 = 0xff32_23d8_39f6_54b4;
 const WIDEST_RUN_GOLDEN: u64 = 0xf8b6_f108_3b4d_eb7c;
 const WCC_RUN_GOLDEN: u64 = 0xcc13_918e_5c4a_0992;
 const CRASHED_BATCH_SNAPSHOT_GOLDEN: u64 = 0x30b0_20d3_c6d7_f5b9;
+const EXPORTER_GOLDEN: &[(&str, u64)] = &[
+    ("full/clean/json", 0xce13_fb33_829a_0515),
+    ("full/clean/counters_csv", 0xcce6_0254_2012_9fd8),
+    ("full/clean/csv_row", 0x8918_0ccf_51a8_c698),
+    ("sampled/clean/json", 0xdfc7_c174_d8d8_2195),
+    ("sampled/clean/counters_csv", 0xa316_f1c2_9175_4764),
+    ("sampled/clean/csv_row", 0x8794_6fe5_1423_964d),
+    ("analytic/clean/json", 0xa3df_696d_7737_c21e),
+    ("analytic/clean/counters_csv", 0x5ba9_df29_4e99_f65e),
+    ("analytic/clean/csv_row", 0xc9ed_3a47_6eb6_e6af),
+    ("full/faulty/json", 0xa0de_4386_b959_3af3),
+    ("full/faulty/counters_csv", 0x4cba_99b8_1ba4_c36c),
+    ("full/faulty/csv_row", 0x75d1_f905_2b47_0641),
+    ("sampled/faulty/json", 0xdc4a_72a0_505e_a6d5),
+    ("sampled/faulty/counters_csv", 0xd251_6756_3261_d5c8),
+    ("sampled/faulty/csv_row", 0x6a88_715f_e4ea_df63),
+    ("analytic/faulty/json", 0x2b79_083f_81f1_1b3f),
+    ("analytic/faulty/counters_csv", 0xa0ad_bb6a_218c_654b),
+    ("analytic/faulty/csv_row", 0x56bc_cb1a_cbf8_99b1),
+];
+const FAULTY_CRASHED_BATCH_GOLDEN: &[(&str, u64)] = &[
+    ("snapshot", 0x3c22_c032_1dda_b831),
+    ("journal", 0xa4b1_9c2a_e9e6_b58e),
+    ("report", 0xe2fd_8c45_ab28_94ca),
+];
 
 const SPMV_GOLDEN: &str = "\
 num_dpus=16 detailed=16 max_cycles=40951 instr=409904
