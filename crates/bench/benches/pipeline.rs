@@ -3,7 +3,7 @@
 
 use alpha_pim_bench::stopwatch::bench;
 use alpha_pim_sim::instr::InstrClass;
-use alpha_pim_sim::pipeline::simulate_dpu;
+use alpha_pim_sim::pipeline::simulate_dpu_profiled;
 use alpha_pim_sim::trace::TaskletTrace;
 use alpha_pim_sim::PipelineConfig;
 
@@ -29,6 +29,6 @@ fn main() {
     let cfg = PipelineConfig::default();
     for tasklets in [1u32, 8, 16, 24] {
         let t = traces(tasklets, 512);
-        bench(&format!("pipeline/{tasklets}"), 20, || simulate_dpu(&t, &cfg));
+        bench(&format!("pipeline/{tasklets}"), 20, || simulate_dpu_profiled(&t, &cfg));
     }
 }

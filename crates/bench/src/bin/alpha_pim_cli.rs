@@ -1556,7 +1556,8 @@ fn run_top(args: &Args, graph: &Graph) -> Result<(), String> {
     );
 
     let mut details: Vec<&alpha_pim_sim::DpuDetail> = kernel.dpu_details.iter().collect();
-    details.sort_by(|a, b| b.total_cycles.cmp(&a.total_cycles).then(a.dpu_id.cmp(&b.dpu_id)));
+    let cycles = |d: &alpha_pim_sim::DpuDetail| d.counters.get(CounterId::DpuCycles);
+    details.sort_by(|a, b| cycles(b).cmp(&cycles(a)).then(a.dpu_id.cmp(&b.dpu_id)));
     println!("\ntop {} of {} detailed DPUs by cycles:", args.limit.min(details.len()), details.len());
     println!(
         "{:>6} {:>12} {:>12} {:>7} {:>7} {:>7} {:>7}",
@@ -1573,8 +1574,8 @@ fn run_top(args: &Args, graph: &Graph) -> Result<(), String> {
         println!(
             "{:>6} {:>12} {:>12} {:>6.1} {:>6.1} {:>6.1} {:>6.1}",
             d.dpu_id,
-            d.total_cycles,
-            d.issued_instructions,
+            cycles(d),
+            d.counters.get(CounterId::SlotIssue),
             d.counters.get(CounterId::TaskletIssue) as f64 / budget * 100.0,
             dma as f64 / budget * 100.0,
             sync as f64 / budget * 100.0,

@@ -24,8 +24,8 @@ use alpha_pim::semiring::BoolOrAnd;
 use alpha_pim::{PreparedSpmspv, PreparedSpmv, SpmspvVariant, SpmvVariant};
 use alpha_pim_sim::pipeline::simulate_dpu_profiled;
 use alpha_pim_sim::{
-    set_sim_threads, InstrClass, KernelReport, ObservabilityLevel, PimConfig, PimSystem,
-    PipelineConfig, SimFidelity, TaskletTrace,
+    set_sim_threads, CounterId, InstrClass, KernelReport, ObservabilityLevel, PimConfig,
+    PimSystem, PipelineConfig, SimFidelity, TaskletTrace,
 };
 use alpha_pim_sparse::gen::rng::SplitMix64;
 use alpha_pim_sparse::{gen, DenseVector, Graph, SparseVector};
@@ -195,8 +195,8 @@ fn time_des() -> (u64, f64) {
     for traces in &des_trace_sets() {
         let replay = || {
             std::hint::black_box(simulate_dpu_profiled(std::hint::black_box(traces), &cfg))
-                .report
-                .issued_instructions
+                .counters
+                .get(CounterId::SlotIssue)
         };
         let issued = replay();
         let mut fastest = f64::INFINITY;

@@ -8,7 +8,7 @@
 //! the workload is SpMSpV-shaped throughout — another traversal pattern
 //! for the adaptive machinery to feed on.
 
-use alpha_pim_sim::PimSystem;
+use alpha_pim_sim::{CounterSet, PimSystem};
 use alpha_pim_sparse::{Coo, Graph, SparseVector};
 
 use crate::apps::{AppOptions, AppReport, IterationStats, MvEngine};
@@ -81,7 +81,7 @@ pub fn run(
         // Count, for every vertex, how many of its neighbours were removed.
         let (outcome, kernel) = engine.multiply(&frontier, sys)?;
         let mut phases = outcome.phases;
-        phases.merge += sys.scan_time(n as u64, 4);
+        phases.merge += sys.scan_time_counted(n as u64, 4, &mut CounterSet::new());
         for (v, &lost) in outcome.y.values().iter().enumerate() {
             if alive[v] {
                 degree[v] = degree[v].saturating_sub(lost);

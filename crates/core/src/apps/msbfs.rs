@@ -4,7 +4,7 @@
 //! level serves every source, amortizing streaming and decode costs that
 //! a loop of single-source BFS runs would pay `k` times.
 
-use alpha_pim_sim::PimSystem;
+use alpha_pim_sim::{CounterSet, PimSystem};
 use alpha_pim_sparse::Coo;
 
 use crate::apps::{check_source, AppReport, IterationStats};
@@ -64,7 +64,7 @@ pub fn run(
         let density = active as f64 / n as f64;
         let outcome = prep.run(&frontier, sys)?;
         let mut phases = outcome.phases;
-        phases.merge += sys.scan_time(n as u64 * k as u64, 4);
+        phases.merge += sys.scan_time_counted(n as u64 * k as u64, 4, &mut CounterSet::new());
 
         let mut next = MultiVector::filled(n as usize, k, BoolOrAnd::zero());
         let mut any = false;

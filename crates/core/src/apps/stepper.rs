@@ -14,7 +14,7 @@
 
 use std::rc::Rc;
 
-use alpha_pim_sim::PimSystem;
+use alpha_pim_sim::{CounterSet, PimSystem};
 use alpha_pim_sparse::SparseVector;
 
 use crate::apps::{check_source, AppReport, IterationStats, MvEngine};
@@ -163,7 +163,9 @@ impl<R: Rule> Stepper<R> {
         let density = self.frontier.density();
         let (outcome, kernel) = self.engine.multiply(&self.frontier, sys)?;
         let mut phases = outcome.phases;
-        phases.merge += R::SCANS * sys.scan_time(u64::from(self.n), 4);
+        // The convergence scans are priced but not counted.
+        let scan = sys.scan_time_counted(u64::from(self.n), 4, &mut CounterSet::new());
+        phases.merge += R::SCANS * scan;
         let next = self.rule.update(outcome.y.values(), self.iter);
         self.report.push(IterationStats {
             index: self.iter,

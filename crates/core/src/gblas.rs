@@ -32,7 +32,7 @@
 //! ```
 
 use alpha_pim_sim::report::PhaseBreakdown;
-use alpha_pim_sim::PimSystem;
+use alpha_pim_sim::{CounterSet, PimSystem};
 use alpha_pim_sparse::{Coo, SparseVector};
 
 use crate::apps::{AppOptions, MvEngine};
@@ -274,7 +274,7 @@ impl<S: Semiring> GbMatrix<S> {
                 return Err(AlphaPimError::Dimension { expected: n as usize, actual: mask.len() });
             }
             // Mask application is a host-side streaming pass.
-            phases.merge += sys.scan_time(n as u64, 4);
+            phases.merge += sys.scan_time_counted(n as u64, 4, &mut CounterSet::new());
             y = y.masked(mask);
         }
         Ok((y, phases))

@@ -33,7 +33,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use alpha_pim_sim::report::{CycleBreakdown, DpuDetail, KernelReport, PhaseBreakdown};
-use alpha_pim_sim::{CounterSet, InstrClass, InstrMix, NUM_COUNTERS};
+use alpha_pim_sim::{CounterId, CounterSet, InstrClass, InstrMix, NUM_COUNTERS};
 use alpha_pim_sparse::SparseVector;
 
 use crate::apps::{AppReport, IterationStats};
@@ -603,22 +603,44 @@ pub(crate) fn read_kernel_kind(d: &mut Dec) -> Result<KernelKind, RecoverError> 
     }
 }
 
-fn put_cycle_breakdown(out: &mut Vec<u8>, b: &CycleBreakdown) {
-    put_u64(out, b.active);
-    put_u64(out, b.memory);
-    put_u64(out, b.revolver);
-    put_u64(out, b.rf);
-    put_counters(out, &b.counters);
+/// The four slot categories layout v3 writes ahead of a breakdown's
+/// counter set, in that order.
+const BREAKDOWN_SLOTS: [CounterId; 4] =
+    [CounterId::SlotIssue, CounterId::SlotMemory, CounterId::SlotRevolver, CounterId::SlotRf];
+
+/// The two counters layout v3 writes ahead of a `DpuDetail`'s counter set:
+/// its makespan and its issued instructions.
+const DETAIL_SLOTS: [CounterId; 2] = [CounterId::DpuCycles, CounterId::SlotIssue];
+
+/// Writes `counters` the way layout v3 lays out a counter set that has
+/// some of its values in slots of their own: the values of `slots` first,
+/// then the set.
+pub(crate) fn put_slotted_counters(out: &mut Vec<u8>, counters: &CounterSet, slots: &[CounterId]) {
+    for &id in slots {
+        put_u64(out, counters.get(id));
+    }
+    put_counters(out, counters);
 }
 
-fn read_cycle_breakdown(d: &mut Dec) -> Result<CycleBreakdown, RecoverError> {
-    Ok(CycleBreakdown {
-        active: d.u64()?,
-        memory: d.u64()?,
-        revolver: d.u64()?,
-        rf: d.u64()?,
-        counters: read_counters(d)?,
-    })
+/// Reads what [`put_slotted_counters`] wrote. A slot that disagrees with
+/// the set after it was not written by this codec: the bytes are
+/// [`RecoverError::Malformed`].
+pub(crate) fn read_slotted_counters(
+    d: &mut Dec,
+    slots: &[CounterId],
+    what: &str,
+) -> Result<CounterSet, RecoverError> {
+    let values = slots.iter().map(|_| d.u64()).collect::<Result<Vec<_>, _>>()?;
+    let counters = read_counters(d)?;
+    for (&id, value) in slots.iter().zip(values) {
+        if value != counters.get(id) {
+            return Err(RecoverError::Malformed(format!(
+                "{what} slot {id} holds {value} but its counters hold {}",
+                counters.get(id)
+            )));
+        }
+    }
+    Ok(counters)
 }
 
 pub(crate) fn put_kernel_report(out: &mut Vec<u8>, r: &KernelReport) {
@@ -627,7 +649,7 @@ pub(crate) fn put_kernel_report(out: &mut Vec<u8>, r: &KernelReport) {
     put_u64(out, r.max_cycles);
     put_f64(out, r.seconds);
     put_f64(out, r.mean_cycles);
-    put_cycle_breakdown(out, &r.breakdown);
+    put_slotted_counters(out, &r.breakdown.counters, &BREAKDOWN_SLOTS);
     put_instr_mix(out, &r.instr_mix);
     put_f64(out, r.avg_active_threads);
     put_u64(out, r.total_instructions);
@@ -636,9 +658,7 @@ pub(crate) fn put_kernel_report(out: &mut Vec<u8>, r: &KernelReport) {
     put_u64(out, r.dpu_details.len() as u64);
     for dt in &r.dpu_details {
         put_u32(out, dt.dpu_id);
-        put_u64(out, dt.total_cycles);
-        put_u64(out, dt.issued_instructions);
-        put_counters(out, &dt.counters);
+        put_slotted_counters(out, &dt.counters, &DETAIL_SLOTS);
         put_u64(out, dt.tasklets.len() as u64);
         for t in &dt.tasklets {
             put_counters(out, t);
@@ -652,7 +672,8 @@ pub(crate) fn read_kernel_report(d: &mut Dec) -> Result<KernelReport, RecoverErr
     let max_cycles = d.u64()?;
     let seconds = d.f64()?;
     let mean_cycles = d.f64()?;
-    let breakdown = read_cycle_breakdown(d)?;
+    let breakdown =
+        CycleBreakdown { counters: read_slotted_counters(d, &BREAKDOWN_SLOTS, "breakdown")? };
     let instr_mix = read_instr_mix(d)?;
     let avg_active_threads = d.f64()?;
     let total_instructions = d.u64()?;
@@ -662,21 +683,13 @@ pub(crate) fn read_kernel_report(d: &mut Dec) -> Result<KernelReport, RecoverErr
     let mut dpu_details = Vec::with_capacity(n_details);
     for _ in 0..n_details {
         let dpu_id = d.u32()?;
-        let total_cycles = d.u64()?;
-        let issued_instructions = d.u64()?;
-        let counters = read_counters(d)?;
+        let counters = read_slotted_counters(d, &DETAIL_SLOTS, "DPU detail")?;
         let n_tasklets = d.seq_len(4 + 8 * NUM_COUNTERS, "tasklet counters")?;
         let mut tasklets = Vec::with_capacity(n_tasklets);
         for _ in 0..n_tasklets {
             tasklets.push(read_counters(d)?);
         }
-        dpu_details.push(DpuDetail {
-            dpu_id,
-            total_cycles,
-            issued_instructions,
-            counters,
-            tasklets,
-        });
+        dpu_details.push(DpuDetail { dpu_id, counters, tasklets });
     }
     Ok(KernelReport {
         num_dpus,
@@ -920,7 +933,6 @@ mod tests {
 
     #[test]
     fn counter_and_mix_codecs_round_trip() {
-        use alpha_pim_sim::CounterId;
         let mut c = CounterSet::new();
         c.add(CounterId::DmaBytes, 123);
         c.add(CounterId::CkptSnapshots, 7);
@@ -933,6 +945,47 @@ mod tests {
         assert_eq!(read_counters(&mut d).unwrap(), c);
         assert_eq!(read_instr_mix(&mut d).unwrap(), m);
         d.finish().unwrap();
+    }
+
+    #[test]
+    fn slots_that_disagree_with_their_counters_are_malformed() {
+        let mut counters = CounterSet::new();
+        for (i, id) in BREAKDOWN_SLOTS.into_iter().chain([CounterId::DpuCycles]).enumerate() {
+            counters.set(id, 10 * (i as u64 + 1));
+        }
+        let report = KernelReport {
+            num_dpus: 1,
+            detailed_dpus: 1,
+            max_cycles: 50,
+            seconds: 1e-6,
+            mean_cycles: 50.0,
+            breakdown: CycleBreakdown { counters },
+            instr_mix: InstrMix::new(),
+            avg_active_threads: 1.0,
+            total_instructions: 10,
+            degraded: false,
+            corrupted_dpus: Vec::new(),
+            dpu_details: vec![DpuDetail { dpu_id: 3, counters, tasklets: vec![counters] }],
+        };
+        let mut bytes = Vec::new();
+        put_kernel_report(&mut bytes, &report);
+        assert_eq!(read_kernel_report(&mut Dec::new(&bytes)).unwrap(), report);
+        // The breakdown's four slots follow the 32-byte header; a detail's
+        // two follow the detail count and its DPU id.
+        let mut bare = Vec::new();
+        put_kernel_report(&mut bare, &KernelReport { dpu_details: Vec::new(), ..report.clone() });
+        let slots = (0..4).map(|i| 32 + 8 * i).chain([bare.len() + 4, bare.len() + 12]);
+        for at in slots {
+            let mut bad = bytes.clone();
+            bad[at] ^= 1;
+            assert!(
+                matches!(
+                    read_kernel_report(&mut Dec::new(&bad)),
+                    Err(RecoverError::Malformed(msg)) if msg.contains("slot")
+                ),
+                "a changed slot at byte {at} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -609,11 +609,9 @@ impl<'a> ServeEngine<'a> {
             let engine = self.cached_engine(graph, graph_fp, q.app_kind())?;
             slots.push(Slot::Live(engine.start(q.source(), &self.config)?));
         }
-        let hits_delta = self.hits - hits_before;
-        let misses_delta = self.misses - misses_before;
         let mut counters = CounterSet::new();
-        counters.add(CounterId::ServeCacheHits, hits_delta);
-        counters.add(CounterId::ServeCacheMisses, misses_delta);
+        counters.add(CounterId::ServeCacheHits, self.hits - hits_before);
+        counters.add(CounterId::ServeCacheMisses, self.misses - misses_before);
         counters.add(CounterId::ServeCacheEvictions, self.evictions - evictions_before);
         counters.add(CounterId::ServeEvictedBytes, self.evicted_bytes - evicted_bytes_before);
         // Per-query overrides are normalized to one entry per query so the
@@ -634,8 +632,6 @@ impl<'a> ServeEngine<'a> {
             savings: 0.0,
             pack_cost: 0.0,
             supersteps: 0,
-            hits_delta,
-            misses_delta,
             journal: Vec::new(),
             latest_snapshot: None,
             resumed: false,
@@ -715,9 +711,7 @@ impl<'a> ServeEngine<'a> {
         let supersteps = d.u32()?;
         let savings = d.f64()?;
         let pack_cost = d.f64()?;
-        let hits_delta = d.u64()?;
-        let misses_delta = d.u64()?;
-        let mut counters = recover::read_counters(&mut d)?;
+        let mut counters = recover::read_slotted_counters(&mut d, &CACHE_SLOTS, "batch cache")?;
 
         // The journal maps completed query indices to their recorded
         // results; a torn tail record (crash mid-append) is dropped by
@@ -783,8 +777,6 @@ impl<'a> ServeEngine<'a> {
             savings,
             pack_cost,
             supersteps,
-            hits_delta,
-            misses_delta,
             journal: checkpoint.journal.clone(),
             latest_snapshot: Some(checkpoint.snapshot.clone()),
             resumed: true,
@@ -1167,8 +1159,6 @@ struct BatchRun {
     savings: f64,
     pack_cost: f64,
     supersteps: u32,
-    hits_delta: u64,
-    misses_delta: u64,
     /// In-memory mirror of the write-ahead journal (sealed records).
     journal: Vec<u8>,
     /// The latest sealed snapshot, if checkpointing is armed.
@@ -1220,8 +1210,8 @@ fn finish_run(run: BatchRun) -> (Vec<QueryResult>, BatchReport) {
         batched_seconds,
         broadcast_bytes_saved: run.counters.get(CounterId::ServeBroadcastSavedBytes),
         transfer_batches_saved: run.counters.get(CounterId::ServeBatchesSaved),
-        cache_hits: run.hits_delta,
-        cache_misses: run.misses_delta,
+        cache_hits: run.counters.get(CounterId::ServeCacheHits),
+        cache_misses: run.counters.get(CounterId::ServeCacheMisses),
         counters: run.counters,
         degraded,
     };
@@ -1277,6 +1267,10 @@ fn take_snapshot(run: &mut BatchRun, store: Option<&CheckpointStore>) -> Result<
     Ok(())
 }
 
+/// The batch's cache hits and misses, which layout v3 writes ahead of its
+/// counter set.
+const CACHE_SLOTS: [CounterId; 2] = [CounterId::ServeCacheHits, CounterId::ServeCacheMisses];
+
 fn encode_snapshot(run: &BatchRun) -> Vec<u8> {
     let mut out = Vec::new();
     recover::put_u64(&mut out, run.tag);
@@ -1298,9 +1292,7 @@ fn encode_snapshot(run: &BatchRun) -> Vec<u8> {
     recover::put_u32(&mut out, run.supersteps);
     recover::put_f64(&mut out, run.savings);
     recover::put_f64(&mut out, run.pack_cost);
-    recover::put_u64(&mut out, run.hits_delta);
-    recover::put_u64(&mut out, run.misses_delta);
-    recover::put_counters(&mut out, &run.counters);
+    recover::put_slotted_counters(&mut out, &run.counters, &CACHE_SLOTS);
     for (slot, q) in run.slots.iter().zip(&run.queries) {
         match slot {
             // Done slots carry no payload: the write-ahead journal holds
@@ -1528,6 +1520,45 @@ mod tests {
         assert_eq!(batch.batched_seconds, batch.seq_seconds);
         assert_eq!(batch.broadcast_bytes_saved, 0);
         assert_eq!(batch.transfer_batches_saved, 0);
+    }
+
+    #[test]
+    fn resume_rejects_cache_slots_that_disagree_with_the_counters() {
+        let engine = engine(6);
+        let g = graph();
+        let config = ServeConfig { checkpoint: CheckpointPolicy::EveryN(1), ..Default::default() };
+        let queries =
+            [Query::Bfs { source: 0 }, Query::Sssp { source: 5 }, Query::Bfs { source: 9 }];
+        let crashed = ServeEngine::new(&engine, config)
+            .run_batch_resilient(&g, &queries, 0, Some(HostCrashPlan::at(1)), None)
+            .unwrap();
+        let BatchOutcome::Crashed { checkpoint, .. } = crashed else {
+            panic!("the batch must crash after superstep 1");
+        };
+        let BatchOutcome::Completed(_, report) =
+            ServeEngine::new(&engine, config).resume_batch(&g, &checkpoint, None, None).unwrap()
+        else {
+            panic!("the untouched checkpoint must resume");
+        };
+        // The cache slots follow the tag, graph fingerprint, DPU count, the
+        // empty quarantine list, policy and threshold bits, the three
+        // queries and their deadlines, the superstep count and the two
+        // amortization accumulators.
+        let at = 8 + 8 + 4 + 8 + 8 + 8 + 8 + 3 * 5 + 3 * 9 + 4 + 8 + 8;
+        let payload = recover::unseal(&checkpoint.snapshot).unwrap().to_vec();
+        let slot = |i: usize| u64::from_le_bytes(payload[at + 8 * i..][..8].try_into().unwrap());
+        assert_eq!((slot(0), slot(1)), (report.cache_hits, report.cache_misses));
+        assert_eq!(report.cache_misses, 2, "BFS and SSSP each prepare once");
+        for i in 0..2 {
+            let mut bad = payload.clone();
+            bad[at + 8 * i] ^= 1;
+            let tampered = BatchCheckpoint { snapshot: recover::seal(&bad), ..checkpoint.clone() };
+            let resumed = ServeEngine::new(&engine, config).resume_batch(&g, &tampered, None, None);
+            assert!(
+                matches!(resumed, Err(AlphaPimError::Recover(RecoverError::Malformed(_)))),
+                "a changed cache slot {i} must be rejected"
+            );
+        }
     }
 
     #[test]

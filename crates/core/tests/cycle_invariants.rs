@@ -58,12 +58,6 @@ fn assert_partition(r: &KernelReport, kernel: &str, case: u64) {
     let mut resummed = alpha_pim_sim::CounterSet::new();
     for d in &r.dpu_details {
         assert_eq!(d.counters.check_ledgers(), Ok(()), "{kernel} case {case}: DPU {}", d.dpu_id);
-        assert_eq!(
-            d.counters.get(CounterId::DpuCycles),
-            d.total_cycles,
-            "{kernel} case {case}: DPU {} detail is internally inconsistent",
-            d.dpu_id,
-        );
         resummed.merge(&d.counters);
     }
     let host_side = [

@@ -41,7 +41,7 @@
 use crate::config::PipelineConfig;
 use crate::counters::{CounterId, CounterSet};
 use crate::instr::{InstrClass, InstrMix};
-use crate::report::{DpuProfile, DpuReport};
+use crate::report::DpuProfile;
 use crate::trace::Record;
 
 /// Mutexes tracked per DPU (UPMEM kernels use a fixed pool of 16).
@@ -81,12 +81,11 @@ impl SegmentStats {
 
 /// The analytic recorder: accumulates [`SegmentStats`] from the same
 /// [`Record`] calls a [`crate::trace::TaskletTrace`] would log as events.
-/// Construction captures the DMA cost constants so per-transfer cycle
-/// counts match [`PipelineConfig::dma_cycles`] exactly.
+/// It keeps the pipeline configuration so every transfer is costed by
+/// [`PipelineConfig::dma_cycles`], as the replayer costs it.
 #[derive(Debug, Clone)]
 pub struct TaskletStats {
-    dma_startup_cycles: u64,
-    dma_cycles_per_byte: f64,
+    cfg: PipelineConfig,
     mix: InstrMix,
     closed: Vec<SegmentStats>,
     current: SegmentStats,
@@ -94,20 +93,15 @@ pub struct TaskletStats {
 }
 
 impl TaskletStats {
-    /// An empty recorder using `cfg`'s DMA cost constants.
+    /// An empty recorder costing DMAs as `cfg` does.
     pub fn new(cfg: &PipelineConfig) -> Self {
         TaskletStats {
-            dma_startup_cycles: cfg.dma_startup_cycles as u64,
-            dma_cycles_per_byte: cfg.dma_cycles_per_byte,
+            cfg: cfg.clone(),
             mix: InstrMix::new(),
             closed: Vec::new(),
             current: SegmentStats::default(),
             held_mask: 0,
         }
-    }
-
-    fn transfer_cycles(&self, bytes: u32) -> u64 {
-        self.dma_startup_cycles + (bytes as f64 * self.dma_cycles_per_byte).ceil() as u64
     }
 
     /// Bumps shared per-instruction state for `count` instructions.
@@ -195,7 +189,7 @@ impl Record for TaskletStats {
         self.issue(1);
         self.current.dma_transfers += 1;
         self.current.dma_bytes += bytes as u64;
-        self.current.dma_cycles += self.transfer_cycles(bytes);
+        self.current.dma_cycles += self.cfg.dma_cycles(bytes);
         self.current.instrs_at_last_dma = self.current.instructions;
     }
 
@@ -215,8 +209,8 @@ impl Record for TaskletStats {
         self.issue(chunks * (1 + per_chunk_overhead as u64));
         self.current.dma_transfers += chunks;
         self.current.dma_bytes += total_bytes;
-        self.current.dma_cycles += full * self.transfer_cycles(chunk_bytes)
-            + if rem > 0 { self.transfer_cycles(rem) } else { 0 };
+        self.current.dma_cycles += full * self.cfg.dma_cycles(chunk_bytes)
+            + if rem > 0 { self.cfg.dma_cycles(rem) } else { 0 };
         self.current.instrs_at_last_dma = self.current.instructions;
     }
 
@@ -579,23 +573,14 @@ fn synthesize_profile(
     }
 
     DpuProfile {
-        report: DpuReport {
-            total_cycles: total,
-            issued_instructions: issued,
-            active_cycles: active,
-            idle_memory_cycles: memory,
-            idle_revolver_cycles: revolver,
-            idle_rf_cycles: rf,
-            instr_mix: mix,
-            avg_active_threads: if total == 0 {
-                0.0
-            } else {
-                active_estimate.clamp(1.0, n_tasklets as f64)
-            },
-            spin_retries: 0,
-        },
         counters,
         tasklets,
+        instr_mix: mix,
+        avg_active_threads: if total == 0 {
+            0.0
+        } else {
+            active_estimate.clamp(1.0, n_tasklets as f64)
+        },
     }
 }
 
@@ -664,10 +649,10 @@ mod tests {
     #[test]
     fn empty_stats_predict_zero() {
         let profile = predict_dpu(&[], &cfg());
-        assert_eq!(profile.report.total_cycles, 0);
+        assert_eq!(profile.counters.get(CounterId::DpuCycles), 0);
         let stats = vec![TaskletStats::new(&cfg()); 4];
         let profile = predict_dpu(&stats, &cfg());
-        assert_eq!(profile.report.total_cycles, 0);
+        assert_eq!(profile.counters.get(CounterId::DpuCycles), 0);
         assert!(profile.counters.is_empty());
     }
 
@@ -681,7 +666,10 @@ mod tests {
         let mut trace = TaskletTrace::new();
         trace.compute(InstrClass::Control, 100);
         let des = simulate_dpu_profiled(&[trace], &cfg());
-        assert_eq!(profile.report.total_cycles, des.report.total_cycles);
+        assert_eq!(
+            profile.counters.get(CounterId::DpuCycles),
+            des.counters.get(CounterId::DpuCycles)
+        );
     }
 
     #[test]
@@ -699,10 +687,9 @@ mod tests {
             stats.push(s);
         }
         let profile = predict_dpu(&stats, &cfg());
-        let total = profile.report.total_cycles;
         let c = &profile.counters;
-        assert_eq!(c.sum(&CounterId::SLOT_CYCLES), c.get(CounterId::DpuCycles));
-        assert_eq!(c.get(CounterId::DpuCycles), total);
+        let total = c.get(CounterId::DpuCycles);
+        assert_eq!(c.sum(&CounterId::SLOT_CYCLES), total);
         assert_eq!(c.sum(&CounterId::TASKLET_CYCLES), c.get(CounterId::TaskletBudget));
         assert_eq!(c.get(CounterId::TaskletBudget), 8 * total);
         for t in &profile.tasklets {
@@ -727,7 +714,7 @@ mod tests {
                 r.barrier();
                 stats.push(s);
             }
-            predict_dpu(&stats, &cfg()).report.total_cycles
+            predict_dpu(&stats, &cfg()).counters.get(CounterId::DpuCycles)
         };
         let t0 = base(0, 0);
         assert!(base(500, 0) > t0, "more instructions must not be faster");
@@ -761,9 +748,9 @@ mod tests {
             })
             .collect();
         let depth = cfg().pipeline_depth as u64;
-        let a = predict_dpu(&build(false), &cfg()).report.total_cycles;
-        let b = predict_dpu(&only_first, &cfg()).report.total_cycles;
-        let ab = predict_dpu(&build(true), &cfg()).report.total_cycles;
+        let a = predict_dpu(&build(false), &cfg()).counters.get(CounterId::DpuCycles);
+        let b = predict_dpu(&only_first, &cfg()).counters.get(CounterId::DpuCycles);
+        let ab = predict_dpu(&build(true), &cfg()).counters.get(CounterId::DpuCycles);
         assert_eq!(ab, a + b - depth, "segments must compose additively");
     }
 
@@ -815,8 +802,9 @@ mod tests {
                 traces.push(t);
                 stats.push(s);
             }
-            let des = simulate_dpu_profiled(&traces, &cfg()).report.total_cycles as f64;
-            let pred = predict_dpu(&stats, &cfg()).report.total_cycles as f64;
+            let des = simulate_dpu_profiled(&traces, &cfg()).counters.get(CounterId::DpuCycles);
+            let pred = predict_dpu(&stats, &cfg()).counters.get(CounterId::DpuCycles);
+            let (des, pred) = (des as f64, pred as f64);
             let err = (pred - des).abs() / des;
             assert!(err < 0.15, "{name}: pred {pred} vs des {des} ({:.1}% off)", err * 100.0);
         }

@@ -13,7 +13,9 @@
 //!   causes;
 //! * [`counters`] — the observability counter registry: slot-level and
 //!   per-tasklet cycle attribution, event counts, and host/transfer
-//!   traffic, all under one stable taxonomy;
+//!   traffic, all under one stable taxonomy. It is the one record of every
+//!   number a counter holds: a DPU's makespan is `dpu.cycles`, its issued
+//!   instructions `slot.issue`, its idle slots the other `slot.*`;
 //! * [`trace`] — the per-tasklet event traces kernels record while
 //!   executing functionally in Rust, behind the [`trace::Record`] trait;
 //! * [`analytic`] — the closed-form fast path: O(1)-space
@@ -28,8 +30,9 @@
 //!   and the host-side recovery policy (bounded backoff retry, partition
 //!   redistribution, graceful degradation);
 //! * [`system`] — the [`PimSystem`] facade and capacity checks;
-//! * [`report`] — per-DPU and kernel-level reports plus the
-//!   Load/Kernel/Retrieve/Merge [`PhaseBreakdown`];
+//! * [`report`] — per-DPU profiles and kernel-level reports, whose cycle
+//!   breakdown and JSON/CSV exporters are views of the counter set, plus
+//!   the Load/Kernel/Retrieve/Merge [`PhaseBreakdown`];
 //! * [`par`] — the host-side scoped thread pool that fans independent
 //!   per-DPU replays out over OS threads (`ALPHA_PIM_THREADS`); simulated
 //!   time and every report field are bit-identical at any thread count.
@@ -88,8 +91,8 @@ pub use energy::EnergyModel;
 pub use instr::{InstrClass, InstrMix};
 pub use par::{par_map_indexed, par_map_indexed_with, set_sim_threads, sim_threads, SimThreads};
 pub use report::{
-    BatchReport, CycleBreakdown, DpuDetail, DpuEval, DpuJob, DpuProfile, DpuReport,
-    KernelAccumulator, KernelReport, PhaseBreakdown, ReuseKey,
+    BatchReport, CycleBreakdown, DpuDetail, DpuEval, DpuJob, DpuProfile, KernelAccumulator,
+    KernelReport, PhaseBreakdown, ReuseKey,
 };
 pub use resilience::{FaultSummary, RecoverySummary};
 pub use system::PimSystem;

@@ -31,7 +31,7 @@ use crate::analytic::TaskletStats;
 use crate::config::PipelineConfig;
 use crate::counters::{CounterId, CounterSet};
 use crate::instr::{InstrClass, InstrMix};
-use crate::report::{DpuProfile, DpuReport};
+use crate::report::DpuProfile;
 use crate::trace::{TaskletTrace, TraceEvent};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,29 +295,9 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// Replays tasklet traces against the revolver-pipeline model, returning
-/// the slot-level cycle report for one DPU. Convenience wrapper around
-/// [`simulate_dpu_profiled`] for callers that do not need the counter
-/// registry.
-///
-/// # Panics
-///
-/// These indicate a malformed kernel trace, not a data-dependent
-/// condition:
-///
-/// * a tasklet unlocks a mutex it does not hold (or one no tasklet ever
-///   locked);
-/// * deadlock: a tasklet waits on a mutex whose holder can never release
-///   it — the holder finished, is parked at the barrier, or waits
-///   (directly or through a chain of holders) on a mutex held by the
-///   requester, by a tasklet already in the chain, or by one of the first
-///   two.
-pub fn simulate_dpu(traces: &[TaskletTrace], cfg: &PipelineConfig) -> DpuReport {
-    simulate_dpu_profiled(traces, cfg).report
-}
-
-/// Replays tasklet traces against the revolver-pipeline model, returning
-/// the slot-level report plus the full observability profile: the DPU's
-/// counter rollup and one exact per-tasklet cycle attribution each.
+/// one DPU's observability profile: its counter rollup (makespan, slot
+/// partition, events), one exact per-tasklet cycle attribution each, its
+/// instruction mix and its average active tasklets.
 ///
 /// Runnable tasklets wait in a ready queue ordered by `(avail, tasklet
 /// id)`: each issue slot goes to the tasklet that can issue earliest,
@@ -333,7 +313,16 @@ pub fn simulate_dpu(traces: &[TaskletTrace], cfg: &PipelineConfig) -> DpuReport 
 ///
 /// # Panics
 ///
-/// Same conditions as [`simulate_dpu`].
+/// These indicate a malformed kernel trace, not a data-dependent
+/// condition:
+///
+/// * a tasklet unlocks a mutex it does not hold (or one no tasklet ever
+///   locked);
+/// * deadlock: a tasklet waits on a mutex whose holder can never release
+///   it — the holder finished, is parked at the barrier, or waits
+///   (directly or through a chain of holders) on a mutex held by the
+///   requester, by a tasklet already in the chain, or by one of the first
+///   two.
 pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> DpuProfile {
     let mut threads: Vec<Thread<'_>> = traces.iter().map(Thread::new).collect();
     let n = threads.len();
@@ -349,9 +338,7 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
     let mut cycle: u64 = 0; // next free issue slot
     let mut issued: u64 = 0;
     let mut idle_mem: u64 = 0;
-    let mut idle_rev: u64 = 0;
     let mut idle_rf: u64 = 0;
-    let mut spin_retries: u64 = 0;
     let mut mix = InstrMix::new();
     for t in traces {
         mix.merge(&t.instr_mix());
@@ -363,17 +350,15 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
     while let Some((avail, tid)) = ready.head() {
         let th = &mut threads[tid];
         let issue_at = avail.max(cycle);
-        // Attribute the idle gap [cycle, issue_at), if any. Some tasklet is
+        // Attribute the idle gap [cycle, issue_at), if any; what memory and
+        // the RF hazard leave of it is revolver idle. Some tasklet is
         // stalled on DMA exactly when the engine is still busy: every
         // blocking DMA ends no later than the last one, which ends when
         // the engine frees.
         let gap = issue_at - cycle;
         let memory_stalled = !cfg.non_blocking_dma && engine_free > cycle;
-        let mem = if memory_stalled { gap } else { 0 };
-        let rf = if !memory_stalled && th.rf_pending { gap.min(rf_penalty) } else { 0 };
-        idle_mem += mem;
-        idle_rf += rf;
-        idle_rev += gap - mem - rf;
+        idle_mem += if memory_stalled { gap } else { 0 };
+        idle_rf += if !memory_stalled && th.rf_pending { gap.min(rf_penalty) } else { 0 };
         th.rf_pending = false;
 
         // Tasklet-level: settle the wait interval that ends at this issue.
@@ -454,7 +439,6 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
                         // Contended acquire: the attempt failed, the tasklet
                         // backs off and retries (§6.4.2 — contention inflates
                         // sync instruction counts). The event is not consumed.
-                        spin_retries += 1;
                         th.counters.spin_retries += 1;
                         mix.add(InstrClass::Sync, 1);
                         let backoff = cfg.mutex_backoff_cycles as u64;
@@ -533,30 +517,17 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
         counters.merge(&set);
         tasklets.push(set);
     }
+    // Every slot neither issued nor idle on memory or an RF hazard —
+    // revolver gaps, sync-induced underutilization and pipeline drain — is
+    // revolver idle.
     counters.add(CounterId::SlotIssue, issued);
     counters.add(CounterId::SlotMemory, idle_mem);
-    counters
-        .add(CounterId::SlotRevolver, idle_rev + (total_cycles - issued - idle_mem - idle_rev - idle_rf));
+    counters.add(CounterId::SlotRevolver, total_cycles - issued - idle_mem - idle_rf);
     counters.add(CounterId::SlotRf, idle_rf);
     counters.add(CounterId::DpuCycles, total_cycles);
     counters.add(CounterId::TaskletBudget, n as u64 * total_cycles);
 
-    DpuProfile {
-        report: DpuReport {
-            total_cycles,
-            issued_instructions: issued,
-            active_cycles: issued,
-            idle_memory_cycles: idle_mem,
-            idle_revolver_cycles: idle_rev
-                + (total_cycles - issued - idle_mem - idle_rev - idle_rf),
-            idle_rf_cycles: idle_rf,
-            instr_mix: mix,
-            avg_active_threads,
-            spin_retries,
-        },
-        counters,
-        tasklets,
-    }
+    DpuProfile { counters, tasklets, instr_mix: mix, avg_active_threads }
 }
 
 /// Whether the holder of a mutex that `requester` waits on can still
@@ -625,16 +596,13 @@ pub fn straggler_extra_cycles(base_cycles: u64, multiplier: f64) -> u64 {
 }
 
 /// What [`estimate_cycles`] and [`estimate_stats`] yield for one DPU: the
-/// cycle estimate plus the exact instruction accounting that
-/// [`TaskletTrace::instructions`] and [`TaskletTrace::instr_mix`] would
-/// give summed over the tasklets.
+/// cycle estimate plus the exact instruction mix that
+/// [`TaskletTrace::instr_mix`] would give summed over the tasklets (its
+/// total is the instructions they issue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEstimate {
     /// Estimated makespan in cycles, including pipeline drain.
     pub cycles: u64,
-    /// Instructions the tasklets issue (compute + one per DMA, mutex op
-    /// and barrier).
-    pub instructions: u64,
     /// Instruction-mix histogram of the tasklets.
     pub mix: InstrMix,
 }
@@ -642,7 +610,7 @@ pub struct TraceEstimate {
 /// Cheap analytic lower-bound-style estimate of the cycles a trace set
 /// needs, used for DPUs outside the detailed sample
 /// ([`crate::config::SimFidelity::Sampled`]), together with the trace
-/// set's instruction count and mix, all from a single walk of the events.
+/// set's instruction mix, both from a single walk of the events.
 ///
 /// Takes the maximum of three structural bounds: the single-issue pipeline
 /// bound, the per-thread revolver bound (instructions spaced by the
@@ -674,27 +642,26 @@ pub fn estimate_cycles(traces: &[TaskletTrace], cfg: &PipelineConfig) -> TraceEs
         }
         (instrs, dma_wait)
     });
-    let (cycles, instructions) = estimate_bound(loads, cfg);
-    TraceEstimate { cycles, instructions, mix }
+    let cycles = estimate_bound(loads, cfg);
+    TraceEstimate { cycles, mix }
 }
 
 /// [`estimate_cycles`] fed by [`TaskletStats`] recorders instead of event
 /// traces: the same calls recorded into either recorder give the same
-/// estimate, instruction count and mix.
+/// estimate and mix.
 pub fn estimate_stats(stats: &[TaskletStats], cfg: &PipelineConfig) -> TraceEstimate {
     let mut mix = InstrMix::new();
     for s in stats {
         mix.merge(&s.instr_mix());
     }
-    let (cycles, instructions) =
-        estimate_bound(stats.iter().map(|s| (s.instructions(), s.dma_cycles())), cfg);
-    TraceEstimate { cycles, instructions, mix }
+    let cycles = estimate_bound(stats.iter().map(|s| (s.instructions(), s.dma_cycles())), cfg);
+    TraceEstimate { cycles, mix }
 }
 
 /// The estimate formula over per-tasklet `(instructions, DMA cycles)`
 /// loads: the largest of the issue, per-thread revolver and DMA engine
-/// bounds plus pipeline drain, and the total instruction count.
-fn estimate_bound(loads: impl Iterator<Item = (u64, u64)>, cfg: &PipelineConfig) -> (u64, u64) {
+/// bounds plus pipeline drain.
+fn estimate_bound(loads: impl Iterator<Item = (u64, u64)>, cfg: &PipelineConfig) -> u64 {
     let mut issue_bound: u64 = 0;
     let mut thread_bound: u64 = 0;
     let mut dma_bound: u64 = 0;
@@ -703,7 +670,7 @@ fn estimate_bound(loads: impl Iterator<Item = (u64, u64)>, cfg: &PipelineConfig)
         dma_bound += dma_wait;
         thread_bound = thread_bound.max(instrs * cfg.revolver_period as u64 + dma_wait);
     }
-    (issue_bound.max(thread_bound).max(dma_bound) + cfg.pipeline_depth as u64, issue_bound)
+    issue_bound.max(thread_bound).max(dma_bound) + cfg.pipeline_depth as u64
 }
 
 #[cfg(test)]
@@ -717,21 +684,22 @@ mod tests {
 
     #[test]
     fn empty_traces_take_only_drain_cycles() {
-        let r = simulate_dpu(&[TaskletTrace::new()], &cfg());
-        assert_eq!(r.issued_instructions, 0);
-        assert_eq!(r.total_cycles, cfg().pipeline_depth as u64);
+        let r = simulate_dpu_profiled(&[TaskletTrace::new()], &cfg());
+        assert_eq!(r.counters.get(CounterId::SlotIssue), 0);
+        assert_eq!(r.counters.get(CounterId::DpuCycles), cfg().pipeline_depth as u64);
     }
 
     #[test]
     fn single_thread_is_revolver_bound() {
         let mut t = TaskletTrace::new();
         t.compute(InstrClass::Arith, 100);
-        let r = simulate_dpu(&[t], &cfg());
-        assert_eq!(r.issued_instructions, 100);
+        let r = simulate_dpu_profiled(&[t], &cfg());
+        assert_eq!(r.counters.get(CounterId::SlotIssue), 100);
         // 100 instructions spaced 11 apart: last issues at cycle 99*11.
-        assert_eq!(r.total_cycles, 99 * 11 + 1 + cfg().pipeline_depth as u64);
-        assert!(r.idle_revolver_cycles > 0);
-        assert_eq!(r.idle_memory_cycles, 0);
+        let makespan = 99 * 11 + 1 + cfg().pipeline_depth as u64;
+        assert_eq!(r.counters.get(CounterId::DpuCycles), makespan);
+        assert!(r.counters.get(CounterId::SlotRevolver) > 0);
+        assert_eq!(r.counters.get(CounterId::SlotMemory), 0);
     }
 
     #[test]
@@ -743,12 +711,12 @@ mod tests {
                 t
             })
             .collect();
-        let r = simulate_dpu(&traces, &cfg());
-        assert_eq!(r.issued_instructions, 550);
+        let r = simulate_dpu_profiled(&traces, &cfg());
+        assert_eq!(r.counters.get(CounterId::SlotIssue), 550);
         // With >= revolver_period ready threads the pipeline issues every
         // cycle: makespan ~= instruction count.
-        assert!(r.total_cycles <= 550 + cfg().pipeline_depth as u64 + 11);
-        assert_eq!(r.idle_memory_cycles, 0);
+        assert!(r.counters.get(CounterId::DpuCycles) <= 550 + cfg().pipeline_depth as u64 + 11);
+        assert_eq!(r.counters.get(CounterId::SlotMemory), 0);
     }
 
     #[test]
@@ -763,9 +731,9 @@ mod tests {
                 .collect()
         };
         // Same total work, spread over 2 vs 16 tasklets.
-        let r2 = simulate_dpu(&work(2, 800), &cfg());
-        let r16 = simulate_dpu(&work(16, 100), &cfg());
-        assert!(r16.total_cycles < r2.total_cycles);
+        let r2 = simulate_dpu_profiled(&work(2, 800), &cfg());
+        let r16 = simulate_dpu_profiled(&work(16, 100), &cfg());
+        assert!(r16.counters.get(CounterId::DpuCycles) < r2.counters.get(CounterId::DpuCycles));
     }
 
     #[test]
@@ -777,10 +745,10 @@ mod tests {
         t0.compute(InstrClass::Arith, 5);
         let mut t1 = TaskletTrace::new();
         t1.compute(InstrClass::Arith, 200);
-        let r = simulate_dpu(&[t0, t1], &cfg());
-        assert_eq!(r.issued_instructions, 206);
+        let r = simulate_dpu_profiled(&[t0, t1], &cfg());
+        assert_eq!(r.counters.get(CounterId::SlotIssue), 206);
         // Thread 1's 200 instructions spaced 11 apart dominate.
-        assert!(r.total_cycles >= 199 * 11);
+        assert!(r.counters.get(CounterId::DpuCycles) >= 199 * 11);
     }
 
     #[test]
@@ -792,13 +760,14 @@ mod tests {
             }
             t
         };
-        let one = simulate_dpu(&[mk(8)], &cfg());
+        let one = simulate_dpu_profiled(&[mk(8)], &cfg());
         let spread: Vec<TaskletTrace> = (0..8).map(|_| mk(1)).collect();
-        let eight = simulate_dpu(&spread, &cfg());
+        let eight = simulate_dpu_profiled(&spread, &cfg());
         // Same total bytes through one serialized engine: similar makespan.
-        let ratio = eight.total_cycles as f64 / one.total_cycles as f64;
+        let cycles = |p: &DpuProfile| p.counters.get(CounterId::DpuCycles) as f64;
+        let ratio = cycles(&eight) / cycles(&one);
         assert!(ratio > 0.8 && ratio < 1.2, "ratio {ratio}");
-        assert!(one.idle_memory_cycles > 0);
+        assert!(one.counters.get(CounterId::SlotMemory) > 0);
     }
 
     #[test]
@@ -812,7 +781,7 @@ mod tests {
             }
             t
         };
-        let contended = simulate_dpu(&[mk(), mk(), mk(), mk()], &cfg());
+        let contended = simulate_dpu_profiled(&[mk(), mk(), mk(), mk()], &cfg());
         // Four disjoint mutexes: no contention.
         let mk_id = |id: u16| -> TaskletTrace {
             let mut t = TaskletTrace::new();
@@ -823,14 +792,15 @@ mod tests {
             }
             t
         };
-        let free = simulate_dpu(&[mk_id(0), mk_id(1), mk_id(2), mk_id(3)], &cfg());
-        assert!(contended.total_cycles > free.total_cycles);
+        let free = simulate_dpu_profiled(&[mk_id(0), mk_id(1), mk_id(2), mk_id(3)], &cfg());
+        let (c, f) = (&contended.counters, &free.counters);
+        assert!(c.get(CounterId::DpuCycles) > f.get(CounterId::DpuCycles));
         // Contention produces retry attempts, each an extra Sync issue.
-        assert!(contended.spin_retries > 0);
-        assert_eq!(free.spin_retries, 0);
+        assert!(c.get(CounterId::SpinRetries) > 0);
+        assert_eq!(f.get(CounterId::SpinRetries), 0);
         assert_eq!(
-            contended.issued_instructions,
-            free.issued_instructions + contended.spin_retries,
+            c.get(CounterId::SlotIssue),
+            f.get(CounterId::SlotIssue) + c.get(CounterId::SpinRetries),
         );
         assert!(
             contended.instr_mix.count(crate::instr::InstrClass::Sync)
@@ -851,9 +821,9 @@ mod tests {
         t1.compute(InstrClass::Arith, 300);
         t1.barrier();
         t1.compute(InstrClass::Arith, 1);
-        let r = simulate_dpu(&[t0, t1], &cfg());
-        assert!(r.total_cycles >= 299 * 11);
-        assert_eq!(r.issued_instructions, 1 + 1 + 300 + 1 + 2);
+        let r = simulate_dpu_profiled(&[t0, t1], &cfg());
+        assert!(r.counters.get(CounterId::DpuCycles) >= 299 * 11);
+        assert_eq!(r.counters.get(CounterId::SlotIssue), 1 + 1 + 300 + 1 + 2);
     }
 
     #[test]
@@ -869,11 +839,8 @@ mod tests {
         t1.barrier();
         let mut t0b = t0.clone();
         t0b.barrier();
-        let r = simulate_dpu(&[t0b, t1], &cfg());
-        assert_eq!(
-            r.total_cycles,
-            r.active_cycles + r.idle_memory_cycles + r.idle_revolver_cycles + r.idle_rf_cycles,
-        );
+        let c = simulate_dpu_profiled(&[t0b, t1], &cfg()).counters;
+        assert_eq!(c.get(CounterId::DpuCycles), c.sum(&CounterId::SLOT_CYCLES));
     }
 
     #[test]
@@ -882,11 +849,12 @@ mod tests {
         c.rf_hazard_rate = 1.0; // every register-reading instruction conflicts
         let mut t = TaskletTrace::new();
         t.compute(InstrClass::Arith, 50);
-        let hazard = simulate_dpu(&[t.clone()], &c);
-        let clean = simulate_dpu(&[t], &cfg());
-        assert!(hazard.total_cycles > clean.total_cycles);
-        assert!(hazard.idle_rf_cycles > 0);
-        assert_eq!(clean.idle_rf_cycles, 0);
+        let hazard = simulate_dpu_profiled(&[t.clone()], &c);
+        let clean = simulate_dpu_profiled(&[t], &cfg());
+        let (h, c) = (&hazard.counters, &clean.counters);
+        assert!(h.get(CounterId::DpuCycles) > c.get(CounterId::DpuCycles));
+        assert!(h.get(CounterId::SlotRf) > 0);
+        assert_eq!(c.get(CounterId::SlotRf), 0);
     }
 
     #[test]
@@ -900,8 +868,8 @@ mod tests {
                 })
                 .collect()
         };
-        let r1 = simulate_dpu(&mk(1), &cfg());
-        let r8 = simulate_dpu(&mk(8), &cfg());
+        let r1 = simulate_dpu_profiled(&mk(1), &cfg());
+        let r8 = simulate_dpu_profiled(&mk(8), &cfg());
         assert!(r8.avg_active_threads > r1.avg_active_threads);
         assert!(r1.avg_active_threads <= 1.01);
     }
@@ -920,7 +888,7 @@ mod tests {
         holder.mutex_lock(0);
         holder.compute(InstrClass::Arith, 100);
         holder.mutex_unlock(0);
-        simulate_dpu(&[holder, t], &cfg());
+        simulate_dpu_profiled(&[holder, t], &cfg());
     }
 
     #[test]
@@ -933,7 +901,7 @@ mod tests {
         waiter.compute(InstrClass::Arith, 5);
         waiter.mutex_lock(0);
         waiter.mutex_unlock(0);
-        simulate_dpu(&[holder, waiter], &cfg());
+        simulate_dpu_profiled(&[holder, waiter], &cfg());
     }
 
     #[test]
@@ -950,7 +918,7 @@ mod tests {
         waiter.mutex_lock(0);
         waiter.mutex_unlock(0);
         waiter.barrier();
-        simulate_dpu(&[holder, waiter], &cfg());
+        simulate_dpu_profiled(&[holder, waiter], &cfg());
     }
 
     #[test]
@@ -966,7 +934,7 @@ mod tests {
             t.mutex_unlock(first);
             t
         };
-        simulate_dpu(&[crossed(0, 1), crossed(1, 0)], &cfg());
+        simulate_dpu_profiled(&[crossed(0, 1), crossed(1, 0)], &cfg());
     }
 
     #[test]
@@ -987,9 +955,9 @@ mod tests {
         last.compute(InstrClass::Arith, 5);
         last.mutex_lock(1);
         last.mutex_unlock(1);
-        let r = simulate_dpu(&[first, middle, last], &cfg());
-        assert!(r.spin_retries > 0);
-        assert_eq!(r.issued_instructions, 32 + 6 + 7 + r.spin_retries);
+        let c = simulate_dpu_profiled(&[first, middle, last], &cfg()).counters;
+        assert!(c.get(CounterId::SpinRetries) > 0);
+        assert_eq!(c.get(CounterId::SlotIssue), 32 + 6 + 7 + c.get(CounterId::SpinRetries));
     }
 
     #[test]
@@ -1002,7 +970,8 @@ mod tests {
             t.compute(InstrClass::LoadStore, 80);
             traces.push(t);
         }
-        let sim = simulate_dpu(&traces, &cfg()).total_cycles as f64;
+        let sim = simulate_dpu_profiled(&traces, &cfg()).counters.get(CounterId::DpuCycles);
+        let sim = sim as f64;
         let est = estimate_cycles(&traces, &cfg()).cycles as f64;
         let ratio = sim / est;
         assert!(ratio > 0.5 && ratio < 2.0, "ratio {ratio}");
@@ -1011,7 +980,7 @@ mod tests {
     // --- observability-layer tests ---
 
     fn assert_tasklet_partition(profile: &DpuProfile) {
-        let total = profile.report.total_cycles;
+        let total = profile.counters.get(CounterId::DpuCycles);
         for (i, t) in profile.tasklets.iter().enumerate() {
             assert_eq!(
                 t.sum(&CounterId::TASKLET_CYCLES),
@@ -1027,20 +996,6 @@ mod tests {
             profile.counters.sum(&CounterId::SLOT_CYCLES),
             profile.counters.get(CounterId::DpuCycles),
         );
-    }
-
-    #[test]
-    fn profiled_report_matches_plain_simulation() {
-        let mut t0 = TaskletTrace::new();
-        t0.dma(1024);
-        t0.compute(InstrClass::Arith, 60);
-        let mut t1 = TaskletTrace::new();
-        t1.compute(InstrClass::LoadStore, 90);
-        let traces = vec![t0, t1];
-        let plain = simulate_dpu(&traces, &cfg());
-        let profile = simulate_dpu_profiled(&traces, &cfg());
-        assert_eq!(plain, profile.report);
-        assert_tasklet_partition(&profile);
     }
 
     #[test]
@@ -1164,7 +1119,7 @@ mod tests {
         t.compute(InstrClass::Arith, 30);
         let p = simulate_dpu_profiled(&[t, TaskletTrace::new()], &cfg());
         let idle = &p.tasklets[1];
-        assert_eq!(idle.get(CounterId::TaskletTail), p.report.total_cycles);
+        assert_eq!(idle.get(CounterId::TaskletTail), p.counters.get(CounterId::DpuCycles));
         assert_eq!(idle.get(CounterId::TaskletIssue), 0);
         assert_tasklet_partition(&p);
     }

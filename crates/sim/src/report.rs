@@ -98,43 +98,24 @@ fn trace_set_key(traces: &[TaskletTrace]) -> u64 {
     h
 }
 
-/// Cycle-level result of simulating one DPU (the Fig 9–11 metrics).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DpuReport {
-    /// Makespan in cycles, including pipeline drain.
-    pub total_cycles: u64,
-    /// Instructions issued.
-    pub issued_instructions: u64,
-    /// Cycles in which an instruction was dispatched (== issued).
-    pub active_cycles: u64,
-    /// Idle cycles attributed to tasklets waiting on DMA (gray in Fig 9).
-    pub idle_memory_cycles: u64,
-    /// Idle cycles attributed to the revolver dispatch constraint,
-    /// including sync-induced underutilization (light blue in Fig 9).
-    pub idle_revolver_cycles: u64,
-    /// Idle cycles attributed to even/odd register-file bank conflicts
-    /// (dark blue in Fig 9).
-    pub idle_rf_cycles: u64,
-    /// Instruction histogram (Fig 11).
-    pub instr_mix: InstrMix,
-    /// Average number of unblocked tasklets per cycle (Fig 10).
-    pub avg_active_threads: f64,
-    /// Extra `Sync` instructions issued retrying contended mutexes.
-    pub spin_retries: u64,
-}
-
-/// Full observability result of simulating one DPU: the slot-level report
-/// plus the counter rollup and each tasklet's exact cycle attribution
-/// (see [`crate::pipeline::simulate_dpu_profiled`]).
+/// Full observability result of simulating one DPU (the Fig 9–11
+/// metrics): the counter rollup with each tasklet's exact cycle
+/// attribution, plus the two per-DPU numbers no counter holds (see
+/// [`crate::pipeline::simulate_dpu_profiled`]). The makespan is
+/// `dpu.cycles`, the issued instructions `slot.issue`, the idle slots the
+/// other `slot.*` counters and the contended-mutex retries
+/// `event.spin_retries`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DpuProfile {
-    /// The slot-level cycle report.
-    pub report: DpuReport,
     /// Counter rollup over the whole DPU (tasklet counters summed, slot
     /// counters and budgets included).
     pub counters: CounterSet,
     /// One exact cycle attribution per tasklet, in tasklet order.
     pub tasklets: Vec<CounterSet>,
+    /// Instruction histogram, spin retries included (Fig 11).
+    pub instr_mix: InstrMix,
+    /// Average number of unblocked tasklets per cycle (Fig 10).
+    pub avg_active_threads: f64,
 }
 
 /// Per-DPU observability record retained in a [`KernelReport`] when the
@@ -143,30 +124,24 @@ pub struct DpuProfile {
 pub struct DpuDetail {
     /// Which DPU this record describes.
     pub dpu_id: u32,
-    /// The DPU's makespan in cycles.
-    pub total_cycles: u64,
-    /// Instructions the DPU issued.
-    pub issued_instructions: u64,
-    /// The DPU's counter rollup.
+    /// The DPU's counter rollup: its makespan is `dpu.cycles` and its
+    /// issued instructions `slot.issue`.
     pub counters: CounterSet,
     /// Per-tasklet cycle attributions (empty below
     /// [`crate::config::ObservabilityLevel::PerTasklet`]).
     pub tasklets: Vec<CounterSet>,
 }
 
+/// The slot-level categories of Fig 9, in export order: issue-active,
+/// memory-stall, revolver-constraint and register-file-hazard cycles.
+const FIG9_SLOTS: [CounterId; 4] =
+    [CounterId::SlotIssue, CounterId::SlotMemory, CounterId::SlotRevolver, CounterId::SlotRf];
+
 /// Aggregated cycle breakdown across the DPUs that received detailed
 /// simulation. All quantities are sums of per-DPU cycles, so fractions are
 /// meaningful machine-wide.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CycleBreakdown {
-    /// Issue-active cycles.
-    pub active: u64,
-    /// Memory-stall idle cycles.
-    pub memory: u64,
-    /// Revolver-constraint idle cycles.
-    pub revolver: u64,
-    /// Register-file hazard idle cycles.
-    pub rf: u64,
     /// The full counter-registry rollup over the detailed sample: slot and
     /// tasklet cycle attribution, event counts, and (once the kernel layer
     /// merges them in) host/transfer traffic.
@@ -174,9 +149,10 @@ pub struct CycleBreakdown {
 }
 
 impl CycleBreakdown {
-    /// Total cycles across all categories.
+    /// Total cycles across the four Fig 9 categories (`slot.fault` left
+    /// out).
     pub fn total(&self) -> u64 {
-        self.active + self.memory + self.revolver + self.rf
+        self.counters.sum(&FIG9_SLOTS)
     }
 
     /// `(active, memory, revolver, rf)` as fractions of the total.
@@ -185,12 +161,8 @@ impl CycleBreakdown {
         if t == 0.0 {
             return (0.0, 0.0, 0.0, 0.0);
         }
-        (
-            self.active as f64 / t,
-            self.memory as f64 / t,
-            self.revolver as f64 / t,
-            self.rf as f64 / t,
-        )
+        let [active, memory, revolver, rf] = FIG9_SLOTS.map(|id| self.counters.get(id) as f64 / t);
+        (active, memory, revolver, rf)
     }
 
     /// The value of one registry counter in the rollup.
@@ -210,43 +182,31 @@ impl CycleBreakdown {
         }
     }
 
-    /// The rollup as a JSON object: the four slot-level fields plus a
+    /// The rollup as a JSON object: the four Fig 9 slot categories plus a
     /// `"counters"` object keyed by registry label, in registry order.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"active\":{},\"memory\":{},\"revolver\":{},\"rf\":{},\"counters\":",
-            self.active, self.memory, self.revolver, self.rf
-        ));
-        out.push_str(&counters_json(&self.counters));
-        out.push('}');
-        out
+        let [active, memory, revolver, rf] = FIG9_SLOTS.map(|id| self.counters.get(id));
+        format!(
+            "{{\"active\":{active},\"memory\":{memory},\"revolver\":{revolver},\"rf\":{rf},\
+             \"counters\":{}}}",
+            counters_json(&self.counters)
+        )
     }
 
-    /// CSV header matching [`Self::csv_row`]: the four slot-level fields
-    /// followed by every registry counter label.
+    /// CSV header matching [`Self::csv_row`]: the four Fig 9 slot
+    /// categories followed by every registry counter label.
     pub fn csv_header() -> String {
-        let mut cols = vec![
-            "active".to_string(),
-            "memory".to_string(),
-            "revolver".to_string(),
-            "rf".to_string(),
-        ];
-        cols.extend(CounterId::ALL.iter().map(|id| id.label().to_string()));
+        let labels = CounterId::ALL.iter().map(|id| id.label());
+        let cols: Vec<&str> = ["active", "memory", "revolver", "rf"].into_iter().chain(labels).collect();
         cols.join(",")
     }
 
     /// One CSV row of this rollup's values, aligned with
     /// [`Self::csv_header`].
     pub fn csv_row(&self) -> String {
-        let mut cols = vec![
-            self.active.to_string(),
-            self.memory.to_string(),
-            self.revolver.to_string(),
-            self.rf.to_string(),
-        ];
-        cols.extend(self.counters.iter().map(|(_, v)| v.to_string()));
-        cols.join(",")
+        let slots = FIG9_SLOTS.iter().map(|&id| self.counters.get(id));
+        let values = slots.chain(self.counters.iter().map(|(_, v)| v));
+        values.map(|v| v.to_string()).collect::<Vec<_>>().join(",")
     }
 }
 
@@ -345,8 +305,8 @@ impl KernelReport {
             out.push_str(&format!(
                 "{{\"dpu_id\":{},\"total_cycles\":{},\"issued_instructions\":{},\"counters\":{}",
                 d.dpu_id,
-                d.total_cycles,
-                d.issued_instructions,
+                d.counters.get(CounterId::DpuCycles),
+                d.counters.get(CounterId::SlotIssue),
                 counters_json(&d.counters),
             ));
             out.push_str(",\"tasklets\":[");
@@ -375,7 +335,7 @@ impl KernelReport {
             out.push_str(&format!(
                 "{},{},{}\n",
                 d.dpu_id,
-                d.total_cycles,
+                d.counters.get(CounterId::DpuCycles),
                 counter_value_row(&d.counters),
             ));
         }
@@ -408,7 +368,6 @@ fn json_f64(x: f64) -> String {
 pub struct DpuEval {
     dpu_id: u32,
     mix: InstrMix,
-    instructions: u64,
     est_cycles: u64,
     detailed: Option<DpuProfile>,
     /// Fault events (injected/detected/recovered/…) this DPU's verdict
@@ -431,7 +390,7 @@ impl DpuEval {
     /// guards only admit active, non-lost partitions for corruption and
     /// verification.
     pub fn is_active(&self) -> bool {
-        self.instructions > 0
+        self.mix.total() > 0
     }
 }
 
@@ -441,11 +400,10 @@ impl DpuEval {
 /// across the `FAULT_CYCLES` buckets) and in the `TaskletFault` slice of
 /// every tasklet's budget.
 fn apply_fault_penalty(engine: &FaultEngine, verdict: FaultVerdict, profile: &mut DpuProfile) {
-    let pen = engine.penalty_cycles(verdict, profile.report.total_cycles);
+    let pen = engine.penalty_cycles(verdict, profile.counters.get(CounterId::DpuCycles));
     if pen == 0 {
         return;
     }
-    profile.report.total_cycles += pen;
     let n = profile.tasklets.len() as u64;
     profile.counters.add(CounterId::DpuCycles, pen);
     profile.counters.add(CounterId::SlotFault, pen);
@@ -474,7 +432,6 @@ pub struct KernelAccumulator {
     added: u32,
     detailed: u32,
     des_max: u64,
-    des_sum: u128,
     est_max: u64,
     est_sum: u128,
     /// Sum of (des_cycles, est_cycles) pairs on detailed DPUs, for
@@ -484,8 +441,6 @@ pub struct KernelAccumulator {
     breakdown: CycleBreakdown,
     mix: InstrMix,
     active_threads_sum: f64,
-    total_instructions: u64,
-    spin_retries: u64,
     details: Vec<DpuDetail>,
     /// This launch's replayed trace sets, for reuse by identical ones.
     replayed: Mutex<ReplayStore>,
@@ -509,7 +464,6 @@ impl KernelAccumulator {
             added: 0,
             detailed: 0,
             des_max: 0,
-            des_sum: 0,
             est_max: 0,
             est_sum: 0,
             calib_des: 0,
@@ -517,8 +471,6 @@ impl KernelAccumulator {
             breakdown: CycleBreakdown::default(),
             mix: InstrMix::new(),
             active_threads_sum: 0.0,
-            total_instructions: 0,
-            spin_retries: 0,
             details: Vec::new(),
             replayed: Mutex::new(ReplayStore::default()),
         }
@@ -640,14 +592,11 @@ impl KernelAccumulator {
         if let SimFidelity::Sampled(_) = self.cfg.fidelity {
             return Clean { estimate: estimate_stats(stats, &self.cfg.pipeline), detailed: None };
         }
-        let mut mix = InstrMix::new();
-        let mut instructions = 0u64;
-        for s in stats {
-            mix.merge(&s.instr_mix());
-            instructions += s.instructions();
-        }
         let profile = crate::analytic::predict_dpu(stats, &self.cfg.pipeline);
-        let estimate = TraceEstimate { cycles: profile.report.total_cycles, instructions, mix };
+        let estimate = TraceEstimate {
+            cycles: profile.counters.get(CounterId::DpuCycles),
+            mix: profile.instr_mix,
+        };
         Clean { estimate, detailed: Some(profile) }
     }
 
@@ -696,7 +645,6 @@ impl KernelAccumulator {
         let idle = |fault_events, lost| DpuEval {
             dpu_id,
             mix: InstrMix::new(),
-            instructions: 0,
             est_cycles: 0,
             detailed: None,
             fault_events,
@@ -718,14 +666,14 @@ impl KernelAccumulator {
             return idle(fault_events, true);
         }
         let Clean { estimate, mut detailed } = clean();
-        let TraceEstimate { cycles: mut est_cycles, instructions, mix } = estimate;
+        let TraceEstimate { cycles: mut est_cycles, mix } = estimate;
         if let Some(engine) = &self.faults {
             est_cycles += engine.penalty_cycles(verdict, est_cycles);
             if let Some(profile) = detailed.as_mut() {
                 apply_fault_penalty(engine, verdict, profile);
             }
         }
-        DpuEval { dpu_id, mix, instructions, est_cycles, detailed, fault_events, lost: false }
+        DpuEval { dpu_id, mix, est_cycles, detailed, fault_events, lost: false }
     }
 
     /// Folds one evaluated DPU into the aggregate. Order-dependent: callers
@@ -738,23 +686,16 @@ impl KernelAccumulator {
         // plan the set is all-zero and this merge changes nothing.
         self.breakdown.counters.merge(&eval.fault_events);
         self.mix.merge(&eval.mix);
-        self.total_instructions += eval.instructions;
         self.est_sum += eval.est_cycles as u128;
         self.est_max = self.est_max.max(eval.est_cycles);
         if let Some(profile) = eval.detailed {
-            let report = profile.report;
+            let cycles = profile.counters.get(CounterId::DpuCycles);
             self.detailed += 1;
-            self.des_max = self.des_max.max(report.total_cycles);
-            self.des_sum += report.total_cycles as u128;
-            self.calib_des += report.total_cycles as u128;
+            self.des_max = self.des_max.max(cycles);
+            self.calib_des += cycles as u128;
             self.calib_est += eval.est_cycles as u128;
-            self.breakdown.active += report.active_cycles;
-            self.breakdown.memory += report.idle_memory_cycles;
-            self.breakdown.revolver += report.idle_revolver_cycles;
-            self.breakdown.rf += report.idle_rf_cycles;
             self.breakdown.counters.merge(&profile.counters);
-            self.active_threads_sum += report.avg_active_threads;
-            self.spin_retries += report.spin_retries;
+            self.active_threads_sum += profile.avg_active_threads;
             if self.cfg.observability.records_per_dpu() {
                 // A detailed DPU's record carries its own fault events so
                 // the retained details stay self-consistent per DPU.
@@ -762,8 +703,6 @@ impl KernelAccumulator {
                 counters.merge(&eval.fault_events);
                 self.details.push(DpuDetail {
                     dpu_id: eval.dpu_id,
-                    total_cycles: report.total_cycles,
-                    issued_instructions: report.issued_instructions,
                     counters,
                     tasklets: if self.cfg.observability.records_per_tasklet() {
                         profile.tasklets
@@ -818,9 +757,9 @@ impl KernelAccumulator {
         // Contended-mutex retries are observed only on detailed DPUs; scale
         // them to the full machine so Fig 11's sync share stays unbiased.
         let mut mix = self.mix;
-        if self.detailed > 0 && self.spin_retries > 0 {
-            let scaled =
-                (self.spin_retries as f64 * self.added as f64 / self.detailed as f64) as u64;
+        let spin_retries = self.breakdown.counter(CounterId::SpinRetries);
+        if self.detailed > 0 && spin_retries > 0 {
+            let scaled = (spin_retries as f64 * self.added as f64 / self.detailed as f64) as u64;
             mix.add(crate::instr::InstrClass::Sync, scaled);
         }
         KernelReport {
@@ -836,7 +775,7 @@ impl KernelAccumulator {
             } else {
                 self.active_threads_sum / self.detailed as f64
             },
-            total_instructions: self.total_instructions,
+            total_instructions: self.mix.total(),
             degraded: self.degraded,
             // Filled in by the merge-time integrity guard
             // (`alpha_pim::kernel::integrity`), which is the only layer
@@ -1110,7 +1049,13 @@ mod tests {
 
     #[test]
     fn breakdown_fractions_sum_to_one() {
-        let b = CycleBreakdown { active: 50, memory: 30, revolver: 15, rf: 5, ..Default::default() };
+        let mut b = CycleBreakdown::default();
+        for (id, v) in FIG9_SLOTS.into_iter().zip([50, 30, 15, 5]) {
+            b.counters.set(id, v);
+        }
+        // Fault cycles stay outside the Fig 9 total.
+        b.counters.set(CounterId::SlotFault, 40);
+        assert_eq!(b.total(), 100);
         let (a, m, r, f) = b.fractions();
         assert!((a + m + r + f - 1.0).abs() < 1e-12);
         assert!((a - 0.5).abs() < 1e-12);
@@ -1186,11 +1131,6 @@ mod tests {
         let c = &r.breakdown.counters;
         assert_eq!(c.sum(&CounterId::SLOT_CYCLES), c.get(CounterId::DpuCycles));
         assert_eq!(c.sum(&CounterId::TASKLET_CYCLES), c.get(CounterId::TaskletBudget));
-        // The legacy four-field breakdown and the slot counters agree.
-        assert_eq!(r.breakdown.active, c.get(CounterId::SlotIssue));
-        assert_eq!(r.breakdown.memory, c.get(CounterId::SlotMemory));
-        assert_eq!(r.breakdown.revolver, c.get(CounterId::SlotRevolver));
-        assert_eq!(r.breakdown.rf, c.get(CounterId::SlotRf));
     }
 
     #[test]

@@ -16,28 +16,7 @@
 //!    DPU left, the kernel completes without the dead partitions and the
 //!    report carries a `degraded` flag plus per-fault accounting.
 
-use crate::config::ResiliencePolicy;
 use crate::counters::{CounterId, CounterSet};
-
-/// Total backoff wait of `retries` exponential rounds, in simulated cycles
-/// (`base, 2·base, 4·base, …`; the shift is capped so the sum stays finite
-/// for adversarial retry counts, and the whole sum saturates at
-/// `u64::MAX` rather than overflowing for adversarial base cycles).
-pub fn backoff_cycles(policy: &ResiliencePolicy, retries: u32) -> u64 {
-    crate::faults::saturating_backoff(policy.backoff_base_cycles, retries)
-}
-
-/// Wall-clock seconds a transfer timeout adds: each retry re-sends the
-/// whole batch and then waits out its backoff window.
-pub fn timeout_penalty_seconds(
-    policy: &ResiliencePolicy,
-    batch_seconds: f64,
-    retries: u32,
-    cycle_seconds: f64,
-) -> f64 {
-    crate::transfer::retransmit_seconds(batch_seconds, retries)
-        + backoff_cycles(policy, retries) as f64 * cycle_seconds
-}
 
 /// Records one detected-and-recovered transfer timeout with its retry
 /// rounds into `events`.
@@ -138,45 +117,49 @@ impl RecoverySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn policy() -> ResiliencePolicy {
-        ResiliencePolicy::default()
-    }
+    use crate::config::{FaultPlan, PimConfig, ResiliencePolicy};
+    use crate::faults::saturating_backoff;
+    use crate::transfer::scatter_counted;
 
     #[test]
     fn backoff_doubles_each_round() {
-        let p = policy();
-        let b = p.backoff_base_cycles;
-        assert_eq!(backoff_cycles(&p, 0), 0);
-        assert_eq!(backoff_cycles(&p, 1), b);
-        assert_eq!(backoff_cycles(&p, 4), b * (1 + 2 + 4 + 8));
+        let b = ResiliencePolicy::default().backoff_base_cycles;
+        assert_eq!(saturating_backoff(b, 0), 0);
+        assert_eq!(saturating_backoff(b, 1), b);
+        assert_eq!(saturating_backoff(b, 4), b * (1 + 2 + 4 + 8));
     }
 
     #[test]
     fn backoff_shift_is_capped() {
-        let p = policy();
+        let b = ResiliencePolicy::default().backoff_base_cycles;
         // 64 rounds would otherwise shift past the word width.
-        assert!(backoff_cycles(&p, 64) > backoff_cycles(&p, 32));
+        assert!(saturating_backoff(b, 64) > saturating_backoff(b, 32));
     }
 
     #[test]
     fn backoff_never_overflows_for_extreme_policies() {
-        let mut p = policy();
-        p.backoff_base_cycles = u64::MAX;
-        assert_eq!(backoff_cycles(&p, u32::MAX), u64::MAX);
-        assert_eq!(backoff_cycles(&p, 0), 0);
-        p.backoff_base_cycles = 1 << 62;
-        assert_eq!(backoff_cycles(&p, 100), u64::MAX);
+        assert_eq!(saturating_backoff(u64::MAX, u32::MAX), u64::MAX);
+        assert_eq!(saturating_backoff(u64::MAX, 0), 0);
+        assert_eq!(saturating_backoff(1 << 62, 100), u64::MAX);
     }
 
     #[test]
     fn timeout_penalty_charges_resends_and_backoff() {
-        let p = policy();
-        let cycle_s = 1e-9;
-        let pen = timeout_penalty_seconds(&p, 2.0e-3, 2, cycle_s);
-        let expected = 2.0 * 2.0e-3 + (p.backoff_base_cycles * 3) as f64 * cycle_s;
-        assert!((pen - expected).abs() < 1e-15, "pen={pen} expected={expected}");
-        assert_eq!(timeout_penalty_seconds(&p, 2.0e-3, 0, cycle_s), 0.0);
+        // Every batch times out: it is sent once plus once per retry, and
+        // each retry first waits out its backoff window.
+        let plan = FaultPlan { timeout_rate: 1.0, ..FaultPlan::uniform(0x7175_E007, 0.0) };
+        let cfg = PimConfig { num_dpus: 64, faults: Some(plan), ..Default::default() };
+        let sys = crate::PimSystem::new(cfg.clone()).expect("valid config");
+        let payloads = vec![4096u64; 64];
+        let clean = scatter_counted(&cfg.transfer, &payloads, &mut CounterSet::new());
+        let mut k = CounterSet::new();
+        let seconds = sys.scatter_time_counted(&payloads, &mut k);
+        let retries = k.get(CounterId::FaultRetries);
+        assert!(retries > 0 && k.get(CounterId::FaultTimeouts) == 1);
+        let base = cfg.faults.as_ref().expect("set above").policy.backoff_base_cycles;
+        let backoff = saturating_backoff(base, retries as u32);
+        let expected = clean * (1 + retries) as f64 + backoff as f64 * cfg.cycle_seconds();
+        assert!((seconds - expected).abs() < 1e-15, "seconds={seconds} expected={expected}");
     }
 
     #[test]

@@ -107,17 +107,9 @@ impl PimSystem {
             return base;
         }
         resilience::record_timeout(counters, retries);
-        base + resilience::timeout_penalty_seconds(
-            engine.policy(),
-            base,
-            retries,
-            self.cfg.cycle_seconds(),
-        )
-    }
-
-    /// Seconds for the host to scan a vector once (convergence check).
-    pub fn scan_time(&self, elements: u64, bytes_per_element: u32) -> f64 {
-        host::scan_time(&self.cfg.host, elements, bytes_per_element)
+        // Each retry re-sends the whole batch after its backoff window.
+        base + (retries as f64 * base
+            + engine.backoff_cycles(retries) as f64 * self.cfg.cycle_seconds())
     }
 
     /// Seconds to scatter distinct payloads to the DPUs (CPU→DPU),
@@ -164,7 +156,8 @@ impl PimSystem {
         host::merge_time_counted(&self.cfg.host, elements, fan_in, bytes_per_element, counters)
     }
 
-    /// [`Self::scan_time`] that records host-side work into `counters`.
+    /// Seconds for the host to scan a vector once (convergence check),
+    /// recording host-side work into `counters`.
     pub fn scan_time_counted(
         &self,
         elements: u64,
@@ -251,32 +244,38 @@ mod tests {
         assert!(sys.scatter_time_counted(&vec![1024; 64], &mut k) > 0.0);
         assert!(sys.gather_time_counted(&vec![1024; 64], &mut k) > 0.0);
         assert!(sys.merge_time_counted(1 << 20, 4, 4, &mut k) > 0.0);
-        assert!(sys.scan_time(1 << 20, 4) > 0.0);
+        assert!(sys.scan_time_counted(1 << 20, 4, &mut k) > 0.0);
     }
 
+    /// Without a fault plan to add timeouts, the system's helpers price a
+    /// batch or a reduction exactly as the transfer and host models do, and
+    /// record the same counts.
     #[test]
-    fn counted_helpers_agree_with_uncounted_ones() {
-        use crate::counters::CounterId;
+    fn fault_free_helpers_price_like_the_models() {
         let sys = PimSystem::new(PimConfig::with_dpus(64)).unwrap();
         let (xfer, hcfg) = (&sys.config().transfer, &sys.config().host);
-        let mut k = CounterSet::new();
+        let (mut k, scratch) = (CounterSet::new(), &mut CounterSet::new());
         assert_eq!(
             sys.broadcast_time_counted(1 << 20, 64, &mut k),
-            transfer::broadcast(xfer, 1 << 20, 64)
+            transfer::broadcast_counted(xfer, 1 << 20, 64, scratch)
         );
         assert_eq!(
             sys.scatter_time_counted(&vec![1024; 64], &mut k),
-            transfer::scatter(xfer, &vec![1024; 64])
+            transfer::scatter_counted(xfer, &vec![1024; 64], scratch)
         );
         assert_eq!(
             sys.gather_time_counted(&vec![1024; 64], &mut k),
-            transfer::gather(xfer, &vec![1024; 64])
+            transfer::gather_counted(xfer, &vec![1024; 64], scratch)
         );
         assert_eq!(
             sys.merge_time_counted(1 << 20, 4, 4, &mut k),
-            host::merge_time(hcfg, 1 << 20, 4, 4)
+            host::merge_time_counted(hcfg, 1 << 20, 4, 4, scratch)
         );
-        assert_eq!(sys.scan_time_counted(1 << 20, 4, &mut k), sys.scan_time(1 << 20, 4));
+        assert_eq!(
+            sys.scan_time_counted(1 << 20, 4, &mut k),
+            host::scan_time_counted(hcfg, 1 << 20, 4, scratch)
+        );
+        assert_eq!(k, *scratch);
         assert_eq!(k.get(CounterId::XferBatches), 3);
         assert_eq!(k.get(CounterId::HostReductions), 2);
     }

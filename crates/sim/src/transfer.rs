@@ -3,13 +3,14 @@
 //! The UPMEM SDK moves data between host memory and DPU MRAM banks through
 //! the DDR4 bus via a transposition library; parallel transfers overlap
 //! across ranks but share bus bandwidth. Three primitives cover what the
-//! kernels need:
+//! kernels need, each recording its bus bytes and batch as it prices them:
 //!
-//! * [`scatter`] — different payloads to different DPUs (parallel transfer;
-//!   the SDK pads each DPU's slot to the largest payload in the batch);
-//! * [`broadcast`] — the same payload to every DPU (no hardware multicast,
-//!   so the bus carries `bytes × num_dpus`);
-//! * [`gather`] — payloads from DPUs back to the host.
+//! * [`scatter_counted`] — different payloads to different DPUs (parallel
+//!   transfer; the SDK pads each DPU's slot to the largest payload in the
+//!   batch);
+//! * [`broadcast_counted`] — the same payload to every DPU (no hardware
+//!   multicast, so the bus carries `bytes × num_dpus`);
+//! * [`gather_counted`] — payloads from DPUs back to the host.
 
 use crate::config::TransferConfig;
 use crate::counters::{CounterId, CounterSet};
@@ -20,76 +21,65 @@ pub fn effective_bandwidth(cfg: &TransferConfig, active_dpus: u32) -> f64 {
     (cfg.per_dpu_bandwidth * active_dpus as f64).min(cfg.peak_bandwidth)
 }
 
-/// Seconds to scatter distinct per-DPU payloads in one parallel batch.
+/// Seconds to scatter distinct per-DPU payloads in one parallel batch,
+/// recording the bus bytes actually moved and the batch into `counters`.
 ///
 /// The SDK's parallel transfer moves the same number of bytes to every DPU
 /// in a batch, so the batch is padded to the largest payload.
-pub fn scatter(cfg: &TransferConfig, per_dpu_bytes: &[u64]) -> f64 {
-    let active = per_dpu_bytes.iter().filter(|&&b| b > 0).count() as u32;
-    if active == 0 {
-        return 0.0;
-    }
-    let max = *per_dpu_bytes.iter().max().expect("non-empty payload list");
-    let total = max * per_dpu_bytes.len() as u64;
-    cfg.batch_overhead_s + total as f64 / effective_bandwidth(cfg, per_dpu_bytes.len() as u32)
-}
-
-/// Seconds to broadcast the same `bytes` to `num_dpus` DPUs.
-pub fn broadcast(cfg: &TransferConfig, bytes: u64, num_dpus: u32) -> f64 {
-    if bytes == 0 || num_dpus == 0 {
-        return 0.0;
-    }
-    let total = bytes * num_dpus as u64;
-    cfg.batch_overhead_s + total as f64 / effective_bandwidth(cfg, num_dpus)
-}
-
-/// Seconds to gather distinct per-DPU payloads back to the host in one
-/// parallel batch (padded like [`scatter`]).
-pub fn gather(cfg: &TransferConfig, per_dpu_bytes: &[u64]) -> f64 {
-    scatter(cfg, per_dpu_bytes)
-}
-
-/// [`scatter`] that also records the bus bytes actually moved (after the
-/// SDK's padding to the largest payload) and the batch into `counters`.
 pub fn scatter_counted(
     cfg: &TransferConfig,
     per_dpu_bytes: &[u64],
     counters: &mut CounterSet,
 ) -> f64 {
-    if let Some(bytes) = batch_bus_bytes(per_dpu_bytes) {
-        counters.add(CounterId::XferScatterBytes, bytes);
-        counters.add(CounterId::XferBatches, 1);
-    }
-    scatter(cfg, per_dpu_bytes)
+    padded_batch(cfg, per_dpu_bytes, CounterId::XferScatterBytes, counters)
 }
 
-/// [`broadcast`] that also records the bus bytes (`bytes × num_dpus`; no
-/// hardware multicast) and the batch into `counters`.
+/// Seconds to broadcast the same `bytes` to `num_dpus` DPUs, recording the
+/// bus bytes (`bytes × num_dpus`; no hardware multicast) and the batch
+/// into `counters`.
 pub fn broadcast_counted(
     cfg: &TransferConfig,
     bytes: u64,
     num_dpus: u32,
     counters: &mut CounterSet,
 ) -> f64 {
-    if bytes > 0 && num_dpus > 0 {
-        counters.add(CounterId::XferBroadcastBytes, bytes * num_dpus as u64);
-        counters.add(CounterId::XferBatches, 1);
+    if bytes == 0 || num_dpus == 0 {
+        return 0.0;
     }
-    broadcast(cfg, bytes, num_dpus)
+    let total = bytes * num_dpus as u64;
+    counters.add(CounterId::XferBroadcastBytes, total);
+    counters.add(CounterId::XferBatches, 1);
+    cfg.batch_overhead_s + total as f64 / effective_bandwidth(cfg, num_dpus)
 }
 
-/// [`gather`] that also records the bus bytes and the batch into
-/// `counters`.
+/// Seconds to gather distinct per-DPU payloads back to the host in one
+/// parallel batch (padded like [`scatter_counted`]), recording the bus
+/// bytes and the batch into `counters`.
 pub fn gather_counted(
     cfg: &TransferConfig,
     per_dpu_bytes: &[u64],
     counters: &mut CounterSet,
 ) -> f64 {
-    if let Some(bytes) = batch_bus_bytes(per_dpu_bytes) {
-        counters.add(CounterId::XferGatherBytes, bytes);
-        counters.add(CounterId::XferBatches, 1);
+    padded_batch(cfg, per_dpu_bytes, CounterId::XferGatherBytes, counters)
+}
+
+/// One padded parallel batch of distinct per-DPU payloads, its bus bytes
+/// recorded under `bytes_id`. An empty batch (every payload zero) the SDK
+/// skips entirely: it costs and records nothing.
+fn padded_batch(
+    cfg: &TransferConfig,
+    per_dpu_bytes: &[u64],
+    bytes_id: CounterId,
+    counters: &mut CounterSet,
+) -> f64 {
+    if per_dpu_bytes.iter().all(|&b| b == 0) {
+        return 0.0;
     }
-    gather(cfg, per_dpu_bytes)
+    let max = *per_dpu_bytes.iter().max().expect("non-empty payload list");
+    let total = max * per_dpu_bytes.len() as u64;
+    counters.add(bytes_id, total);
+    counters.add(CounterId::XferBatches, 1);
+    cfg.batch_overhead_s + total as f64 / effective_bandwidth(cfg, per_dpu_bytes.len() as u32)
 }
 
 /// Seconds the serving engine saves by folding `live` queries' input-vector
@@ -126,23 +116,6 @@ pub fn packed_broadcast_savings(
     saved_bus as f64 / effective_bandwidth(cfg, num_dpus)
 }
 
-/// Extra bus seconds `retries` retransmissions of a timed-out batch cost:
-/// each retry re-sends the whole padded batch. Backoff waits between
-/// retries are charged separately by [`crate::resilience`].
-pub fn retransmit_seconds(batch_seconds: f64, retries: u32) -> f64 {
-    retries as f64 * batch_seconds
-}
-
-/// Bus bytes one padded parallel batch moves, or `None` for an empty batch
-/// (which the SDK skips entirely).
-fn batch_bus_bytes(per_dpu_bytes: &[u64]) -> Option<u64> {
-    if per_dpu_bytes.iter().all(|&b| b == 0) {
-        return None;
-    }
-    let max = *per_dpu_bytes.iter().max().expect("non-empty payload list");
-    Some(max * per_dpu_bytes.len() as u64)
-}
-
 /// Seconds for a direct DPU-to-DPU vector exchange over the hypothetical
 /// interconnect of §6.4's recommendations: every DPU ships its partial
 /// vector to the peers that need it, links operating in parallel.
@@ -176,37 +149,37 @@ mod tests {
 
     #[test]
     fn broadcast_cost_scales_with_dpu_count() {
-        let c = cfg();
+        let (c, k) = (cfg(), &mut CounterSet::new());
         // Past saturation, doubling DPUs doubles bus traffic at fixed rate.
-        let t1k = broadcast(&c, 1 << 20, 1024);
-        let t2k = broadcast(&c, 1 << 20, 2048);
+        let t1k = broadcast_counted(&c, 1 << 20, 1024, k);
+        let t2k = broadcast_counted(&c, 1 << 20, 2048, k);
         assert!(t2k > 1.8 * t1k, "t1k={t1k} t2k={t2k}");
     }
 
     #[test]
     fn scatter_pads_to_largest_payload() {
-        let c = cfg();
-        let balanced = scatter(&c, &vec![1024u64; 64]);
+        let (c, k) = (cfg(), &mut CounterSet::new());
+        let balanced = scatter_counted(&c, &vec![1024u64; 64], k);
         let mut skewed = vec![1024u64; 64];
         skewed[0] = 64 * 1024;
-        let imbalanced = scatter(&c, &skewed);
+        let imbalanced = scatter_counted(&c, &skewed, k);
         assert!(imbalanced > balanced);
     }
 
     #[test]
     fn empty_transfers_are_free() {
-        let c = cfg();
-        assert_eq!(scatter(&c, &[]), 0.0);
-        assert_eq!(scatter(&c, &[0, 0, 0]), 0.0);
-        assert_eq!(broadcast(&c, 0, 2048), 0.0);
-        assert_eq!(broadcast(&c, 100, 0), 0.0);
+        let (c, k) = (cfg(), &mut CounterSet::new());
+        assert_eq!(scatter_counted(&c, &[], k), 0.0);
+        assert_eq!(scatter_counted(&c, &[0, 0, 0], k), 0.0);
+        assert_eq!(broadcast_counted(&c, 0, 2048, k), 0.0);
+        assert_eq!(broadcast_counted(&c, 100, 0, k), 0.0);
     }
 
     #[test]
     fn gather_matches_scatter_model() {
-        let c = cfg();
+        let (c, k) = (cfg(), &mut CounterSet::new());
         let bytes = vec![4096u64; 128];
-        assert_eq!(gather(&c, &bytes), scatter(&c, &bytes));
+        assert_eq!(gather_counted(&c, &bytes, k), scatter_counted(&c, &bytes, k));
     }
 
     #[test]
@@ -214,9 +187,13 @@ mod tests {
         let c = cfg();
         let mut k = CounterSet::new();
         let payloads = vec![1024u64, 4096, 0, 2048];
-        assert_eq!(scatter_counted(&c, &payloads, &mut k), scatter(&c, &payloads));
-        assert_eq!(broadcast_counted(&c, 512, 8, &mut k), broadcast(&c, 512, 8));
-        assert_eq!(gather_counted(&c, &payloads, &mut k), gather(&c, &payloads));
+        // Scatter pads to the largest payload, so it costs what a broadcast
+        // of that payload to every DPU of the batch costs; gather is priced
+        // as scatter.
+        let scatter = scatter_counted(&c, &payloads, &mut k);
+        assert_eq!(scatter, broadcast_counted(&c, 4096, 4, &mut CounterSet::new()));
+        broadcast_counted(&c, 512, 8, &mut k);
+        assert_eq!(gather_counted(&c, &payloads, &mut k), scatter);
         // Scatter/gather pad to the largest payload (4096 × 4 DPUs).
         assert_eq!(k.get(CounterId::XferScatterBytes), 4096 * 4);
         assert_eq!(k.get(CounterId::XferGatherBytes), 4096 * 4);
@@ -239,11 +216,11 @@ mod tests {
     fn broadcast_to_all_dpus_is_costlier_than_segment_scatter() {
         // The Fig 2 effect: loading a full vector to every DPU (1D) vs
         // scattering 1/D-th segments (2D).
-        let c = cfg();
+        let (c, k) = (cfg(), &mut CounterSet::new());
         let n_bytes = 1u64 << 20; // 1 MiB vector
         let dpus = 2048u32;
-        let full = broadcast(&c, n_bytes, dpus);
-        let seg = scatter(&c, &vec![n_bytes / dpus as u64; dpus as usize]);
+        let full = broadcast_counted(&c, n_bytes, dpus, k);
+        let seg = scatter_counted(&c, &vec![n_bytes / dpus as u64; dpus as usize], k);
         assert!(full > 50.0 * seg, "full={full} seg={seg}");
     }
 }

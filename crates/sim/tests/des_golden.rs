@@ -181,23 +181,26 @@ fn fnv(h: &mut u64, x: u64) {
     }
 }
 
-/// FNV-1a over every field of one profile.
+/// FNV-1a over every number of one profile: the makespan, issued
+/// instructions (twice, where the digest once read a separate active-cycle
+/// field), idle slots, active tasklets and spin retries, then the mix,
+/// every counter and every tasklet's counters.
 fn fold_profile(h: &mut u64, p: &DpuProfile) {
-    let r = &p.report;
+    let c = &p.counters;
     for x in [
-        r.total_cycles,
-        r.issued_instructions,
-        r.active_cycles,
-        r.idle_memory_cycles,
-        r.idle_revolver_cycles,
-        r.idle_rf_cycles,
-        r.avg_active_threads.to_bits(),
-        r.spin_retries,
+        c.get(CounterId::DpuCycles),
+        c.get(CounterId::SlotIssue),
+        c.get(CounterId::SlotIssue),
+        c.get(CounterId::SlotMemory),
+        c.get(CounterId::SlotRevolver),
+        c.get(CounterId::SlotRf),
+        p.avg_active_threads.to_bits(),
+        c.get(CounterId::SpinRetries),
     ] {
         fnv(h, x);
     }
     for class in InstrClass::ALL {
-        fnv(h, r.instr_mix.count(class));
+        fnv(h, p.instr_mix.count(class));
     }
     for (_, v) in p.counters.iter() {
         fnv(h, v);
@@ -217,7 +220,7 @@ fn digest(sets: &[Vec<TaskletTrace>], cfg: &PipelineConfig) -> (u64, u64) {
     let mut max_cycles = 0;
     for traces in sets {
         let p = simulate_dpu_profiled(traces, cfg);
-        max_cycles = max_cycles.max(p.report.total_cycles);
+        max_cycles = max_cycles.max(p.counters.get(CounterId::DpuCycles));
         fold_profile(&mut h, &p);
     }
     (h, max_cycles)

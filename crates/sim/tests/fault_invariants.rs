@@ -112,7 +112,7 @@ fn ledger_balances_and_partitions_stay_exact_under_seeded_chaos() {
             for t in &d.tasklets {
                 assert_eq!(
                     t.sum(&CounterId::TASKLET_CYCLES),
-                    d.total_cycles,
+                    d.counters.get(CounterId::DpuCycles),
                     "case {case}: tasklet attribution lost the fault penalty",
                 );
             }
@@ -209,7 +209,11 @@ fn transfer_timeouts_retry_with_backoff_and_balance_the_ledger() {
     let mut counters = CounterSet::new();
     let mut slower = 0u32;
     for i in 0..32u64 {
-        let clean = transfer::scatter(&clean_sys.config().transfer, &payloads);
+        let clean = transfer::scatter_counted(
+            &clean_sys.config().transfer,
+            &payloads,
+            &mut CounterSet::new(),
+        );
         let t = sys.scatter_time_counted(&payloads, &mut counters);
         assert!(t >= clean, "iteration {i}: a timeout can only slow a batch down");
         if t > clean {

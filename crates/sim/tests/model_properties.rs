@@ -5,8 +5,10 @@
 //! test framework.
 
 use alpha_pim_sim::report::PhaseBreakdown;
-use alpha_pim_sim::transfer::{broadcast, effective_bandwidth, gather, inter_dpu_exchange, scatter};
-use alpha_pim_sim::{host, EnergyModel, HostConfig, InterDpuConfig, TransferConfig};
+use alpha_pim_sim::transfer::{
+    broadcast_counted, effective_bandwidth, gather_counted, inter_dpu_exchange, scatter_counted,
+};
+use alpha_pim_sim::{host, CounterSet, EnergyModel, HostConfig, InterDpuConfig, TransferConfig};
 use alpha_pim_sparse::gen::rng::SplitMix64;
 
 const CASES: u64 = 96;
@@ -21,10 +23,11 @@ fn broadcast_is_monotone_in_bytes_and_dpus() {
     for _ in 0..CASES {
         let bytes = 1 + rng.u64_below((1 << 24) - 1);
         let dpus = 1 + rng.u32_below(4095);
-        let c = cfg();
-        assert!(broadcast(&c, bytes + 1024, dpus) >= broadcast(&c, bytes, dpus));
-        assert!(broadcast(&c, bytes, dpus + 64) >= broadcast(&c, bytes, dpus));
-        assert!(broadcast(&c, bytes, dpus) > 0.0);
+        let (c, k) = (cfg(), &mut CounterSet::new());
+        let t = broadcast_counted(&c, bytes, dpus, k);
+        assert!(broadcast_counted(&c, bytes + 1024, dpus, k) >= t);
+        assert!(broadcast_counted(&c, bytes, dpus + 64, k) >= t);
+        assert!(t > 0.0);
     }
 }
 
@@ -34,13 +37,13 @@ fn scatter_is_bounded_by_padded_broadcast() {
     for _ in 0..CASES {
         let len = 1 + rng.usize_below(255);
         let payloads: Vec<u64> = (0..len).map(|_| 1 + rng.u64_below((1 << 16) - 1)).collect();
-        let c = cfg();
+        let (c, k) = (cfg(), &mut CounterSet::new());
         let max = *payloads.iter().max().unwrap();
-        let s = scatter(&c, &payloads);
+        let s = scatter_counted(&c, &payloads, k);
         // Padding means scattering equals broadcasting max bytes per DPU.
-        let b = broadcast(&c, max, payloads.len() as u32);
+        let b = broadcast_counted(&c, max, payloads.len() as u32, k);
         assert!((s - b).abs() < 1e-12, "scatter {s} vs padded broadcast {b}");
-        assert!((gather(&c, &payloads) - s).abs() < 1e-15);
+        assert!((gather_counted(&c, &payloads, k) - s).abs() < 1e-15);
     }
 }
 
@@ -68,7 +71,8 @@ fn inter_dpu_exchange_beats_host_round_trip_for_segments() {
         let per_dpu = vec![seg_bytes / dpus as u64 + 1; dpus as usize];
         let direct = inter_dpu_exchange(&c, &per_dpu).unwrap();
         // Host round trip: gather + scatter of the same segments.
-        let host_trip = gather(&c, &per_dpu) + scatter(&c, &per_dpu);
+        let k = &mut CounterSet::new();
+        let host_trip = gather_counted(&c, &per_dpu, k) + scatter_counted(&c, &per_dpu, k);
         assert!(direct < host_trip, "direct {direct} vs host {host_trip}");
     }
 }
@@ -79,11 +83,11 @@ fn merge_time_scales_with_work() {
     for _ in 0..CASES {
         let elems = 1 + rng.u64_below((1 << 22) - 1);
         let fan_in = 1 + rng.u32_below(63);
-        let h = HostConfig::default();
-        let t = host::merge_time(&h, elems, fan_in, 4);
+        let (h, k) = (HostConfig::default(), &mut CounterSet::new());
+        let t = host::merge_time_counted(&h, elems, fan_in, 4, k);
         assert!(t > 0.0);
-        assert!(host::merge_time(&h, elems, fan_in + 1, 4) >= t);
-        assert!(host::merge_time(&h, elems * 2, fan_in, 4) >= t);
+        assert!(host::merge_time_counted(&h, elems, fan_in + 1, 4, k) >= t);
+        assert!(host::merge_time_counted(&h, elems * 2, fan_in, 4, k) >= t);
     }
 }
 

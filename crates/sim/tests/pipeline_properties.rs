@@ -4,9 +4,9 @@
 //! property), so every run exercises the same frozen trace set.
 
 use alpha_pim_sim::instr::{InstrClass, InstrMix};
-use alpha_pim_sim::pipeline::{estimate_cycles, estimate_stats, simulate_dpu};
+use alpha_pim_sim::pipeline::{estimate_cycles, estimate_stats, simulate_dpu_profiled};
 use alpha_pim_sim::trace::{Record, TaskletTrace, TraceEvent};
-use alpha_pim_sim::{PipelineConfig, TaskletStats};
+use alpha_pim_sim::{CounterId, PipelineConfig, TaskletStats};
 use alpha_pim_sparse::gen::rng::SplitMix64;
 
 const CASES: u64 = 64;
@@ -47,11 +47,8 @@ fn cycles_decompose_exactly() {
     let mut rng = SplitMix64::new(0xD801);
     for _ in 0..CASES {
         let traces = random_traces(&mut rng);
-        let r = simulate_dpu(&traces, &cfg());
-        assert_eq!(
-            r.total_cycles,
-            r.active_cycles + r.idle_memory_cycles + r.idle_revolver_cycles + r.idle_rf_cycles,
-        );
+        let c = simulate_dpu_profiled(&traces, &cfg()).counters;
+        assert_eq!(c.get(CounterId::DpuCycles), c.sum(&CounterId::SLOT_CYCLES));
     }
 }
 
@@ -60,12 +57,13 @@ fn every_instruction_is_issued() {
     let mut rng = SplitMix64::new(0xD802);
     for _ in 0..CASES {
         let traces = random_traces(&mut rng);
-        let r = simulate_dpu(&traces, &cfg());
+        let r = simulate_dpu_profiled(&traces, &cfg());
         let expected: u64 = traces.iter().map(|t| t.instructions()).sum();
         // Contended mutexes add retry issues on top of the trace's own
         // instructions; both the issue count and the mix reflect them.
-        assert_eq!(r.issued_instructions, expected + r.spin_retries);
-        assert_eq!(r.instr_mix.total(), expected + r.spin_retries);
+        let retries = r.counters.get(CounterId::SpinRetries);
+        assert_eq!(r.counters.get(CounterId::SlotIssue), expected + retries);
+        assert_eq!(r.instr_mix.total(), expected + retries);
     }
 }
 
@@ -75,16 +73,17 @@ fn makespan_bounds_hold() {
     for _ in 0..CASES {
         let traces = random_traces(&mut rng);
         let c = cfg();
-        let r = simulate_dpu(&traces, &c);
+        let r = simulate_dpu_profiled(&traces, &c).counters;
+        let total = r.get(CounterId::DpuCycles);
         // At most one issue per cycle.
-        assert!(r.active_cycles <= r.total_cycles);
+        assert!(r.get(CounterId::SlotIssue) <= total);
         // The slowest single thread is a lower bound (revolver spacing).
         let per_thread_min: u64 = traces
             .iter()
             .map(|t| t.instructions().saturating_sub(1) * c.revolver_period as u64)
             .max()
             .unwrap_or(0);
-        assert!(r.total_cycles >= per_thread_min);
+        assert!(total >= per_thread_min);
     }
 }
 
@@ -93,8 +92,8 @@ fn simulation_is_deterministic() {
     let mut rng = SplitMix64::new(0xD804);
     for _ in 0..CASES {
         let traces = random_traces(&mut rng);
-        let a = simulate_dpu(&traces, &cfg());
-        let b = simulate_dpu(&traces, &cfg());
+        let a = simulate_dpu_profiled(&traces, &cfg());
+        let b = simulate_dpu_profiled(&traces, &cfg());
         assert_eq!(a, b);
     }
 }
@@ -105,7 +104,7 @@ fn estimate_never_wildly_underestimates() {
     for _ in 0..CASES {
         let traces = random_traces(&mut rng);
         let c = cfg();
-        let sim = simulate_dpu(&traces, &c).total_cycles;
+        let sim = simulate_dpu_profiled(&traces, &c).counters.get(CounterId::DpuCycles);
         let est = estimate_cycles(&traces, &c).cycles;
         // The estimate is a structural bound: it must be within a constant
         // factor of the simulated makespan for well-formed traces.
@@ -152,7 +151,7 @@ fn one_walk_estimate_matches_the_separate_calls() {
             mix.merge(&t.instr_mix());
         }
         assert_eq!(est.mix, mix);
-        assert_eq!(est.instructions, traces.iter().map(|t| t.instructions()).sum::<u64>());
+        assert_eq!(est.mix.total(), traces.iter().map(|t| t.instructions()).sum::<u64>());
         assert_eq!(est.cycles, separate_bound(&traces, &c));
     }
 }
@@ -221,7 +220,6 @@ fn stats_estimate_equals_the_trace_estimate() {
             let from_traces = estimate_cycles(&traces, c);
             let from_stats = estimate_stats(&stats, c);
             assert_eq!(from_stats.cycles, from_traces.cycles);
-            assert_eq!(from_stats.instructions, from_traces.instructions);
             assert_eq!(from_stats.mix, from_traces.mix);
         }
     }
@@ -368,9 +366,9 @@ fn adding_a_tasklet_never_reduces_total_work_time_below_serial() {
         let traces = random_traces(&mut rng);
         // Issuing the union of instructions serially (1/cycle) is a hard
         // lower bound regardless of tasklet count.
-        let r = simulate_dpu(&traces, &cfg());
+        let r = simulate_dpu_profiled(&traces, &cfg());
         let instrs: u64 = traces.iter().map(|t| t.instructions()).sum();
-        assert!(r.total_cycles >= instrs);
+        assert!(r.counters.get(CounterId::DpuCycles) >= instrs);
     }
 }
 
@@ -379,7 +377,7 @@ fn avg_active_threads_is_bounded_by_tasklet_count() {
     let mut rng = SplitMix64::new(0xD807);
     for _ in 0..CASES {
         let traces = random_traces(&mut rng);
-        let r = simulate_dpu(&traces, &cfg());
+        let r = simulate_dpu_profiled(&traces, &cfg());
         assert!(r.avg_active_threads >= 0.0);
         assert!(r.avg_active_threads <= traces.len() as f64 + 1e-9);
     }

@@ -7,9 +7,9 @@
 //! ```
 
 use alpha_pim_sim::instr::InstrClass;
-use alpha_pim_sim::pipeline::simulate_dpu;
+use alpha_pim_sim::pipeline::simulate_dpu_profiled;
 use alpha_pim_sim::trace::TaskletTrace;
-use alpha_pim_sim::PipelineConfig;
+use alpha_pim_sim::{CounterId, PipelineConfig};
 
 fn main() {
     let cfg = PipelineConfig::default();
@@ -22,27 +22,29 @@ fn main() {
         ("memory-bound (per-edge 8B DMA)", memory_bound(16)),
         ("sync-heavy (contended mutex)", sync_heavy(16)),
     ] {
-        let r = simulate_dpu(&traces, &cfg);
+        let r = simulate_dpu_profiled(&traces, &cfg);
+        let c = |id| r.counters.get(id);
+        let (cycles, issued) = (c(CounterId::DpuCycles), c(CounterId::SlotIssue));
         println!("## {name}");
         println!(
             "   cycles {:>9}  issued {:>9}  IPC {:.3}  avg active threads {:.2}",
-            r.total_cycles,
-            r.issued_instructions,
-            r.issued_instructions as f64 / r.total_cycles as f64,
+            cycles,
+            issued,
+            issued as f64 / cycles as f64,
             r.avg_active_threads,
         );
         println!(
             "   idle: memory {:.1}%  revolver {:.1}%  rf-hazard {:.1}%  (active {:.1}%)",
-            pct(r.idle_memory_cycles, r.total_cycles),
-            pct(r.idle_revolver_cycles, r.total_cycles),
-            pct(r.idle_rf_cycles, r.total_cycles),
-            pct(r.active_cycles, r.total_cycles),
+            pct(c(CounterId::SlotMemory), cycles),
+            pct(c(CounterId::SlotRevolver), cycles),
+            pct(c(CounterId::SlotRf), cycles),
+            pct(issued, cycles),
         );
         let mix: Vec<String> = InstrClass::ALL
             .iter()
             .map(|&c| format!("{c} {:.0}%", r.instr_mix.fraction(c) * 100.0))
             .collect();
-        println!("   mix: {}  ({} mutex retries)\n", mix.join("  "), r.spin_retries);
+        println!("   mix: {}  ({} mutex retries)\n", mix.join("  "), c(CounterId::SpinRetries));
     }
 }
 

@@ -95,10 +95,10 @@ fn fingerprint(r: &KernelReport) -> String {
         r.detailed_dpus,
         r.max_cycles,
         r.total_instructions,
-        r.breakdown.active,
-        r.breakdown.memory,
-        r.breakdown.revolver,
-        r.breakdown.rf,
+        r.breakdown.counter(CounterId::SlotIssue),
+        r.breakdown.counter(CounterId::SlotMemory),
+        r.breakdown.counter(CounterId::SlotRevolver),
+        r.breakdown.counter(CounterId::SlotRf),
         r.dpu_details.len(),
         r.dpu_details.first().map_or(0, |d| d.tasklets.len()),
     );
@@ -814,8 +814,8 @@ fn analytic_per_tasklet_details_match_golden_digest() {
         for d in &report.dpu_details {
             assert!(!d.tasklets.is_empty(), "DPU {} keeps its tasklets", d.dpu_id);
             h.word(u64::from(d.dpu_id));
-            h.word(d.total_cycles);
-            h.word(d.issued_instructions);
+            h.word(d.counters.get(CounterId::DpuCycles));
+            h.word(d.counters.get(CounterId::SlotIssue));
             for (_, v) in d.counters.iter() {
                 h.word(v);
             }
