@@ -444,6 +444,9 @@ fn run_serve(args: &Args, graph: &Graph) -> Result<(), String> {
     if args.crash_after.is_some() {
         return Err("--crash-after requires --checkpoint-dir".into());
     }
+    if args.resume {
+        return Err("--resume requires --checkpoint-dir".into());
+    }
     if args.fast_path != FastPath::Replay {
         return run_serve_fastpath(args, &weighted, &engine, config, &trace);
     }

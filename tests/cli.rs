@@ -89,3 +89,17 @@ fn unknown_graph_exits_nonzero_and_lists_catalog() {
     assert!(!out.status.success());
     assert!(stderr(&out).contains("A302"), "stderr: {}", stderr(&out));
 }
+
+/// The crash-consistent serving flags keep their state in a checkpoint
+/// directory: without `--checkpoint-dir`, `--crash-after` and `--resume`
+/// fail instead of serving a fresh trace.
+#[test]
+fn checkpoint_flags_require_a_checkpoint_dir() {
+    for flags in [&["--crash-after", "1"][..], &["--resume"][..]] {
+        let serve = ["serve", "A302", "--scale", "0.002", "--dpus", "8", "--queries", "4"];
+        let out = cli(&[&serve[..], &["--batch", "4"], flags].concat());
+        assert!(!out.status.success(), "{flags:?} without --checkpoint-dir must fail");
+        let want = format!("{} requires --checkpoint-dir", flags[0]);
+        assert!(stderr(&out).contains(&want), "{flags:?} stderr: {}", stderr(&out));
+    }
+}
