@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
 
+# `cargo test` builds no bench target and the clippy step below is skipped
+# where clippy is missing, so build the benches here.
+echo "==> cargo bench --no-run (offline)"
+cargo bench --no-run --offline --workspace
+
 echo "==> cargo test (offline)"
 cargo test -q --offline --workspace
 
