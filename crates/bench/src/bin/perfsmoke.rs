@@ -24,8 +24,8 @@ use alpha_pim::semiring::BoolOrAnd;
 use alpha_pim::{PreparedSpmspv, PreparedSpmv, SpmspvVariant, SpmvVariant};
 use alpha_pim_sim::pipeline::simulate_dpu_profiled;
 use alpha_pim_sim::{
-    set_sim_threads, CounterId, InstrClass, KernelReport, ObservabilityLevel, PimConfig,
-    PimSystem, PipelineConfig, SimFidelity, TaskletTrace,
+    set_sim_threads, CounterId, InstrClass, KernelReport, ObservabilityLevel, PimConfig, PimSystem,
+    PipelineConfig, SimFidelity, TaskletTrace,
 };
 use alpha_pim_sparse::gen::rng::SplitMix64;
 use alpha_pim_sparse::{gen, DenseVector, Graph, SparseVector};

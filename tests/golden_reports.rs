@@ -848,10 +848,8 @@ fn exporter_bytes_match_golden_digests() {
             faults: faults.clone(),
             ..Default::default()
         };
-        let per_dpu = |config: PimConfig| PimConfig {
-            observability: ObservabilityLevel::PerDpu,
-            ..config
-        };
+        let per_dpu =
+            |config: PimConfig| PimConfig { observability: ObservabilityLevel::PerDpu, ..config };
         for (fidelity, config) in [
             ("full", full),
             ("sampled", per_dpu(sampled_config(faults.clone()))),
