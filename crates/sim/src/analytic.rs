@@ -77,6 +77,22 @@ impl SegmentStats {
     fn is_empty(&self) -> bool {
         self.instructions == 0
     }
+
+    /// Mutex `m`'s issue-slot load in this segment: two instructions per
+    /// acquisition plus every instruction issued while holding it.
+    pub fn mutex_load(&self, m: usize) -> u64 {
+        2 * self.mutex_acquires[m] + self.mutex_held_instrs[m]
+    }
+
+    /// Whether this segment acquired mutex `m`.
+    pub fn acquires_mutex(&self, m: usize) -> bool {
+        self.mutex_acquires[m] > 0
+    }
+
+    /// Mutex acquisitions over every id.
+    pub fn acquisitions(&self) -> u64 {
+        self.mutex_acquires.iter().sum()
+    }
 }
 
 /// The analytic recorder: accumulates [`SegmentStats`] from the same

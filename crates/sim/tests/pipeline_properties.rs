@@ -6,7 +6,7 @@
 use alpha_pim_sim::instr::{InstrClass, InstrMix};
 use alpha_pim_sim::pipeline::{estimate_cycles, estimate_stats, simulate_dpu_profiled};
 use alpha_pim_sim::trace::{Record, TaskletTrace, TraceEvent};
-use alpha_pim_sim::{CounterId, PipelineConfig, TaskletStats};
+use alpha_pim_sim::{CounterId, PipelineConfig, SegmentStats, TaskletStats};
 use alpha_pim_sparse::gen::rng::SplitMix64;
 
 const CASES: u64 = 64;
@@ -380,5 +380,289 @@ fn avg_active_threads_is_bounded_by_tasklet_count() {
         let r = simulate_dpu_profiled(&traces, &cfg());
         assert!(r.avg_active_threads >= 0.0);
         assert!(r.avg_active_threads <= traces.len() as f64 + 1e-9);
+    }
+}
+
+/// One barrier-delimited segment of [`EagerStats`], in the layout the
+/// analytic recorder kept when it counted every instruction as it issued.
+#[derive(Debug, Clone, Copy, Default)]
+struct EagerSegment {
+    instructions: u64,
+    reg_read_instrs: u64,
+    pre_dma_instrs: u64,
+    instrs_at_last_dma: u64,
+    dma_transfers: u64,
+    dma_bytes: u64,
+    dma_cycles: u64,
+    mutex_acquires: [u64; 16],
+    mutex_held_instrs: [u64; 16],
+    ends_with_barrier: bool,
+}
+
+/// A reference copy of the eager analytic recorder: every issued
+/// instruction bumps its segment's counts and, one by one, the count of
+/// each held mutex. [`TaskletStats`] must record exactly what it records.
+#[derive(Debug, Clone)]
+struct EagerStats {
+    cfg: PipelineConfig,
+    mix: InstrMix,
+    closed: Vec<EagerSegment>,
+    current: EagerSegment,
+    held_mask: u32,
+}
+
+impl EagerStats {
+    fn new(cfg: &PipelineConfig) -> Self {
+        EagerStats {
+            cfg: cfg.clone(),
+            mix: InstrMix::new(),
+            closed: Vec::new(),
+            current: EagerSegment::default(),
+            held_mask: 0,
+        }
+    }
+
+    fn issue(&mut self, count: u64) {
+        self.current.instructions += count;
+        if self.current.dma_transfers == 0 {
+            self.current.pre_dma_instrs += count;
+        }
+        let mut mask = self.held_mask;
+        while mask != 0 {
+            let id = mask.trailing_zeros() as usize;
+            self.current.mutex_held_instrs[id] += count;
+            mask &= mask - 1;
+        }
+    }
+
+    fn segments(&self) -> impl Iterator<Item = &EagerSegment> + '_ {
+        self.closed.iter().chain((self.current.instructions > 0).then_some(&self.current))
+    }
+}
+
+impl Record for EagerStats {
+    fn compute(&mut self, class: InstrClass, count: u32) {
+        if count == 0 {
+            return;
+        }
+        self.mix.add(class, count as u64);
+        if class.reads_registers() {
+            self.current.reg_read_instrs += count as u64;
+        }
+        self.issue(count as u64);
+    }
+
+    fn dma(&mut self, bytes: u32) {
+        if bytes == 0 {
+            return;
+        }
+        self.mix.add(InstrClass::Dma, 1);
+        self.issue(1);
+        self.current.dma_transfers += 1;
+        self.current.dma_bytes += bytes as u64;
+        self.current.dma_cycles += self.cfg.dma_cycles(bytes);
+        self.current.instrs_at_last_dma = self.current.instructions;
+    }
+
+    fn dma_stream(&mut self, total_bytes: u64, chunk_bytes: u32, per_chunk_overhead: u32) {
+        assert!(chunk_bytes > 0, "chunk_bytes must be positive");
+        if total_bytes == 0 {
+            return;
+        }
+        let full = total_bytes / chunk_bytes as u64;
+        let rem = (total_bytes % chunk_bytes as u64) as u32;
+        let chunks = full + u64::from(rem > 0);
+        self.mix.add(InstrClass::Dma, chunks);
+        self.mix.add(InstrClass::Control, chunks * per_chunk_overhead as u64);
+        self.issue(chunks * (1 + per_chunk_overhead as u64));
+        self.current.dma_transfers += chunks;
+        self.current.dma_bytes += total_bytes;
+        self.current.dma_cycles += full * self.cfg.dma_cycles(chunk_bytes)
+            + if rem > 0 { self.cfg.dma_cycles(rem) } else { 0 };
+        self.current.instrs_at_last_dma = self.current.instructions;
+    }
+
+    fn mutex_lock(&mut self, id: u16) {
+        self.mix.add(InstrClass::Sync, 1);
+        self.issue(1);
+        let id = (id as usize).min(15);
+        self.current.mutex_acquires[id] += 1;
+        self.held_mask |= 1 << id;
+    }
+
+    fn mutex_unlock(&mut self, id: u16) {
+        self.mix.add(InstrClass::Sync, 1);
+        let id = (id as usize).min(15);
+        self.held_mask &= !(1 << id);
+        self.issue(1);
+    }
+
+    fn barrier(&mut self) {
+        self.mix.add(InstrClass::Sync, 1);
+        self.issue(1);
+        self.current.ends_with_barrier = true;
+        let seg = std::mem::take(&mut self.current);
+        self.closed.push(seg);
+    }
+}
+
+/// What a segment says about its work: the shared counts, each mutex's
+/// load (two instructions per acquisition plus the instructions issued
+/// holding it), which mutexes it acquired and its acquisitions in all.
+type SegmentView = ([u64; 7], [u64; 16], [bool; 16], u64, bool);
+
+fn eager_view(s: &EagerSegment) -> SegmentView {
+    (
+        [
+            s.instructions,
+            s.reg_read_instrs,
+            s.pre_dma_instrs,
+            s.instrs_at_last_dma,
+            s.dma_transfers,
+            s.dma_bytes,
+            s.dma_cycles,
+        ],
+        std::array::from_fn(|m| 2 * s.mutex_acquires[m] + s.mutex_held_instrs[m]),
+        std::array::from_fn(|m| s.mutex_acquires[m] > 0),
+        s.mutex_acquires.iter().sum(),
+        s.ends_with_barrier,
+    )
+}
+
+fn stats_view(s: &SegmentStats) -> SegmentView {
+    (
+        [
+            s.instructions,
+            s.reg_read_instrs,
+            s.pre_dma_instrs,
+            s.instrs_at_last_dma,
+            s.dma_transfers,
+            s.dma_bytes,
+            s.dma_cycles,
+        ],
+        std::array::from_fn(|m| s.mutex_load(m)),
+        std::array::from_fn(|m| s.acquires_mutex(m)),
+        s.acquisitions(),
+        s.ends_with_barrier,
+    )
+}
+
+/// Asserts that `stats` recorded what the eager reference recorded.
+fn assert_matches_eager(stats: &TaskletStats, eager: &EagerStats, what: &str) {
+    let segments: Vec<SegmentView> = stats.segments().map(|s| stats_view(&s)).collect();
+    let reference: Vec<SegmentView> = eager.segments().map(eager_view).collect();
+    assert_eq!(segments, reference, "{what}: segments");
+    assert_eq!(stats.instr_mix(), eager.mix, "{what}: mix");
+    let instructions: u64 = eager.segments().map(|s| s.instructions).sum();
+    assert_eq!(stats.instructions(), instructions, "{what}: instructions");
+    let cycles: u64 = eager.segments().map(|s| s.dma_cycles).sum();
+    assert_eq!(stats.dma_cycles(), cycles, "{what}: DMA cycles");
+    let bytes: u64 = eager.segments().map(|s| s.dma_bytes).sum();
+    assert_eq!(stats.dma_bytes(), bytes, "{what}: DMA bytes");
+}
+
+/// The default pipeline and one with every DMA and spacing constant moved.
+fn both_configs() -> [PipelineConfig; 2] {
+    [
+        cfg(),
+        PipelineConfig {
+            revolver_period: 14,
+            pipeline_depth: 9,
+            dma_startup_cycles: 61,
+            dma_cycles_per_byte: 0.37,
+            ..cfg()
+        },
+    ]
+}
+
+#[test]
+fn stats_record_what_the_eager_reference_records() {
+    for c in &both_configs() {
+        let mut rng = SplitMix64::new(0xD80B);
+        let mut seen = RunCoverage::default();
+        for case in 0..CASES {
+            let seed = rng.next_u64();
+            let (mut stats, mut eager) = (TaskletStats::new(c), EagerStats::new(c));
+            record_random_calls(seed, &mut stats);
+            record_random_calls(seed, &mut eager);
+            assert_matches_eager(&stats, &eager, &format!("random calls, case {case}"));
+
+            let steps = random_runs(&mut rng, &mut seen);
+            for per_call in [false, true] {
+                let (mut stats, mut eager) = (TaskletStats::new(c), EagerStats::new(c));
+                replay_runs(&steps, &mut stats, per_call);
+                replay_runs(&steps, &mut eager, true);
+                assert_matches_eager(&stats, &eager, &format!("runs, case {case}"));
+            }
+        }
+        assert!(seen.held.iter().all(|&h| h), "runs holding 0, 1 and 2 mutexes");
+    }
+}
+
+#[test]
+fn stats_keep_the_eager_mutex_semantics() {
+    type Calls = fn(&mut dyn Record);
+    let cases: [(&str, Calls); 6] = [
+        ("re-lock of a held mutex", |r| {
+            r.mutex_lock(3);
+            r.compute(InstrClass::Arith, 5);
+            r.mutex_lock(3);
+            r.compute(InstrClass::Move, 2);
+            r.mutex_unlock(3);
+            r.compute(InstrClass::Arith, 1);
+        }),
+        ("unlock of an unheld mutex", |r| {
+            r.mutex_lock(1);
+            r.compute(InstrClass::LoadStore, 3);
+            r.mutex_unlock(2);
+            r.compute(InstrClass::LoadStore, 4);
+            r.mutex_unlock(1);
+            r.mutex_unlock(1);
+            r.compute(InstrClass::Control, 6);
+        }),
+        ("barrier while holding", |r| {
+            r.compute(InstrClass::Arith, 2);
+            r.mutex_lock(4);
+            r.dma(100);
+            r.compute(InstrClass::Arith, 7);
+            r.barrier();
+            r.compute(InstrClass::LoadStore, 9);
+            r.barrier();
+            r.dma_stream(3000, 1024, 3);
+            r.mutex_unlock(4);
+            r.compute(InstrClass::Arith, 1);
+        }),
+        ("held across the end of the recording", |r| {
+            r.mutex_lock(0);
+            r.mutex_lock(9);
+            r.compute(InstrClass::Arith, 11);
+            r.mutex_unlock(0);
+            r.compute_repeated(&[(InstrClass::Arith, 3), (InstrClass::Control, 1)], 40);
+        }),
+        ("ids past the 16 tracked", |r| {
+            r.mutex_lock(15);
+            r.mutex_lock(16);
+            r.compute(InstrClass::Arith, 4);
+            r.mutex_unlock(40);
+            r.compute(InstrClass::Arith, 4);
+            r.mutex_lock(1000);
+            r.mutex_unlock(15);
+            r.mutex_lock(u16::MAX);
+            r.compute(InstrClass::Move, 2);
+            r.mutex_unlock(u16::MAX);
+        }),
+        ("only a barrier while holding", |r| {
+            r.mutex_lock(7);
+            r.barrier();
+            r.barrier();
+        }),
+    ];
+    for c in &both_configs() {
+        for (name, calls) in cases {
+            let (mut stats, mut eager) = (TaskletStats::new(c), EagerStats::new(c));
+            calls(&mut stats);
+            calls(&mut eager);
+            assert_matches_eager(&stats, &eager, name);
+        }
     }
 }
