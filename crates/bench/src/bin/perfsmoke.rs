@@ -1,22 +1,28 @@
 //! Performance smoke test for the parallel replay engine.
 //!
-//! Replays two launches across 2048 simulated DPUs (64 of them replayed
-//! per launch) with the host-side pool pinned to 1 thread and then to N
+//! Replays launches across 2048 simulated DPUs (64 of them replayed per
+//! launch) with the host-side pool pinned to 1 thread and then to N
 //! threads: a dense-input SpMV launch, where nearly every replayed trace
-//! set is distinct, and a one-vertex-frontier CSC-2D SpMSpV launch, where
-//! most replayed sets repeat one the launch already replayed. For each it
-//! asserts that the resulting `KernelReport` — including every
-//! floating-point field, the full counter rollup, the per-DPU/per-tasklet
-//! observability details, and the JSON/CSV exporter strings — is
-//! bit-identical, and — when the machine actually has ≥4 cores — that the
-//! parallel SpMV replay is at least 2× faster. A replay-only leg then times
-//! the discrete-event pipeline alone on fixed 16-tasklet trace sets, each
-//! at its fastest of several replays, and records its host nanoseconds per
-//! simulated instruction (no gate: host timings drift by more than 10 %
-//! between runs on a shared VM). Emits
-//! `BENCH_parallel_sim.json` in the working directory. On a single core
-//! the threads can only take turns, so the speedup is recorded as `null`
-//! and reported as not measured.
+//! set is distinct, run cold (each launch on a fresh preparation, made
+//! outside the timer) and warm (every timed launch on one preparation that
+//! already keeps its partitions' evaluations), and a one-vertex-frontier
+//! CSC-2D SpMSpV launch, where most replayed sets repeat one the launch
+//! already replayed. Each side of each 1-vs-N comparison prepares its own
+//! matrix. For each launch it asserts that the resulting `KernelReport` —
+//! including every floating-point field, the full counter rollup, the
+//! per-DPU/per-tasklet observability details, and the JSON/CSV exporter
+//! strings — is bit-identical, that a timed launch reports what the first
+//! one did, and — when the machine actually has ≥4 cores — that the
+//! parallel cold SpMV replay is at least 2× faster. A replay-only leg then
+//! times the discrete-event pipeline alone on fixed 16-tasklet trace sets,
+//! each at its fastest of several replays, and records its host
+//! nanoseconds per simulated instruction; an analytic leg records the same
+//! sets into `TaskletStats` and predicts them, each at its fastest, and
+//! records host nanoseconds per recorded and per predicted DPU (no gate on
+//! either: host timings drift by more than 10 % between runs on a shared
+//! VM). Emits `BENCH_parallel_sim.json` in the working directory. On a
+//! single core the threads can only take turns, so the speedup is recorded
+//! as `null` and reported as not measured.
 
 use std::time::Instant;
 
@@ -24,8 +30,9 @@ use alpha_pim::semiring::BoolOrAnd;
 use alpha_pim::{PreparedSpmspv, PreparedSpmv, SpmspvVariant, SpmvVariant};
 use alpha_pim_sim::pipeline::simulate_dpu_profiled;
 use alpha_pim_sim::{
-    set_sim_threads, CounterId, InstrClass, KernelReport, ObservabilityLevel, PimConfig, PimSystem,
-    PipelineConfig, SimFidelity, TaskletTrace,
+    predict_dpu, set_sim_threads, CounterId, InstrClass, KernelReport, ObservabilityLevel,
+    PimConfig, PimSystem, PipelineConfig, Record, SimFidelity, TaskletStats, TaskletTrace,
+    TraceEvent,
 };
 use alpha_pim_sparse::gen::rng::SplitMix64;
 use alpha_pim_sparse::{gen, DenseVector, Graph, SparseVector};
@@ -58,23 +65,42 @@ struct Timed {
     secs_par: f64,
 }
 
-/// Runs `launch` once and then `ITERS` timed times at `threads_seq` and at
-/// `threads_par` threads, asserting the 1-vs-N reports are bit-identical
-/// down to the per-tasklet details and the exporter strings.
-fn time_launch(
+/// Which preparation each timed launch of a leg runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Prep {
+    /// A fresh one per launch, made outside the timer.
+    Cold,
+    /// The one the untimed first launch ran on.
+    Warm,
+}
+
+/// On each of `threads_seq` and `threads_par` threads: prepares, runs
+/// `launch` once untimed, then `ITERS` timed times on preparations chosen
+/// by `prep`, asserting every timed report equals the first. Then asserts
+/// the 1-vs-N reports are bit-identical down to the per-tasklet details and
+/// the exporter strings.
+fn time_launch<P>(
     name: &'static str,
     threads_seq: usize,
     threads_par: usize,
-    launch: impl Fn() -> KernelReport,
+    prep: Prep,
+    prepare: impl Fn() -> P,
+    launch: impl Fn(&P) -> KernelReport,
 ) -> (Timed, KernelReport) {
     let timed = |threads: usize| {
         set_sim_threads(threads);
-        let report = launch();
-        let start = Instant::now();
+        let first_prep = prepare();
+        let report = launch(&first_prep);
+        let mut secs = 0.0;
         for _ in 0..ITERS {
-            std::hint::black_box(launch());
+            let fresh = (prep == Prep::Cold).then(&prepare);
+            let on = fresh.as_ref().unwrap_or(&first_prep);
+            let start = Instant::now();
+            let timed_report = std::hint::black_box(launch(on));
+            secs += start.elapsed().as_secs_f64();
+            assert_eq!(timed_report, report, "{name}: a timed launch reported otherwise");
         }
-        (report, start.elapsed().as_secs_f64() / f64::from(ITERS))
+        (report, secs / f64::from(ITERS))
     };
     let (seq_report, secs_seq) = timed(threads_seq);
     let (par_report, secs_par) = timed(threads_par);
@@ -183,6 +209,65 @@ fn des_trace_sets() -> Vec<Vec<TaskletTrace>> {
     sets
 }
 
+/// The host seconds of `work`'s fastest of [`DES_ROUNDS`] runs, after one
+/// run that warms up; every run must return what the first did.
+fn fastest<T: PartialEq + std::fmt::Debug>(work: impl Fn() -> T) -> f64 {
+    let first = work();
+    let mut fastest = f64::INFINITY;
+    for _ in 0..DES_ROUNDS {
+        let start = Instant::now();
+        let again = std::hint::black_box(work());
+        fastest = fastest.min(start.elapsed().as_secs_f64());
+        assert_eq!(again, first, "a timed run must repeat the first");
+    }
+    fastest
+}
+
+/// Replays one trace's events into an analytic recorder.
+fn record_trace(trace: &TaskletTrace, r: &mut impl Record) {
+    for e in trace.events() {
+        match *e {
+            TraceEvent::Compute { class, count } => r.compute(class, count),
+            TraceEvent::Dma { bytes } => r.dma(bytes),
+            TraceEvent::MutexLock { id } => r.mutex_lock(id),
+            TraceEvent::MutexUnlock { id } => r.mutex_unlock(id),
+            TraceEvent::Barrier => r.barrier(),
+        }
+    }
+}
+
+/// Times the analytic path alone over [`des_trace_sets`]: each set recorded
+/// into one `TaskletStats` per tasklet, and those stats predicted at the
+/// default observability level, each at its fastest of [`DES_ROUNDS`].
+/// Returns the DPUs (trace sets) of one pass and the host seconds that
+/// pass spent recording and predicting.
+fn time_analytic() -> (usize, f64, f64) {
+    let cfg = PipelineConfig::default();
+    let sets = des_trace_sets();
+    let record = |traces: &[TaskletTrace]| -> Vec<TaskletStats> {
+        let stats = traces.iter().map(|t| {
+            let mut s = TaskletStats::new(&cfg);
+            record_trace(std::hint::black_box(t), &mut s);
+            s
+        });
+        stats.collect()
+    };
+    let (mut record_secs, mut predict_secs) = (0.0, 0.0);
+    for traces in &sets {
+        record_secs += fastest(|| {
+            let stats = record(traces);
+            stats.iter().map(TaskletStats::instructions).sum::<u64>()
+        });
+        let stats = record(traces);
+        predict_secs += fastest(|| {
+            let level = ObservabilityLevel::Aggregate;
+            let profile = predict_dpu(std::hint::black_box(&stats), &cfg, level);
+            profile.counters.get(CounterId::DpuCycles)
+        });
+    }
+    (sets.len(), record_secs, predict_secs)
+}
+
 /// Times `simulate_dpu_profiled` alone over [`des_trace_sets`] at its
 /// steadiest: each set's fastest of [`DES_ROUNDS`] replays, summed, as
 /// another tenant of a shared VM slows single replays, never speeds them
@@ -198,15 +283,8 @@ fn time_des() -> (u64, f64) {
                 .counters
                 .get(CounterId::SlotIssue)
         };
-        let issued = replay();
-        let mut fastest = f64::INFINITY;
-        for _ in 0..DES_ROUNDS {
-            let start = Instant::now();
-            assert_eq!(replay(), issued, "the DES must replay the same instructions");
-            fastest = fastest.min(start.elapsed().as_secs_f64());
-        }
-        instructions += issued;
-        secs += fastest;
+        instructions += replay();
+        secs += fastest(replay);
     }
     (instructions, secs)
 }
@@ -224,9 +302,10 @@ fn main() {
     let n = graph.nodes() as usize;
     let dense = DenseVector::filled(n, 1u32);
     let one_vertex = SparseVector::one_hot(n, 0, 1u32);
-    let spmv = PreparedSpmv::<BoolOrAnd>::prepare(&m, SpmvVariant::Coo1d, &sys).expect("fits");
+    let spmv = || PreparedSpmv::<BoolOrAnd>::prepare(&m, SpmvVariant::Coo1d, &sys).expect("fits");
     let spmspv =
-        PreparedSpmspv::<BoolOrAnd>::prepare(&m, SpmspvVariant::Csc2d, &sys).expect("fits");
+        || PreparedSpmspv::<BoolOrAnd>::prepare(&m, SpmspvVariant::Csc2d, &sys).expect("fits");
+    let dense_run = |p: &PreparedSpmv<BoolOrAnd>| p.run(&dense, &sys).expect("dims match").kernel;
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // The parallel leg must actually be parallel: honor ALPHA_PIM_THREADS
@@ -250,17 +329,19 @@ fn main() {
         "sequential and parallel replay configs must differ for the comparison to mean anything"
     );
 
-    let (dense_launch, report) = time_launch("spmv_coo1d_dense", threads_seq, threads_par, || {
-        spmv.run(&dense, &sys).expect("dims match").kernel
-    });
+    let (dense_launch, report) =
+        time_launch("spmv_coo1d_dense", threads_seq, threads_par, Prep::Cold, spmv, dense_run);
     assert_eq!(
         report.max_cycles, FAULT_FREE_MAX_CYCLES,
         "fault-free makespan drifted — the resilience layer must cost nothing when disabled"
     );
     assert!(!report.degraded, "no fault plan, nothing may degrade");
+    let (warm_launch, warm_report) =
+        time_launch("spmv_coo1d_dense_warm", threads_seq, threads_par, Prep::Warm, spmv, dense_run);
+    assert_eq!(warm_report, report, "a warm launch must report what a cold one does");
     let (sparse_launch, report) =
-        time_launch("spmspv_csc2d_one_vertex", threads_seq, threads_par, || {
-            spmspv.run(&one_vertex, &sys).expect("dims match").kernel
+        time_launch("spmspv_csc2d_one_vertex", threads_seq, threads_par, Prep::Warm, spmspv, |p| {
+            p.run(&one_vertex, &sys).expect("dims match").kernel
         });
     assert_eq!(
         report.max_cycles, ONE_VERTEX_MAX_CYCLES,
@@ -269,7 +350,7 @@ fn main() {
 
     let speedup = |t: &Timed| (cores >= 2).then(|| t.secs_seq / t.secs_par);
     let mut launches = Vec::new();
-    for t in [&dense_launch, &sparse_launch] {
+    for t in [&dense_launch, &warm_launch, &sparse_launch] {
         let s = speedup(t);
         println!(
             "perfsmoke: {} dpus {DPUS} threads {threads_seq}→{threads_par} ({cores} cores) \
@@ -295,11 +376,21 @@ fn main() {
         "perfsmoke: des replay {des_instructions} simulated instructions in {des_secs:.4}s \
          (fastest of {DES_ROUNDS} per trace set), {des_ns:.1} ns per simulated instruction"
     );
+    let (analytic_dpus, record_secs, predict_secs) = time_analytic();
+    let record_ns = record_secs * 1e9 / analytic_dpus as f64;
+    let predict_ns = predict_secs * 1e9 / analytic_dpus as f64;
+    println!(
+        "perfsmoke: analytic path over {analytic_dpus} DPUs (fastest of {DES_ROUNDS} each): \
+         {record_ns:.0} ns recording and {predict_ns:.0} ns predicting per DPU"
+    );
     let json = format!(
         "{{{}, \"threads_seq\": {threads_seq}, \"threads_par\": {threads_par}, \
          \"cores\": {cores}, \"dpus\": {DPUS}, \"launches\": [{}], \
          \"des\": {{\"instructions\": {des_instructions}, \"secs\": {des_secs:.6}, \
-         \"ns_per_instr\": {des_ns:.2}}}}}\n",
+         \"ns_per_instr\": {des_ns:.2}}}, \
+         \"analytic\": {{\"dpus\": {analytic_dpus}, \"record_secs\": {record_secs:.6}, \
+         \"predict_secs\": {predict_secs:.6}, \"record_ns_per_dpu\": {record_ns:.0}, \
+         \"predict_ns_per_dpu\": {predict_ns:.0}}}}}\n",
         alpha_pim_bench::report::bench_schema_fields("perfsmoke"),
         launches.join(", "),
     );

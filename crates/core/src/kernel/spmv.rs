@@ -19,7 +19,7 @@ use std::ops::Range;
 
 use alpha_pim_sim::instr::InstrClass;
 use alpha_pim_sim::par::par_map_indexed;
-use alpha_pim_sim::report::DpuJob;
+use alpha_pim_sim::report::{DpuJob, KeptEvals};
 use alpha_pim_sim::trace::Record;
 use alpha_pim_sim::PimSystem;
 use alpha_pim_sparse::partition::{
@@ -49,11 +49,19 @@ enum XAccess {
 
 /// A matrix partitioned and laid out for one SpMV variant, ready to run
 /// any number of iterations.
+///
+/// A partition records the same calls on every launch: the band and tile
+/// jobs never branch on the input vector's values, and a tile's segment
+/// length is fixed by the tile. So the preparation keeps each partition's
+/// fault-free evaluation from the first launch on a machine, and later
+/// launches on an equal machine run only the functional math
+/// ([`alpha_pim_sim::KernelAccumulator::evaluate_kept`]).
 #[derive(Debug)]
 pub struct PreparedSpmv<S: Semiring> {
     variant: SpmvVariant,
     n: u32,
     data: SpmvData<S::Elem>,
+    kept: KeptEvals,
 }
 
 /// A row band in CSR form (the 1D CSR SpMV variants and CSR SpMSpV).
@@ -147,7 +155,7 @@ impl<S: Semiring> PreparedSpmv<S> {
                 SpmvData::Dcoo2d(grid)
             }
         };
-        Ok(PreparedSpmv { variant, n, data })
+        Ok(PreparedSpmv { variant, n, data, kept: KeptEvals::default() })
     }
 
     /// The variant this preparation targets.
@@ -162,10 +170,11 @@ impl<S: Semiring> PreparedSpmv<S> {
 
     /// Runs one `y = M ⊗ x` iteration with a dense input vector.
     ///
-    /// Each partition records event traces where the launch replays its
-    /// DPU and closed-form statistics everywhere else
-    /// ([`alpha_pim_sim::KernelAccumulator::replays`]). The value math is
-    /// shared, so `y` is bit-identical across fidelities.
+    /// On the first launch on a machine, each partition records event
+    /// traces where the launch replays its DPU and closed-form statistics
+    /// everywhere else ([`alpha_pim_sim::KernelAccumulator::replays`]);
+    /// later launches on an equal machine reuse those evaluations. The
+    /// value math is shared, so `y` is bit-identical across fidelities.
     ///
     /// # Errors
     ///
@@ -197,7 +206,8 @@ impl<S: Semiring> PreparedSpmv<S> {
             SpmvData::Coo1d(parts) => {
                 // Partitions are independent: evaluate them on the pool,
                 // each with its own output band.
-                let evals = par_map_indexed(parts, |_, p| {
+                let kept = self.kept.for_launch(&acc, parts.len());
+                let evals = par_map_indexed(parts, |i, p| {
                     let mut local = vec![S::zero(); p.row_range.len()];
                     let job = CooBandJob::<S> {
                         m: &p.matrix,
@@ -207,7 +217,7 @@ impl<S: Semiring> PreparedSpmv<S> {
                         access: XAccess::MramRandom,
                         wram_bytes,
                     };
-                    (acc.evaluate_job(p.part, job), local)
+                    (acc.evaluate_kept(p.part, job, &kept[i]), local)
                 });
                 let load = broadcast(parts.iter().filter(|p| !p.row_range.is_empty()).count());
                 launch(sys, acc, evals, load, MergeModel::None, |part, mut local, guard| {
@@ -219,6 +229,7 @@ impl<S: Semiring> PreparedSpmv<S> {
                 })
             }
             SpmvData::Csr1d(bands) => {
+                let kept = self.kept.for_launch(&acc, bands.len());
                 let evals = par_map_indexed(bands, |part, b| {
                     let mut local = vec![S::zero(); b.rows.len()];
                     let job = CsrBandJob::<S> {
@@ -228,7 +239,7 @@ impl<S: Semiring> PreparedSpmv<S> {
                         tasklets,
                         wram_bytes,
                     };
-                    (acc.evaluate_job(part as u32, job), local)
+                    (acc.evaluate_kept(part as u32, job, &kept[part]), local)
                 });
                 let load = broadcast(bands.iter().filter(|b| !b.rows.is_empty()).count());
                 launch(sys, acc, evals, load, MergeModel::None, |part, mut local, guard| {
@@ -247,7 +258,8 @@ impl<S: Semiring> PreparedSpmv<S> {
                 // irregular pattern the paper attributes SpMV's memory
                 // stalls to (§6.4.1).
                 let cache_budget = (sys.config().wram_bytes / 4) as u64;
-                let evals = par_map_indexed(&grid.tiles, |_, t| {
+                let kept = self.kept.for_launch(&acc, grid.tiles.len());
+                let evals = par_map_indexed(&grid.tiles, |i, t| {
                     let rows = t.row_range.len();
                     let seg = &x.values()[t.col_range.start as usize..t.col_range.end as usize];
                     if rows == 0 || seg.is_empty() {
@@ -271,7 +283,7 @@ impl<S: Semiring> PreparedSpmv<S> {
                         access,
                         wram_bytes,
                     };
-                    (acc.evaluate_job(t.part, job), (local, seg_bytes))
+                    (acc.evaluate_kept(t.part, job, &kept[i]), (local, seg_bytes))
                 });
                 let merge = MergeModel::Grid {
                     elements: self.n as u64,

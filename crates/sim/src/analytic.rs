@@ -38,7 +38,7 @@
 //! dpu.cycles`), with exact event counters and `SpinRetries == 0` (spin
 //! retries are a contention artifact only the replayer observes).
 
-use crate::config::PipelineConfig;
+use crate::config::{DmaCost, ObservabilityLevel, PipelineConfig};
 use crate::counters::{CounterId, CounterSet};
 use crate::instr::{InstrClass, InstrMix};
 use crate::report::DpuProfile;
@@ -54,7 +54,8 @@ pub struct SegmentStats {
     pub instructions: u64,
     /// Instructions of register-reading classes (hazard candidates).
     pub reg_read_instrs: u64,
-    /// Instructions issued before the segment's first DMA.
+    /// Instructions issued up to the end of the segment's first DMA call
+    /// (all of them when it has none).
     pub pre_dma_instrs: u64,
     /// Instruction count observed right after the segment's last DMA
     /// (so `instructions - instrs_at_last_dma` is the post-DMA tail).
@@ -65,10 +66,15 @@ pub struct SegmentStats {
     pub dma_bytes: u64,
     /// Total engine cycles of the segment's transfers (startup + stream).
     pub dma_cycles: u64,
-    /// Mutex acquisitions per mutex id.
-    pub mutex_acquires: [u64; TRACKED_MUTEXES],
-    /// Instructions issued while holding each mutex.
-    pub mutex_held_instrs: [u64; TRACKED_MUTEXES],
+    /// Per mutex id, the load of its critical sections: two instructions
+    /// per acquisition plus every instruction issued while holding it.
+    /// While a recorder holds a mutex, its open segment keeps this load
+    /// minus the instructions issued so far, modulo 2^64.
+    mutex_loads: [u64; TRACKED_MUTEXES],
+    /// Bit `m` is set when the segment acquired mutex `m`.
+    mutex_mask: u16,
+    /// Mutex acquisitions over every id.
+    mutex_acquires: u64,
     /// Whether the segment was closed by a barrier arrival.
     pub ends_with_barrier: bool,
 }
@@ -81,69 +87,85 @@ impl SegmentStats {
     /// Mutex `m`'s issue-slot load in this segment: two instructions per
     /// acquisition plus every instruction issued while holding it.
     pub fn mutex_load(&self, m: usize) -> u64 {
-        2 * self.mutex_acquires[m] + self.mutex_held_instrs[m]
+        self.mutex_loads[m]
     }
 
     /// Whether this segment acquired mutex `m`.
     pub fn acquires_mutex(&self, m: usize) -> bool {
-        self.mutex_acquires[m] > 0
+        self.mutex_mask & (1 << m) != 0
     }
 
     /// Mutex acquisitions over every id.
     pub fn acquisitions(&self) -> u64 {
-        self.mutex_acquires.iter().sum()
+        self.mutex_acquires
     }
 }
 
 /// The analytic recorder: accumulates [`SegmentStats`] from the same
 /// [`Record`] calls a [`crate::trace::TaskletTrace`] would log as events.
-/// It keeps the pipeline configuration so every transfer is costed by
-/// [`PipelineConfig::dma_cycles`], as the replayer costs it.
+///
+/// It counts at boundaries. A compute call only adds to the instruction
+/// mix and to the running total of issued instructions; a segment's
+/// instructions and register reads are that total's (and the mix's) growth
+/// since the segment opened, its pre-DMA instructions the total at its
+/// first DMA, and a held mutex's instructions the total at the unlock (or
+/// barrier) minus the total at the lock. Every transfer is costed as the
+/// replayer costs it, from the pipeline's two DMA constants.
 #[derive(Debug, Clone)]
 pub struct TaskletStats {
-    cfg: PipelineConfig,
+    dma: DmaCost,
     mix: InstrMix,
     closed: Vec<SegmentStats>,
+    /// The open segment's DMA counts, mutex loads and acquisitions; its
+    /// instructions, register reads and (without a DMA) pre-DMA
+    /// instructions are filled in when it is read or closed.
     current: SegmentStats,
-    held_mask: u32,
+    /// Instructions issued since the recorder started.
+    issued: u64,
+    /// `issued` and the register-reading instructions when the open
+    /// segment began.
+    opened_at: u64,
+    reads_at_open: u64,
+    held_mask: u16,
+}
+
+/// Register-reading instructions in `mix`.
+fn reg_reads(mix: &InstrMix) -> u64 {
+    InstrClass::ALL.iter().filter(|c| c.reads_registers()).map(|&c| mix.count(c)).sum()
+}
+
+/// The mutex ids set in `mask`, lowest first.
+fn mutex_ids(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let m = mask.trailing_zeros() as usize;
+        mask &= mask.checked_sub(1)?;
+        Some(m)
+    })
 }
 
 impl TaskletStats {
     /// An empty recorder costing DMAs as `cfg` does.
     pub fn new(cfg: &PipelineConfig) -> Self {
         TaskletStats {
-            cfg: cfg.clone(),
+            dma: cfg.dma_cost(),
             mix: InstrMix::new(),
             closed: Vec::new(),
             current: SegmentStats::default(),
+            issued: 0,
+            opened_at: 0,
+            reads_at_open: 0,
             held_mask: 0,
-        }
-    }
-
-    /// Bumps shared per-instruction state for `count` instructions.
-    fn issue(&mut self, count: u64) {
-        self.current.instructions += count;
-        if self.current.dma_transfers == 0 {
-            self.current.pre_dma_instrs += count;
-        }
-        if self.held_mask != 0 {
-            let mut mask = self.held_mask;
-            while mask != 0 {
-                let id = mask.trailing_zeros() as usize;
-                self.current.mutex_held_instrs[id] += count;
-                mask &= mask - 1;
-            }
         }
     }
 
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.closed.is_empty() && self.current.is_empty()
+        self.issued == 0
     }
 
     /// Total instructions recorded.
     pub fn instructions(&self) -> u64 {
-        self.closed.iter().map(|s| s.instructions).sum::<u64>() + self.current.instructions
+        self.issued
     }
 
     /// Total bytes moved by DMA.
@@ -164,37 +186,57 @@ impl TaskletStats {
 
     /// The segments recorded so far: every barrier-closed segment plus the
     /// trailing open one if it holds any instructions.
-    pub fn segments(&self) -> impl Iterator<Item = &SegmentStats> + '_ {
-        self.closed.iter().chain((!self.current.is_empty()).then_some(&self.current))
+    pub fn segments(&self) -> impl Iterator<Item = SegmentStats> + '_ {
+        let (closed, open) = self.levels();
+        closed.iter().copied().chain(open)
+    }
+
+    /// The barrier-closed segments, read in place, and the open one if it
+    /// holds any instructions.
+    fn levels(&self) -> (&[SegmentStats], Option<SegmentStats>) {
+        (&self.closed, (self.issued > self.opened_at).then(|| self.open_segment()))
+    }
+
+    /// The open segment with its derived counts filled in.
+    fn open_segment(&self) -> SegmentStats {
+        let mut seg = self.current;
+        seg.instructions = self.issued - self.opened_at;
+        seg.reg_read_instrs = reg_reads(&self.mix) - self.reads_at_open;
+        if seg.dma_transfers == 0 {
+            seg.pre_dma_instrs = seg.instructions;
+        }
+        for m in mutex_ids(self.held_mask) {
+            seg.mutex_loads[m] = seg.mutex_loads[m].wrapping_add(self.issued);
+        }
+        seg
+    }
+
+    /// Records `chunks` transfers of `bytes` bytes in all, costing
+    /// `cycles`, whose instructions were just issued.
+    fn transfers(&mut self, chunks: u64, bytes: u64, cycles: u64) {
+        let at = self.issued - self.opened_at;
+        if self.current.dma_transfers == 0 {
+            self.current.pre_dma_instrs = at;
+        }
+        self.current.dma_transfers += chunks;
+        self.current.dma_bytes += bytes;
+        self.current.dma_cycles += cycles;
+        self.current.instrs_at_last_dma = at;
     }
 }
 
 impl Record for TaskletStats {
     fn compute(&mut self, class: InstrClass, count: u32) {
-        if count == 0 {
-            return;
-        }
         self.mix.add(class, count as u64);
-        if class.reads_registers() {
-            self.current.reg_read_instrs += count as u64;
-        }
-        self.issue(count as u64);
+        self.issued += count as u64;
     }
 
     fn compute_repeated(&mut self, blocks: &[(InstrClass, u32)], times: u64) {
-        // Closed form of the call loop: a DMA-free run moves neither the
-        // pre-DMA nor the last-DMA position and holds the same mutexes
-        // throughout, so every per-instruction quantity scales by `times`.
-        let mut issued = 0;
         for &(class, count) in blocks {
             let n = count as u64 * times;
             self.mix.add(class, n);
-            if class.reads_registers() {
-                self.current.reg_read_instrs += n;
-            }
-            issued += n;
+            self.issued += n;
         }
-        self.issue(issued);
     }
 
     fn dma(&mut self, bytes: u32) {
@@ -202,11 +244,8 @@ impl Record for TaskletStats {
             return;
         }
         self.mix.add(InstrClass::Dma, 1);
-        self.issue(1);
-        self.current.dma_transfers += 1;
-        self.current.dma_bytes += bytes as u64;
-        self.current.dma_cycles += self.cfg.dma_cycles(bytes);
-        self.current.instrs_at_last_dma = self.current.instructions;
+        self.issued += 1;
+        self.transfers(1, bytes as u64, self.dma.cycles(bytes));
     }
 
     fn dma_stream(&mut self, total_bytes: u64, chunk_bytes: u32, per_chunk_overhead: u32) {
@@ -222,35 +261,52 @@ impl Record for TaskletStats {
         let chunks = full + u64::from(rem > 0);
         self.mix.add(InstrClass::Dma, chunks);
         self.mix.add(InstrClass::Control, chunks * per_chunk_overhead as u64);
-        self.issue(chunks * (1 + per_chunk_overhead as u64));
-        self.current.dma_transfers += chunks;
-        self.current.dma_bytes += total_bytes;
-        self.current.dma_cycles += full * self.cfg.dma_cycles(chunk_bytes)
-            + if rem > 0 { self.cfg.dma_cycles(rem) } else { 0 };
-        self.current.instrs_at_last_dma = self.current.instructions;
+        self.issued += chunks * (1 + per_chunk_overhead as u64);
+        let cycles = full * self.dma.cycles(chunk_bytes)
+            + if rem > 0 { self.dma.cycles(rem) } else { 0 };
+        self.transfers(chunks, total_bytes, cycles);
     }
 
     fn mutex_lock(&mut self, id: u16) {
         self.mix.add(InstrClass::Sync, 1);
-        self.issue(1);
-        let id = (id as usize).min(TRACKED_MUTEXES - 1);
-        self.current.mutex_acquires[id] += 1;
-        self.held_mask |= 1 << id;
+        self.issued += 1;
+        let m = (id as usize).min(TRACKED_MUTEXES - 1);
+        let load = &mut self.current.mutex_loads[m];
+        *load = load.wrapping_add(2);
+        if self.held_mask & (1 << m) == 0 {
+            // The instructions held start after this one.
+            *load = load.wrapping_sub(self.issued);
+            self.held_mask |= 1 << m;
+        }
+        self.current.mutex_mask |= 1 << m;
+        self.current.mutex_acquires += 1;
     }
 
     fn mutex_unlock(&mut self, id: u16) {
         self.mix.add(InstrClass::Sync, 1);
-        let id = (id as usize).min(TRACKED_MUTEXES - 1);
-        self.held_mask &= !(1 << id);
-        self.issue(1);
+        let m = (id as usize).min(TRACKED_MUTEXES - 1);
+        if self.held_mask & (1 << m) != 0 {
+            let load = &mut self.current.mutex_loads[m];
+            *load = load.wrapping_add(self.issued);
+            self.held_mask &= !(1 << m);
+        }
+        self.issued += 1;
     }
 
     fn barrier(&mut self) {
         self.mix.add(InstrClass::Sync, 1);
-        self.issue(1);
-        self.current.ends_with_barrier = true;
-        let seg = std::mem::take(&mut self.current);
+        self.issued += 1;
+        let mut seg = self.open_segment();
+        seg.ends_with_barrier = true;
         self.closed.push(seg);
+        // A mutex held across the barrier keeps counting in the next
+        // segment from here.
+        self.current = SegmentStats::default();
+        for m in mutex_ids(self.held_mask) {
+            self.current.mutex_loads[m] = 0u64.wrapping_sub(self.issued);
+        }
+        self.opened_at = self.issued;
+        self.reads_at_open = reg_reads(&self.mix);
     }
 }
 
@@ -268,25 +324,33 @@ struct FluidThread {
 /// every running thread issues at most one instruction per revolver period
 /// `p`, the slot at most one per cycle (shared equally beyond `p` runnable
 /// threads), and a thread's `post` work only starts once its `pre` work is
-/// done *and* its gate time has passed. Returns the drain completion time
-/// and leaves every thread drained.
-fn fluid_drain(threads: &mut [FluidThread], p: f64) -> f64 {
+/// done *and* its gate time has passed. Returns the drain completion time;
+/// drained threads are dropped from `threads` as the drain goes.
+fn fluid_drain(threads: &mut Vec<FluidThread>, p: f64) -> f64 {
     const EPS: f64 = 1e-9;
     let mut t = 0.0f64;
     loop {
+        // One pass drops the drained threads and finds the running ones,
+        // their smallest remaining work and the next gate to open.
         let mut active = 0usize;
+        let mut min_work = f64::INFINITY;
         let mut next_gate = f64::INFINITY;
-        for th in threads.iter() {
+        threads.retain(|th| {
             if th.pre > EPS {
                 active += 1;
+                min_work = min_work.min(th.pre);
             } else if th.post > EPS {
                 if th.gate <= t + EPS {
                     active += 1;
+                    min_work = min_work.min(th.post);
                 } else {
                     next_gate = next_gate.min(th.gate);
                 }
+            } else {
+                return false;
             }
-        }
+            true
+        });
         if active == 0 {
             if next_gate.is_finite() {
                 t = next_gate;
@@ -295,14 +359,6 @@ fn fluid_drain(threads: &mut [FluidThread], p: f64) -> f64 {
             return t;
         }
         let rate = 1.0 / p.max(active as f64);
-        let mut min_work = f64::INFINITY;
-        for th in threads.iter() {
-            if th.pre > EPS {
-                min_work = min_work.min(th.pre);
-            } else if th.post > EPS && th.gate <= t + EPS {
-                min_work = min_work.min(th.post);
-            }
-        }
         let dt = (min_work / rate).min(next_gate - t).max(EPS);
         for th in threads.iter_mut() {
             if th.pre > EPS {
@@ -328,33 +384,36 @@ struct TaskletTotals {
     barriers: u64,
 }
 
-/// Predicts one DPU's makespan and full observability profile from its
+/// Predicts one DPU's makespan and observability profile from its
 /// tasklets' closed-form statistics — the analytic replacement for
-/// [`crate::pipeline::simulate_dpu_profiled`].
-pub fn predict_dpu(stats: &[TaskletStats], cfg: &PipelineConfig) -> DpuProfile {
+/// [`crate::pipeline::simulate_dpu_profiled`]. The profile carries one
+/// counter set per tasklet only at [`ObservabilityLevel::PerTasklet`];
+/// everything else is the same at every level.
+pub fn predict_dpu(
+    stats: &[TaskletStats],
+    cfg: &PipelineConfig,
+    level: ObservabilityLevel,
+) -> DpuProfile {
     let n_tasklets = stats.len();
     let p = cfg.revolver_period.max(1) as u64;
     let penalty = cfg.rf_hazard_penalty as u64;
     let mut totals = vec![TaskletTotals::default(); n_tasklets];
     let mut body_cycles = 0u64;
     let empty = SegmentStats::default();
-    // Every tasklet's segments are read in place, one barrier level at a
-    // time, into per-level buffers reused across levels.
-    let mut cursors: Vec<_> = stats.iter().map(TaskletStats::segments).collect();
+    // Every tasklet's closed segments are read in place, one barrier level
+    // at a time, into per-level buffers reused across levels.
+    let levels: Vec<_> = stats.iter().map(TaskletStats::levels).collect();
+    let depth = levels.iter().map(|(closed, open)| closed.len() + usize::from(open.is_some()));
+    let depth = depth.max().unwrap_or(0);
     let mut segs: Vec<&SegmentStats> = Vec::with_capacity(n_tasklets);
     let mut ns: Vec<u64> = Vec::with_capacity(n_tasklets);
     let mut order: Vec<usize> = Vec::with_capacity(n_tasklets);
     let mut threads: Vec<FluidThread> = Vec::with_capacity(n_tasklets);
-    loop {
+    for level in 0..depth {
         segs.clear();
-        let mut more = false;
-        for cursor in &mut cursors {
-            let seg = cursor.next();
-            more |= seg.is_some();
-            segs.push(seg.unwrap_or(&empty));
-        }
-        if !more {
-            break;
+        for (closed, open) in &levels {
+            let open = if level == closed.len() { open.as_ref() } else { None };
+            segs.push(closed.get(level).or(open).unwrap_or(&empty));
         }
         let live = segs.iter().filter(|s| !s.is_empty()).count() as u64;
         if live == 0 {
@@ -380,6 +439,7 @@ pub fn predict_dpu(stats: &[TaskletStats], cfg: &PipelineConfig) -> DpuProfile {
         let mut serial_bound = 0u64;
         let mut level_dma_cycles = 0u64;
         let mut ramp = u64::MAX;
+        let mut acquired = 0u16;
         for (i, s) in segs.iter().enumerate() {
             let rf = (s.reg_read_instrs as f64 * cfg.rf_hazard_rate) as u64 * penalty;
             let dma_wait = if cfg.non_blocking_dma { 0 } else { s.dma_cycles };
@@ -392,13 +452,14 @@ pub fn predict_dpu(stats: &[TaskletStats], cfg: &PipelineConfig) -> DpuProfile {
             if s.dma_transfers > 0 {
                 ramp = ramp.min(s.pre_dma_instrs * spacing);
             }
+            acquired |= s.mutex_mask;
             let t = &mut totals[i];
             t.instructions += s.instructions;
             t.dma_transfers += s.dma_transfers;
             t.dma_bytes += s.dma_bytes;
             t.dma_cycles += if cfg.non_blocking_dma { 0 } else { s.dma_cycles };
             t.rf_cycles += rf;
-            t.mutex_acquires += s.mutex_acquires.iter().sum::<u64>();
+            t.mutex_acquires += s.mutex_acquires;
             t.barriers += u64::from(s.ends_with_barrier);
         }
 
@@ -409,14 +470,12 @@ pub fn predict_dpu(stats: &[TaskletStats], cfg: &PipelineConfig) -> DpuProfile {
             0
         };
 
-        // Bound 4: mutual exclusion — critical sections on one mutex sum.
+        // Bound 4: mutual exclusion — critical sections on one mutex sum,
+        // for each mutex some tasklet acquires at this level.
         let mut mutex_bound = 0u64;
-        for m in 0..TRACKED_MUTEXES {
-            let acquires: u64 = segs.iter().map(|s| s.mutex_acquires[m]).sum();
-            let held: u64 = segs.iter().map(|s| s.mutex_held_instrs[m]).sum();
-            if acquires > 0 {
-                mutex_bound = mutex_bound.max((2 * acquires + held) * p);
-            }
+        for m in mutex_ids(acquired) {
+            let load: u64 = segs.iter().map(|s| s.mutex_loads[m]).sum();
+            mutex_bound = mutex_bound.max(load * p);
         }
 
         // Bound 5: staggered release — the serialized engine completes each
@@ -496,17 +555,19 @@ pub fn predict_dpu(stats: &[TaskletStats], cfg: &PipelineConfig) -> DpuProfile {
     }
 
     let total = if body_cycles == 0 { 0 } else { body_cycles + cfg.pipeline_depth as u64 };
-    synthesize_profile(stats, &totals, total, cfg)
+    synthesize_profile(stats, &totals, total, cfg, level)
 }
 
 /// Builds the [`DpuProfile`] counter partition around a predicted makespan,
 /// preserving the replayer's zero-remainder invariants and exact event
-/// counts.
+/// counts. The tasklet rollup is summed directly; each tasklet's own
+/// counter set is built only at [`ObservabilityLevel::PerTasklet`].
 fn synthesize_profile(
     stats: &[TaskletStats],
     totals: &[TaskletTotals],
     total: u64,
     cfg: &PipelineConfig,
+    level: ObservabilityLevel,
 ) -> DpuProfile {
     let n_tasklets = stats.len() as u64;
     let startup = cfg.dma_startup_cycles as u64;
@@ -519,13 +580,16 @@ fn synthesize_profile(
         mix.merge(&s.instr_mix());
     }
     let mut counters = CounterSet::new();
-    let mut tasklets = Vec::with_capacity(stats.len());
+    let mut tasklets = Vec::new();
+    if level.records_per_tasklet() {
+        tasklets.reserve(stats.len());
+    }
+    let mut rollup = [0u64; 8];
     let mut issued = 0u64;
     let mut dma_wait_sum = 0u64;
     let mut rf_sum = 0u64;
     let mut active_estimate = 0.0f64;
     for t in totals {
-        let mut c = CounterSet::new();
         let issue = t.instructions.min(total);
         let dma_wait = t.dma_cycles.saturating_sub(t.dma_transfers).min(total - issue);
         let rf = t.rf_cycles.min(total - issue - dma_wait);
@@ -542,14 +606,26 @@ fn synthesize_profile(
             (t.instructions.saturating_sub(t.dma_transfers) * (p - 1)).min(remaining);
         remaining -= revolver;
         let dma_startup = (t.dma_transfers * startup).min(dma_wait);
-        c.set(CounterId::TaskletIssue, issue);
-        c.set(CounterId::TaskletDmaStartup, dma_startup);
-        c.set(CounterId::TaskletDmaTransfer, dma_wait - dma_startup);
-        c.set(CounterId::TaskletRf, rf);
-        c.set(CounterId::TaskletDmaQueue, queue);
-        c.set(CounterId::TaskletRevolver, revolver);
-        c.set(CounterId::TaskletTail, tail);
-        c.set(CounterId::TaskletBarrier, remaining);
+        let cycles = [
+            issue,
+            dma_startup,
+            dma_wait - dma_startup,
+            rf,
+            queue,
+            revolver,
+            tail,
+            remaining,
+        ];
+        for (sum, c) in rollup.iter_mut().zip(cycles) {
+            *sum += c;
+        }
+        if level.records_per_tasklet() {
+            let mut c = CounterSet::new();
+            for (id, n) in SYNTHESIZED.into_iter().zip(cycles) {
+                c.set(id, n);
+            }
+            tasklets.push(c);
+        }
         issued += issue;
         dma_wait_sum += dma_wait;
         rf_sum += rf;
@@ -558,7 +634,6 @@ fn synthesize_profile(
         } else {
             ((issue * p).min(total)) as f64 / total as f64
         };
-        tasklets.push(c);
     }
 
     // Slot-level partition: issue, then memory (engine-busy idle), then rf,
@@ -582,15 +657,14 @@ fn synthesize_profile(
     ] {
         counters.set(id, c);
     }
-    for t in &tasklets {
-        for id in CounterId::TASKLET_CYCLES {
-            counters.add(id, t.get(id));
-        }
+    for (id, n) in SYNTHESIZED.into_iter().zip(rollup) {
+        counters.set(id, n);
     }
 
     DpuProfile {
         counters,
         tasklets,
+        tasklet_count: stats.len() as u32,
         instr_mix: mix,
         avg_active_threads: if total == 0 {
             0.0
@@ -599,6 +673,20 @@ fn synthesize_profile(
         },
     }
 }
+
+/// The tasklet cycle categories the synthesis fills, in the order its
+/// per-tasklet partition computes them; the other `tasklet.*` categories
+/// (dispatch contention, mutex backoff, fault) stay zero.
+const SYNTHESIZED: [CounterId; 8] = [
+    CounterId::TaskletIssue,
+    CounterId::TaskletDmaStartup,
+    CounterId::TaskletDmaTransfer,
+    CounterId::TaskletRf,
+    CounterId::TaskletDmaQueue,
+    CounterId::TaskletRevolver,
+    CounterId::TaskletTail,
+    CounterId::TaskletBarrier,
+];
 
 #[cfg(test)]
 mod tests {
@@ -664,10 +752,10 @@ mod tests {
 
     #[test]
     fn empty_stats_predict_zero() {
-        let profile = predict_dpu(&[], &cfg());
+        let profile = predict_dpu(&[], &cfg(), ObservabilityLevel::Aggregate);
         assert_eq!(profile.counters.get(CounterId::DpuCycles), 0);
         let stats = vec![TaskletStats::new(&cfg()); 4];
-        let profile = predict_dpu(&stats, &cfg());
+        let profile = predict_dpu(&stats, &cfg(), ObservabilityLevel::PerTasklet);
         assert_eq!(profile.counters.get(CounterId::DpuCycles), 0);
         assert!(profile.counters.is_empty());
     }
@@ -678,7 +766,7 @@ mod tests {
         // deterministic: (n-1)·P + 1 issue + pipeline depth.
         let mut stats = TaskletStats::new(&cfg());
         Record::compute(&mut stats, InstrClass::Control, 100);
-        let profile = predict_dpu(&[stats], &cfg());
+        let profile = predict_dpu(&[stats], &cfg(), ObservabilityLevel::Aggregate);
         let mut trace = TaskletTrace::new();
         trace.compute(InstrClass::Control, 100);
         let des = simulate_dpu_profiled(&[trace], &cfg());
@@ -702,7 +790,7 @@ mod tests {
             r.barrier();
             stats.push(s);
         }
-        let profile = predict_dpu(&stats, &cfg());
+        let profile = predict_dpu(&stats, &cfg(), ObservabilityLevel::PerTasklet);
         let c = &profile.counters;
         let total = c.get(CounterId::DpuCycles);
         assert_eq!(c.sum(&CounterId::SLOT_CYCLES), total);
@@ -730,7 +818,8 @@ mod tests {
                 r.barrier();
                 stats.push(s);
             }
-            predict_dpu(&stats, &cfg()).counters.get(CounterId::DpuCycles)
+            let profile = predict_dpu(&stats, &cfg(), ObservabilityLevel::Aggregate);
+            profile.counters.get(CounterId::DpuCycles)
         };
         let t0 = base(0, 0);
         assert!(base(500, 0) > t0, "more instructions must not be faster");
@@ -764,9 +853,11 @@ mod tests {
             })
             .collect();
         let depth = cfg().pipeline_depth as u64;
-        let a = predict_dpu(&build(false), &cfg()).counters.get(CounterId::DpuCycles);
-        let b = predict_dpu(&only_first, &cfg()).counters.get(CounterId::DpuCycles);
-        let ab = predict_dpu(&build(true), &cfg()).counters.get(CounterId::DpuCycles);
+        let cycles = |stats: &[TaskletStats]| {
+            let profile = predict_dpu(stats, &cfg(), ObservabilityLevel::Aggregate);
+            profile.counters.get(CounterId::DpuCycles)
+        };
+        let (a, b, ab) = (cycles(&build(false)), cycles(&only_first), cycles(&build(true)));
         assert_eq!(ab, a + b - depth, "segments must compose additively");
     }
 
@@ -819,7 +910,8 @@ mod tests {
                 stats.push(s);
             }
             let des = simulate_dpu_profiled(&traces, &cfg()).counters.get(CounterId::DpuCycles);
-            let pred = predict_dpu(&stats, &cfg()).counters.get(CounterId::DpuCycles);
+            let pred = predict_dpu(&stats, &cfg(), ObservabilityLevel::Aggregate);
+            let pred = pred.counters.get(CounterId::DpuCycles);
             let (des, pred) = (des as f64, pred as f64);
             let err = (pred - des).abs() / des;
             assert!(err < 0.15, "{name}: pred {pred} vs des {des} ({:.1}% off)", err * 100.0);

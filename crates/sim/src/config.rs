@@ -337,7 +337,41 @@ impl PipelineConfig {
 impl PipelineConfig {
     /// Cycles consumed by one blocking DMA of `bytes` bytes.
     pub fn dma_cycles(&self, bytes: u32) -> u64 {
-        self.dma_startup_cycles as u64 + (bytes as f64 * self.dma_cycles_per_byte).ceil() as u64
+        self.dma_cost().cycles(bytes)
+    }
+
+    /// The two constants [`Self::dma_cycles`] prices a transfer from.
+    pub(crate) fn dma_cost(&self) -> DmaCost {
+        DmaCost { startup: self.dma_startup_cycles, per_byte: self.dma_cycles_per_byte }
+    }
+}
+
+/// What one DMA transfer costs: a fixed startup plus a per-byte rate,
+/// rounded up to whole cycles. The discrete-event replay and the analytic
+/// recorder both price every transfer through [`DmaCost::cycles`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DmaCost {
+    startup: u32,
+    per_byte: f64,
+}
+
+impl DmaCost {
+    /// Cycles of one transfer of `bytes` bytes.
+    pub(crate) fn cycles(self, bytes: u32) -> u64 {
+        self.startup as u64 + ceil_u64(bytes as f64 * self.per_byte)
+    }
+}
+
+/// `x.ceil() as u64` without a call into libm's `ceil` (the baseline
+/// x86-64 target has no rounding instruction): the saturating truncation,
+/// plus one where it fell short of `x`. Negative and NaN inputs give 0 and
+/// inputs from 2^64 up saturate at `u64::MAX`, as the cast does.
+fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -499,6 +533,64 @@ mod tests {
         assert_eq!(p.dma_cycles(0), 88);
         assert_eq!(p.dma_cycles(8), 92);
         assert!(p.dma_cycles(2048) > p.dma_cycles(64));
+    }
+
+    #[test]
+    fn ceil_u64_matches_the_libm_ceil() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.25,
+            0.5,
+            1.0,
+            2.5,
+            3.0,
+            -0.5,
+            -3.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            (1u64 << 53) as f64,
+            (1u64 << 53) as f64 + 2.0,
+            (1u64 << 53) as f64 - 0.5,
+            18_446_744_073_709_549_568.0, // the largest double below 2^64
+            18_446_744_073_709_551_616.0, // 2^64
+            1e30,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            1.0 + f64::EPSILON,
+        ];
+        for x in edges {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn dma_cycles_round_up_like_the_libm_ceil() {
+        let mut seed = 0xCE11_u64;
+        for _ in 0..4096 {
+            seed = crate::pipeline::mix64(seed);
+            let bytes = match seed % 4 {
+                0 => (seed >> 8) as u32 % 64,
+                1 => (seed >> 8) as u32 % 8192,
+                _ => (seed >> 8) as u32,
+            };
+            let h = crate::pipeline::mix64(seed);
+            let per_byte = match h % 4 {
+                0 => (h >> 11) as f64 / (1u64 << 53) as f64,
+                1 => ((h >> 11) % 4096) as f64 / 1024.0,
+                2 => (h >> 11) as f64 / (1u64 << 32) as f64,
+                _ => 0.5,
+            };
+            let cfg = PipelineConfig {
+                dma_startup_cycles: (h >> 40) as u32 % 256,
+                dma_cycles_per_byte: per_byte,
+                ..PipelineConfig::default()
+            };
+            let want =
+                cfg.dma_startup_cycles as u64 + (bytes as f64 * per_byte).ceil() as u64;
+            assert_eq!(cfg.dma_cycles(bytes), want, "bytes {bytes} rate {per_byte}");
+        }
     }
 
     #[test]

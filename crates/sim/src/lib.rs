@@ -91,9 +91,9 @@ pub use energy::EnergyModel;
 pub use instr::{InstrClass, InstrMix};
 pub use par::{par_map_indexed, par_map_indexed_with, set_sim_threads, sim_threads, SimThreads};
 pub use report::{
-    BatchReport, CycleBreakdown, DpuDetail, DpuEval, DpuJob, DpuProfile, KernelAccumulator,
-    KernelReport, PhaseBreakdown, ReuseKey,
+    BatchReport, CycleBreakdown, DpuDetail, DpuEval, DpuJob, DpuProfile, KeptEval, KeptEvals,
+    KernelAccumulator, KernelReport, PhaseBreakdown, ReuseKey,
 };
 pub use resilience::{FaultSummary, RecoverySummary};
 pub use system::PimSystem;
-pub use trace::{OpenLoopArrivals, Record, TaskletTrace, TraceEvent};
+pub use trace::{NullRecord, OpenLoopArrivals, Record, TaskletTrace, TraceEvent};

@@ -527,7 +527,7 @@ pub fn simulate_dpu_profiled(traces: &[TaskletTrace], cfg: &PipelineConfig) -> D
     counters.add(CounterId::DpuCycles, total_cycles);
     counters.add(CounterId::TaskletBudget, n as u64 * total_cycles);
 
-    DpuProfile { counters, tasklets, instr_mix: mix, avg_active_threads }
+    DpuProfile { counters, tasklets, tasklet_count: n as u32, instr_mix: mix, avg_active_threads }
 }
 
 /// Whether the holder of a mutex that `requester` waits on can still

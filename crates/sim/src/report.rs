@@ -4,7 +4,7 @@
 //! built from.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::analytic::TaskletStats;
 use crate::config::{PimConfig, SimFidelity};
@@ -14,15 +14,16 @@ use crate::instr::{InstrClass, InstrMix};
 use crate::pipeline::{
     estimate_cycles, estimate_stats, mix64, simulate_dpu_profiled, TraceEstimate,
 };
-use crate::trace::{Record, TaskletTrace, TraceEvent};
+use crate::trace::{NullRecord, Record, TaskletTrace, TraceEvent};
 
 /// One DPU partition's functional run, recorded tasklet by tasklet.
 /// Kernels implement it once, generic over the recorder, and
 /// [`KernelAccumulator::evaluate_job`] runs it with the recorder the DPU
 /// needs: [`TaskletTrace`] events where the launch replays the DPU,
-/// closed-form [`TaskletStats`] everywhere else. Both recorders observe the
-/// same calls from the same kernel code, so result values are
-/// bit-identical whichever one runs.
+/// closed-form [`TaskletStats`] everywhere else, and a [`NullRecord`] where
+/// [`KernelAccumulator::evaluate_kept`] already holds the evaluation. Every
+/// recorder observes the same calls from the same kernel code, so result
+/// values are bit-identical whichever one runs.
 pub trait DpuJob {
     /// Runs the partition, recording each tasklet into a clone of `proto`.
     fn record<R: Record + Clone>(self, proto: &R) -> Vec<R>;
@@ -70,6 +71,39 @@ struct Clean {
     detailed: Option<DpuProfile>,
 }
 
+/// The fault-free evaluations of a prepared kernel's partitions, kept
+/// across its launches (see [`KernelAccumulator::evaluate_kept`]). They
+/// hold for one machine: a launch on a machine whose [`PimConfig`] is not
+/// the previous launch's starts an empty set in their place.
+#[derive(Debug, Default)]
+pub struct KeptEvals {
+    machine: Mutex<Option<(PimConfig, Arc<[KeptEval]>)>>,
+}
+
+impl KeptEvals {
+    /// The evaluations kept for `parts` partitions on `acc`'s machine: the
+    /// ones earlier launches there set, or an empty set that replaces them
+    /// when the machine's configuration differs from the last launch's.
+    /// The configurations are compared whole, never hashed, once per
+    /// launch.
+    pub fn for_launch(&self, acc: &KernelAccumulator, parts: usize) -> Arc<[KeptEval]> {
+        let mut machine = self.machine.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((cfg, kept)) = machine.as_ref() {
+            if *cfg == acc.cfg && kept.len() == parts {
+                return Arc::clone(kept);
+            }
+        }
+        let kept: Arc<[KeptEval]> = (0..parts).map(|_| KeptEval::default()).collect();
+        *machine = Some((acc.cfg.clone(), Arc::clone(&kept)));
+        kept
+    }
+}
+
+/// One partition's kept evaluation: whether its DPU replays and the
+/// fault-free evaluation the first launch to evaluate it computed.
+#[derive(Debug, Default)]
+pub struct KeptEval(OnceLock<(bool, Option<Clean>)>);
+
 /// One partition's recording, in the recorder
 /// [`KernelAccumulator::replays`] picked for its DPU.
 enum Recording {
@@ -100,7 +134,7 @@ fn trace_set_key(traces: &[TaskletTrace]) -> u64 {
 
 /// Full observability result of simulating one DPU (the Fig 9–11
 /// metrics): the counter rollup with each tasklet's exact cycle
-/// attribution, plus the two per-DPU numbers no counter holds (see
+/// attribution, plus the per-DPU numbers no counter holds (see
 /// [`crate::pipeline::simulate_dpu_profiled`]). The makespan is
 /// `dpu.cycles`, the issued instructions `slot.issue`, the idle slots the
 /// other `slot.*` counters and the contended-mutex retries
@@ -110,8 +144,14 @@ pub struct DpuProfile {
     /// Counter rollup over the whole DPU (tasklet counters summed, slot
     /// counters and budgets included).
     pub counters: CounterSet,
-    /// One exact cycle attribution per tasklet, in tasklet order.
+    /// One exact cycle attribution per tasklet, in tasklet order. A launch
+    /// keeps them only at
+    /// [`crate::config::ObservabilityLevel::PerTasklet`]; below it a
+    /// profile it evaluates holds none.
     pub tasklets: Vec<CounterSet>,
+    /// Tasklets the DPU ran, whether or not their attributions are kept
+    /// (`tasklet.budget` is this times `dpu.cycles`).
+    pub tasklet_count: u32,
     /// Instruction histogram, spin retries included (Fig 11).
     pub instr_mix: InstrMix,
     /// Average number of unblocked tasklets per cycle (Fig 10).
@@ -370,19 +410,18 @@ pub struct DpuEval {
     mix: InstrMix,
     est_cycles: u64,
     detailed: Option<DpuProfile>,
-    /// Fault events (injected/detected/recovered/…) this DPU's verdict
-    /// produced; merged into the rollup for every DPU, detailed or not.
-    fault_events: CounterSet,
-    /// The DPU was lost without redistribution: its partition is dropped
-    /// and the kernel completes degraded.
-    lost: bool,
+    /// The DPU's fault verdict (`Healthy` for an idle DPU, which draws
+    /// none). Its events are recorded into the rollup for every DPU,
+    /// detailed or not; a dropped verdict loses the partition, and the
+    /// kernel completes degraded.
+    verdict: FaultVerdict,
 }
 
 impl DpuEval {
     /// Whether this DPU's partition was dropped by an unsurvivable loss.
     /// Kernels skip applying the functional results of dropped partitions.
     pub fn is_lost(&self) -> bool {
-        self.lost
+        self.verdict.is_dropped()
     }
 
     /// Whether this DPU actually executed work (issued at least one
@@ -404,7 +443,7 @@ fn apply_fault_penalty(engine: &FaultEngine, verdict: FaultVerdict, profile: &mu
     if pen == 0 {
         return;
     }
-    let n = profile.tasklets.len() as u64;
+    let n = u64::from(profile.tasklet_count);
     profile.counters.add(CounterId::DpuCycles, pen);
     profile.counters.add(CounterId::SlotFault, pen);
     profile.counters.add(engine.penalty_bucket(verdict), pen);
@@ -523,6 +562,31 @@ impl KernelAccumulator {
         self.charge(dpu_id, clean.map(|c| move || c))
     }
 
+    /// [`Self::evaluate_job`] for a job that records the same calls on
+    /// every launch of its preparation, whatever its functional inputs
+    /// hold. The first launch on a machine keeps the job's fault-free
+    /// evaluation in `kept`; a later one runs the job into a
+    /// [`NullRecord`] for its functional result alone and copies that
+    /// evaluation. Every launch draws and pays the DPU's own fault verdict.
+    /// Debug builds record anyway and check the copy against the recording.
+    pub fn evaluate_kept(&self, dpu_id: u32, job: impl DpuJob, kept: &KeptEval) -> DpuEval {
+        let replayed = self.replays(dpu_id);
+        if let Some((_, clean)) = kept.0.get().filter(|(r, _)| *r == replayed) {
+            if cfg!(debug_assertions) {
+                let fresh = self.clean(dpu_id, &self.record(replayed, job));
+                debug_assert_eq!(&fresh, clean, "DPU {dpu_id} recorded other calls than it kept");
+            } else {
+                job.record(&NullRecord);
+            }
+            return self.charge(dpu_id, clean.as_ref().map(|c| || c.clone()));
+        }
+        let clean = self.clean(dpu_id, &self.record(replayed, job));
+        // A concurrent launch of the same preparation may have kept its
+        // equal evaluation first.
+        let _ = kept.0.set((replayed, clean.clone()));
+        self.charge(dpu_id, clean.map(|c| move || c))
+    }
+
     /// Records `job` into event traces where the launch replays the DPU
     /// and into closed-form statistics everywhere else.
     fn record(&self, replayed: bool, job: impl DpuJob) -> Recording {
@@ -592,7 +656,8 @@ impl KernelAccumulator {
         if let SimFidelity::Sampled(_) = self.cfg.fidelity {
             return Clean { estimate: estimate_stats(stats, &self.cfg.pipeline), detailed: None };
         }
-        let profile = crate::analytic::predict_dpu(stats, &self.cfg.pipeline);
+        let profile =
+            crate::analytic::predict_dpu(stats, &self.cfg.pipeline, self.cfg.observability);
         let estimate = TraceEstimate {
             cycles: profile.counters.get(CounterId::DpuCycles),
             mix: profile.instr_mix,
@@ -613,7 +678,10 @@ impl KernelAccumulator {
         if let Some(profile) = stored(&self.store()) {
             return profile;
         }
-        let profile = simulate_dpu_profiled(traces, &self.cfg.pipeline);
+        let mut profile = simulate_dpu_profiled(traces, &self.cfg.pipeline);
+        if !self.cfg.observability.records_per_tasklet() {
+            profile.tasklets = Vec::new();
+        }
         let events: usize = traces.iter().map(|t| t.events().len()).sum();
         let mut store = self.store();
         // A racing worker may have stored the same set meanwhile.
@@ -642,28 +710,19 @@ impl KernelAccumulator {
     /// verdict's penalty is charged to the estimate and, on a detailed
     /// DPU, to its profile.
     fn charge(&self, dpu_id: u32, clean: Option<impl FnOnce() -> Clean>) -> DpuEval {
-        let idle = |fault_events, lost| DpuEval {
+        let idle = |verdict| DpuEval {
             dpu_id,
             mix: InstrMix::new(),
             est_cycles: 0,
             detailed: None,
-            fault_events,
-            lost,
+            verdict,
         };
         let Some(clean) = clean else {
-            return idle(CounterSet::new(), false);
+            return idle(FaultVerdict::Healthy);
         };
-        let mut fault_events = CounterSet::new();
-        let verdict = match &self.faults {
-            Some(engine) => {
-                let v = engine.verdict(dpu_id);
-                engine.record_events(v, &mut fault_events);
-                v
-            }
-            None => FaultVerdict::Healthy,
-        };
+        let verdict = self.faults.as_ref().map_or(FaultVerdict::Healthy, |e| e.verdict(dpu_id));
         if verdict.is_dropped() {
-            return idle(fault_events, true);
+            return idle(verdict);
         }
         let Clean { estimate, mut detailed } = clean();
         let TraceEstimate { cycles: mut est_cycles, mix } = estimate;
@@ -673,18 +732,19 @@ impl KernelAccumulator {
                 apply_fault_penalty(engine, verdict, profile);
             }
         }
-        DpuEval { dpu_id, mix, est_cycles, detailed, fault_events, lost: false }
+        DpuEval { dpu_id, mix, est_cycles, detailed, verdict }
     }
 
     /// Folds one evaluated DPU into the aggregate. Order-dependent: callers
     /// replaying DPUs in parallel must merge in ascending DPU index.
     pub fn merge(&mut self, eval: DpuEval) {
         self.added += 1;
-        self.degraded |= eval.lost;
+        self.degraded |= eval.is_lost();
         // Fault events accumulate for every DPU, detailed or not (they are
-        // host-visible occurrences, not sampled cycle attribution). With no
-        // plan the set is all-zero and this merge changes nothing.
-        self.breakdown.counters.merge(&eval.fault_events);
+        // host-visible occurrences, not sampled cycle attribution).
+        if let Some(engine) = &self.faults {
+            engine.record_events(eval.verdict, &mut self.breakdown.counters);
+        }
         self.mix.merge(&eval.mix);
         self.est_sum += eval.est_cycles as u128;
         self.est_max = self.est_max.max(eval.est_cycles);
@@ -700,7 +760,9 @@ impl KernelAccumulator {
                 // A detailed DPU's record carries its own fault events so
                 // the retained details stay self-consistent per DPU.
                 let mut counters = profile.counters;
-                counters.merge(&eval.fault_events);
+                if let Some(engine) = &self.faults {
+                    engine.record_events(eval.verdict, &mut counters);
+                }
                 self.details.push(DpuDetail {
                     dpu_id: eval.dpu_id,
                     counters,
@@ -986,13 +1048,11 @@ mod tests {
                 if shapes[d % shapes.len()].0 == 0 {
                     // Records nothing: idle, no verdict drawn.
                     assert!(!eval.is_active() && !eval.is_lost(), "{fidelity:?} dpu {d}");
-                    assert!(eval.fault_events.is_empty(), "{fidelity:?} dpu {d}");
+                    assert_eq!(eval.verdict, FaultVerdict::Healthy, "{fidelity:?} dpu {d}");
                     seen.3 |= verdict != FaultVerdict::Healthy;
                     continue;
                 }
-                let mut events = CounterSet::new();
-                engine.record_events(verdict, &mut events);
-                assert_eq!(eval.fault_events, events, "{fidelity:?} dpu {d}");
+                assert_eq!(eval.verdict, verdict, "{fidelity:?} dpu {d}");
                 assert_eq!(eval.is_lost(), verdict.is_dropped(), "{fidelity:?} dpu {d}");
                 assert_eq!(eval.is_active(), !verdict.is_dropped(), "{fidelity:?} dpu {d}");
                 seen.0 |= verdict == FaultVerdict::Straggler;

@@ -247,6 +247,29 @@ impl Record for TaskletTrace {
     }
 }
 
+/// A recorder that records nothing. Running a partition's
+/// [`crate::report::DpuJob`] into it computes the partition's functional
+/// result alone, for a launch that already holds the evaluation of what
+/// the partition records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NullRecord;
+
+impl Record for NullRecord {
+    fn compute(&mut self, _class: InstrClass, _count: u32) {}
+
+    fn compute_repeated(&mut self, _blocks: &[(InstrClass, u32)], _times: u64) {}
+
+    fn dma(&mut self, _bytes: u32) {}
+
+    fn dma_stream(&mut self, _total_bytes: u64, _chunk_bytes: u32, _per_chunk_overhead: u32) {}
+
+    fn mutex_lock(&mut self, _id: u16) {}
+
+    fn mutex_unlock(&mut self, _id: u16) {}
+
+    fn barrier(&mut self) {}
+}
+
 /// A seeded open-loop arrival process over the model clock.
 ///
 /// Generates Poisson-like query arrival times (exponential inter-arrival

@@ -6,7 +6,9 @@
 use alpha_pim_sim::instr::{InstrClass, InstrMix};
 use alpha_pim_sim::pipeline::{estimate_cycles, estimate_stats, simulate_dpu_profiled};
 use alpha_pim_sim::trace::{Record, TaskletTrace, TraceEvent};
-use alpha_pim_sim::{CounterId, PipelineConfig, SegmentStats, TaskletStats};
+use alpha_pim_sim::{
+    predict_dpu, CounterId, ObservabilityLevel, PipelineConfig, SegmentStats, TaskletStats,
+};
 use alpha_pim_sparse::gen::rng::SplitMix64;
 
 const CASES: u64 = 64;
@@ -663,6 +665,40 @@ fn stats_keep_the_eager_mutex_semantics() {
             calls(&mut stats);
             calls(&mut eager);
             assert_matches_eager(&stats, &eager, name);
+        }
+    }
+}
+
+#[test]
+fn predict_dpu_levels_differ_only_in_tasklet_sets() {
+    let mut rng = SplitMix64::new(0xD80C);
+    let mut seen = RunCoverage::default();
+    for c in &both_configs() {
+        for case in 0..CASES {
+            let stats: Vec<TaskletStats> = (0..rng.usize_below(17))
+                .map(|i| {
+                    let mut s = TaskletStats::new(c);
+                    if i % 2 == 0 {
+                        record_random_calls(rng.next_u64(), &mut s);
+                    } else {
+                        replay_runs(&random_runs(&mut rng, &mut seen), &mut s, false);
+                    }
+                    s
+                })
+                .collect();
+            let full = predict_dpu(&stats, c, ObservabilityLevel::PerTasklet);
+            assert_eq!(full.tasklets.len(), stats.len(), "case {case}");
+            assert_eq!(full.tasklet_count as usize, stats.len(), "case {case}");
+            for id in CounterId::TASKLET_CYCLES {
+                let sum: u64 = full.tasklets.iter().map(|t| t.get(id)).sum();
+                assert_eq!(sum, full.counters.get(id), "case {case}: {id}");
+            }
+            for level in [ObservabilityLevel::Aggregate, ObservabilityLevel::PerDpu] {
+                let mut lean = predict_dpu(&stats, c, level);
+                assert!(lean.tasklets.is_empty(), "case {case}: {level:?}");
+                lean.tasklets = full.tasklets.clone();
+                assert_eq!(lean, full, "case {case}: {level:?}");
+            }
         }
     }
 }

@@ -5,8 +5,10 @@
 # and the model time it simulated also show their ratio ("host/model", in
 # host seconds per model second) and the core count it was measured on
 # ("?" for artifacts written before `nproc` was recorded). The perfsmoke
-# artifact also shows the discrete-event replay's host nanoseconds per
-# simulated instruction, where it records them. All BENCH files
+# artifact also shows each launch leg (cold and warm dense SpMV, sparse
+# SpMSpV), the discrete-event replay's host nanoseconds per simulated
+# instruction and the analytic path's host nanoseconds per recorded and per
+# predicted DPU, where it records them. All BENCH files
 # share the schema emitted by `alpha_pim_bench::report::bench_schema_fields`
 # (schema_version, commit, tier, nproc); files predating the schema show
 # "-" in those columns.
@@ -53,6 +55,7 @@ for f in "${files[@]}"; do
                 | ([.launches[] | "\(.name) " + (if .speedup != null then "\(.speedup)x" else "not measured" end)]
                    | join(", ") + " " + $on)
                   + (if .des != null then ", DES \(.des.ns_per_instr) ns per simulated instruction" else "" end)
+                  + (if .analytic != null then ", analytic \(.analytic.record_ns_per_dpu) ns recording + \(.analytic.predict_ns_per_dpu) ns predicting per DPU" else "" end)
             elif .speedup != null and .broadcast_bytes_saved != null then
                 "\(.speedup)x batched, \(.broadcast_bytes_saved) bytes saved"
             elif .resumed_fingerprint != null or .fingerprint != null then

@@ -25,6 +25,10 @@ fi
 echo "==> counter audit (attribution invariants + DES golden + 1-vs-N thread equality + differential)"
 cargo test -q --offline --release -p alpha-pim-sim --test counter_invariants
 cargo test -q --offline --release -p alpha-pim-sim --test des_golden
+# The analytic recorder's modular mutex counts and the SpMV launches that
+# copy a kept evaluation (recording nothing) run unchecked only in release.
+cargo test -q --offline --release -p alpha-pim-sim --test pipeline_properties
+cargo test -q --offline --release -p alpha-pim --test spmv_reuse
 cargo test -q --offline --release -p alpha-pim --test cycle_invariants
 cargo test -q --offline --release -p alpha-pim-bench --test differential
 cargo test -q --offline --release -p alpha-pim-bench --test golden_reports
