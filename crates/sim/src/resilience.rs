@@ -117,9 +117,31 @@ impl RecoverySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FaultPlan, PimConfig};
+    use crate::config::{FaultPlan, PimConfig, ResiliencePolicy};
     use crate::faults::saturating_backoff;
     use crate::transfer::scatter_counted;
+
+    #[test]
+    fn backoff_doubles_each_round() {
+        let b = ResiliencePolicy::default().backoff_base_cycles;
+        assert_eq!(saturating_backoff(b, 0), 0);
+        assert_eq!(saturating_backoff(b, 1), b);
+        assert_eq!(saturating_backoff(b, 4), b * (1 + 2 + 4 + 8));
+    }
+
+    #[test]
+    fn backoff_shift_is_capped() {
+        let b = ResiliencePolicy::default().backoff_base_cycles;
+        // 64 rounds would otherwise shift past the word width.
+        assert!(saturating_backoff(b, 64) > saturating_backoff(b, 32));
+    }
+
+    #[test]
+    fn backoff_never_overflows_for_extreme_policies() {
+        assert_eq!(saturating_backoff(u64::MAX, u32::MAX), u64::MAX);
+        assert_eq!(saturating_backoff(u64::MAX, 0), 0);
+        assert_eq!(saturating_backoff(1 << 62, 100), u64::MAX);
+    }
 
     #[test]
     fn timeout_penalty_charges_resends_and_backoff() {
